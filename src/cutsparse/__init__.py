@@ -6,32 +6,23 @@ from .graph import (
     GraphFormatError,
     SparseGraph,
     WeightedGraph,
-    contract,
     cut_weight,
     load_graph,
     load_sparse,
     save_graph,
 )
-from .dsu import ForestDsu, LinkedListDsu
+from .dsu import ForestDsu
 from .msf import (
     OVER,
     EstimatedMsfPacking,
     MsfPacking,
     bottleneck_weights,
     msf_packing_bounded,
-    msf_packing_general,
     msf_packing_windowed,
 )
-from .ni import NiIndices, ni_preprocess, ni_indices
-from .oracles import (
-    CutReport,
-    binomial_pmf,
-    check_sparsifier,
-    edge_connectivity,
-    exact_min_cut,
-    oracle_msf_packing,
-)
-from .sampling import CompressionParams, RngStream, binom_sample, compress_edge
+from .ni import ni_preprocess, ni_indices
+from .oracles import CutReport, check_sparsifier, exact_min_cut
+from .sampling import RngStream, binom_sample, compress_edge
 from .sparsify import (
     LevelOverflowError,
     RunReport,
@@ -55,16 +46,13 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_WEIGHT",
     "OVER",
-    "CompressionParams",
     "CutReport",
     "CutSpec",
     "EstimatedMsfPacking",
     "ForestDsu",
     "GraphFormatError",
     "LevelOverflowError",
-    "LinkedListDsu",
     "MsfPacking",
-    "NiIndices",
     "RngStream",
     "RunReport",
     "SparseGraph",
@@ -72,22 +60,17 @@ __all__ = [
     "WeightedGraph",
     "approx_min_cut",
     "binom_sample",
-    "binomial_pmf",
     "bottleneck_weights",
     "check_sparsifier",
     "compress_edge",
-    "contract",
     "cut_weight",
-    "edge_connectivity",
     "exact_min_cut",
     "ni_preprocess",
     "load_graph",
     "load_sparse",
     "msf_packing_bounded",
-    "msf_packing_general",
     "msf_packing_windowed",
     "ni_indices",
-    "oracle_msf_packing",
     "pipeline",
     "practical_rho_scale",
     "reduce_real_weights",

@@ -24,7 +24,7 @@ from .graph import (
     load_sparse,
     save_graph,
 )
-from .msf import OVER, msf_packing_bounded, msf_packing_general
+from .msf import OVER, msf_packing_bounded
 from .ni import ni_preprocess
 from .oracles import ENUMERATION_LIMIT, check_sparsifier
 from .sparsify import (
@@ -120,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_msf = sub.add_parser("msf", help="dump forest indices per edge")
     p_msf.add_argument("--input", required=True)
     p_msf.add_argument("--levels", type=int, required=True, help="forest count M")
-    p_msf.add_argument("--algorithm", choices=("bounded", "general"), default="bounded")
     p_msf.add_argument("--format", choices=("auto", "edgelist", "dimacs"), default="auto")
 
     p_bench = sub.add_parser("bench", help="run a corpus and emit a CSV table")
@@ -134,15 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str, fmt: str) -> WeightedGraph:
-    return load_graph(path, fmt)
-
-
 def _run_method(g: WeightedGraph, method: str, cfg: SparsifyConfig):
     if method == "msf":
         return sparsify_with_report(g, cfg)
     if method == "ni":
-        h = ni_preprocess(g, cfg.epsilon, cfg.c, cfg.seed, cfg.rho_scale)
+        h = ni_preprocess(g, cfg.epsilon, cfg.seed, cfg.rho_scale)
         return h, []
     if method == "pipeline":
         return pipeline(g, cfg), []
@@ -151,7 +146,7 @@ def _run_method(g: WeightedGraph, method: str, cfg: SparsifyConfig):
 
 def _cmd_sparsify(args: argparse.Namespace) -> int:
     try:
-        g = _load(args.input, args.format)
+        g = load_graph(args.input, args.format)
     except (GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -165,6 +160,9 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     except LevelOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     save_graph(h, args.output)
     if args.report:
         payload = {
@@ -210,7 +208,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_mincut(args: argparse.Namespace) -> int:
     try:
-        g = _load(args.input, args.format)
+        g = load_graph(args.input, args.format)
     except (GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -224,6 +222,9 @@ def _cmd_mincut(args: argparse.Namespace) -> int:
     except LevelOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     side = cut.vertices(g.n)
     print(f"value {value}")
     print("side " + " ".join(str(v) for v in side))
@@ -232,17 +233,16 @@ def _cmd_mincut(args: argparse.Namespace) -> int:
 
 def _cmd_msf(args: argparse.Namespace) -> int:
     try:
-        g = _load(args.input, args.format)
+        g = load_graph(args.input, args.format)
     except (GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.levels < 1:
         print("error: --levels must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    packer = msf_packing_bounded if args.algorithm == "bounded" else msf_packing_general
-    packing = packer(g, args.levels)
+    levels = msf_packing_bounded(g, args.levels).levels.tolist()
     for eid, (u, v, w) in enumerate(g.edges()):
-        level = packing.level_of(eid)
+        level = levels[eid]
         label = "OVER" if level == OVER else str(level)
         print(f"{eid} {u} {v} {w} {label}")
     return EXIT_OK
@@ -287,7 +287,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     print(f"error: {exc}", file=sys.stderr)
                     return EXIT_CONFIG
                 t0 = time.perf_counter()
-                h, _ = _run_method(g, method, cfg)
+                try:
+                    h, _ = _run_method(g, method, cfg)
+                except ValueError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return EXIT_CONFIG
                 times.append((time.perf_counter() - t0) * 1e3)
                 sizes.append(h.m)
                 if 2 <= g.n <= args.n_limit:

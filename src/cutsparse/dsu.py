@@ -1,10 +1,9 @@
-"""Two union-find backends.
+"""Union-find for the forest packings.
 
-`ForestDsu` is the disjoint-set forest (union by rank, path compression);
-`LinkedListDsu` keeps explicit member lists and relabels the smaller list on
-union.  Both create singletons lazily so that a family of M structures does
-not pay an upfront Theta(n*M) initialization, and both raise on find/union of
-elements that were never created.
+`ForestDsu` is the disjoint-set forest (union by rank, path compression).  It
+creates singletons lazily so that a family of M structures does not pay an
+upfront Theta(n*M) initialization, and it raises on find/union of elements
+that were never created.
 """
 
 from __future__ import annotations
@@ -53,45 +52,3 @@ class ForestDsu:
         self._parent[ry] = rx
         if rank[rx] == rank[ry]:
             rank[rx] += 1
-
-
-class LinkedListDsu:
-    """Linked-list sets with weighted union; set ids are list head ids."""
-
-    __slots__ = ("_head", "_members")
-
-    def __init__(self) -> None:
-        self._head: dict[int, int] = {}
-        self._members: dict[int, list[int]] = {}
-
-    def __contains__(self, x: int) -> bool:
-        return x in self._head
-
-    def __len__(self) -> int:
-        return len(self._head)
-
-    def make_set(self, x: int) -> None:
-        if x in self._head:
-            raise ValueError(f"make_set on already-created element {x!r}")
-        self._head[x] = x
-        self._members[x] = [x]
-
-    def find(self, x: int) -> int:
-        try:
-            return self._head[x]
-        except KeyError:
-            raise KeyError(f"find on uncreated element {x!r}") from None
-
-    def union(self, x: int, y: int) -> None:
-        hx = self.find(x)
-        hy = self.find(y)
-        if hx == hy:
-            return
-        members = self._members
-        if len(members[hx]) < len(members[hy]):
-            hx, hy = hy, hx
-        head = self._head
-        absorbed = members.pop(hy)
-        for z in absorbed:
-            head[z] = hx
-        members[hx].extend(absorbed)

@@ -1,4 +1,4 @@
-"""Graph representation, cut evaluation, contraction, and file I/O.
+"""Graph representation, cut evaluation, and file I/O.
 
 Graphs are undirected multigraphs: parallel edges are allowed, self-loops are
 not.  Integer weights live in [1, 2**63 - 1] so that one machine word covers
@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-from .dsu import ForestDsu
 
 MAX_WEIGHT = (1 << 63) - 1
 
@@ -190,54 +188,6 @@ def cut_weight(g: WeightedGraph | SparseGraph, cut: CutSpec) -> int | float:
     if selected.dtype == np.float64:
         return math.fsum(selected.tolist())
     return sum(selected.tolist())
-
-
-def contract(
-    g: WeightedGraph,
-    keep: Callable[[int, int, int], bool] | Sequence[bool] | np.ndarray,
-) -> tuple[WeightedGraph, np.ndarray]:
-    """Contract every edge failing the keep predicate.
-
-    Self-loops produced by the merging are deleted; kept parallel edges stay
-    separate.  Returns the contracted graph (densely renumbered) and the map
-    from old vertex ids to new ones.
-    """
-    if callable(keep):
-        mask = np.fromiter(
-            (keep(int(u), int(v), int(w)) for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w)),
-            dtype=bool,
-            count=g.m,
-        )
-    else:
-        mask = np.asarray(keep, dtype=bool)
-        if len(mask) != g.m:
-            raise ValueError("keep mask length does not match edge count")
-
-    dsu = ForestDsu()
-    for x in range(g.n):
-        dsu.make_set(x)
-    for u, v in zip(g.edge_u[~mask].tolist(), g.edge_v[~mask].tolist()):
-        dsu.union(u, v)
-
-    vertex_map = np.empty(g.n, dtype=np.int64)
-    root_to_new: dict[int, int] = {}
-    for x in range(g.n):
-        root = dsu.find(x)
-        if root not in root_to_new:
-            root_to_new[root] = len(root_to_new)
-        vertex_map[x] = root_to_new[root]
-
-    new_u = vertex_map[g.edge_u[mask]]
-    new_v = vertex_map[g.edge_v[mask]]
-    new_w = g.edge_w[mask]
-    not_loop = new_u != new_v
-    contracted = WeightedGraph(
-        len(root_to_new),
-        _frozen(new_u[not_loop]),
-        _frozen(new_v[not_loop]),
-        _frozen(new_w[not_loop].copy()),
-    )
-    return contracted, vertex_map
 
 
 # --- file formats -----------------------------------------------------------

@@ -3,29 +3,23 @@
 A packing assigns each edge the index of the first forest whose endpoints it
 can join when edges are inserted in descending weight order; edges whose
 endpoints are already connected in every forest up to the requested bound get
-the explicit OVER sentinel.  Two interchangeable computations are provided
-(disjoint-set forest vs. linked-list union backend), plus a windowed
-estimator that handles weights too large for the rescaled-integer fast path.
+the explicit OVER sentinel.  The exact packing is a first-fit over lazily
+created disjoint-set forests; a windowed estimator rescales extreme weight
+ranges into polynomial bands and reads exact packings there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .dsu import ForestDsu, LinkedListDsu
+from .dsu import ForestDsu
 from .graph import WeightedGraph
 
 # Sentinel for "endpoints connected in every forest up to M"; kept distinct
 # from any valid level so arithmetic on it fails loudly.
 OVER = -1
-
-# Weight bound W <= n**4 under which the descending sort may use radix
-# passes; above it the same algorithm keeps its union backend but sorts by
-# comparison.
-POLY_WEIGHT_EXPONENT = 4
 
 
 @dataclass(frozen=True)
@@ -37,15 +31,6 @@ class MsfPacking:
     levels: np.ndarray  # int64 per edge; 1..M or OVER
     singleton_level: np.ndarray  # int64 per vertex
 
-    def level_of(self, edge_id: int) -> int:
-        return int(self.levels[edge_id])
-
-    def forest_edges(self, level: int) -> np.ndarray:
-        return np.flatnonzero(self.levels == level)
-
-    def over_edges(self) -> np.ndarray:
-        return np.flatnonzero(self.levels == OVER)
-
 
 @dataclass(frozen=True)
 class EstimatedMsfPacking:
@@ -56,15 +41,13 @@ class EstimatedMsfPacking:
     covered: np.ndarray  # bool per edge; the estimator's domain
 
 
-def _descending_order_radix(w: np.ndarray) -> list[int]:
-    # Stable sort on the negated weight: numpy's stable kind is a radix sort
-    # for integer dtypes, so ties fall back to ascending edge id.
+def _descending_order(w: np.ndarray) -> list[int]:
+    """Edge ids by weight descending, ties by ascending edge id.
+
+    Weights lie in [1, 2**63 - 1], so negating them cannot overflow int64,
+    and the stable sort keeps tied edges in id order.
+    """
     return np.argsort(-w, kind="stable").tolist()
-
-
-def _descending_order_comparison(w: np.ndarray) -> list[int]:
-    wl = w.tolist()
-    return sorted(range(len(wl)), key=lambda e: (-wl[e], e))
 
 
 def _pack_levels(
@@ -73,7 +56,6 @@ def _pack_levels(
     edge_v: list[int],
     order: list[int],
     M: int,
-    dsu_factory: Callable[[], ForestDsu | LinkedListDsu],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy first-fit packing over a fixed edge order.
 
@@ -84,7 +66,7 @@ def _pack_levels(
     m = len(edge_u)
     levels = np.empty(m, dtype=np.int64)
     m_eff = min(M, m)  # a level index can never exceed the edge count
-    forests = [dsu_factory() for _ in range(m_eff + 1)]  # 1-based
+    forests = [ForestDsu() for _ in range(m_eff + 1)]  # 1-based
     s = [1] * n
 
     for eid in order:
@@ -125,36 +107,15 @@ def _pack_levels(
     return levels, np.array(s, dtype=np.int64)
 
 
-def _packing(g: WeightedGraph, M: int, order: list[int], dsu_factory) -> MsfPacking:
+def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
+    """M-partial packing: first-fit in (weight descending, edge id ascending)
+    order over disjoint-set forests."""
+    if M < 1:
+        raise ValueError(f"forest count must be >= 1, got {M}")
     levels, s = _pack_levels(
-        g.n, g.edge_u.tolist(), g.edge_v.tolist(), order, M, dsu_factory
+        g.n, g.edge_u.tolist(), g.edge_v.tolist(), _descending_order(g.edge_w), M
     )
     return MsfPacking(M=M, levels=levels, singleton_level=s)
-
-
-def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
-    """M-partial packing with the disjoint-set forest backend.
-
-    Radix-sorts the edges when weights stay within the polynomial regime
-    (W <= n**4); otherwise falls back to a comparison sort while keeping the
-    same union backend.  Tie-break is (weight descending, edge id ascending).
-    """
-    if M < 1:
-        raise ValueError(f"forest count must be >= 1, got {M}")
-    if g.m and g.max_weight() <= g.n**POLY_WEIGHT_EXPONENT:
-        order = _descending_order_radix(g.edge_w)
-    else:
-        order = _descending_order_comparison(g.edge_w)
-    return _packing(g, M, order, ForestDsu)
-
-
-def msf_packing_general(g: WeightedGraph, M: int) -> MsfPacking:
-    """M-partial packing for unbounded weights: comparison sort plus the
-    linked-list union backend.  Identical output to the bounded variant."""
-    if M < 1:
-        raise ValueError(f"forest count must be >= 1, got {M}")
-    order = _descending_order_comparison(g.edge_w)
-    return _packing(g, M, order, LinkedListDsu)
 
 
 # --- bottleneck weights ------------------------------------------------------
@@ -178,11 +139,7 @@ def bottleneck_weights(g: WeightedGraph) -> np.ndarray:
     us = g.edge_u.tolist()
     vs = g.edge_v.tolist()
     ws = g.edge_w.tolist()
-    order = (
-        _descending_order_radix(g.edge_w)
-        if g.max_weight() <= n**POLY_WEIGHT_EXPONENT
-        else _descending_order_comparison(g.edge_w)
-    )
+    order = _descending_order(g.edge_w)
 
     parent_uf = list(range(n))
 
@@ -298,15 +255,13 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
         return EstimatedMsfPacking(M=M, levels=levels, covered=covered)
 
     ws = g.edge_w.tolist()
-    ds = bottleneck_weights(g).tolist()
+    d = bottleneck_weights(g)
+    ds = d.tolist()
     us = g.edge_u.tolist()
     vs = g.edge_v.tolist()
     cap = n**3 + 1  # sorts above every rescaled in-window weight, stays < n**4
 
-    pending = sorted(
-        (e for e in range(m) if n * ws[e] > ds[e]),
-        key=lambda e: (-ds[e], e),
-    )
+    pending = [e for e in _descending_order(d) if n * ws[e] > ds[e]]
 
     pos = 0
     while pos < len(pending):

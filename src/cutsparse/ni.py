@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from .graph import SparseGraph, WeightedGraph
 from .sampling import RngStream, compress_edge
@@ -21,19 +20,9 @@ from .sampling import RngStream, compress_edge
 PREPROCESS_RHO_CONSTANT = 224.0 / 0.38
 
 
-@dataclass(frozen=True)
-class NiIndices:
-    """Last occupied forest index per edge (Python ints: sums of weights may
-    exceed 64 bits)."""
-
-    levels: list[int]
-
-    def level_of(self, edge_id: int) -> int:
-        return self.levels[edge_id]
-
-
-def ni_indices(g: WeightedGraph) -> NiIndices:
-    """Forest indices from a maximum-adjacency scan.
+def ni_indices(g: WeightedGraph) -> list[int]:
+    """Last occupied forest index per edge, from a maximum-adjacency scan
+    (Python ints: sums of weights may exceed 64 bits).
 
     Vertices leave a max-heap keyed by their attachment r(v); scanning vertex
     x assigns every edge to a still-queued neighbor y the range
@@ -62,7 +51,7 @@ def ni_indices(g: WeightedGraph) -> NiIndices:
                 levels[eid] = r[y] + w
                 r[y] += w
                 heapq.heappush(heap, (-r[y], y))
-    return NiIndices(levels)
+    return levels
 
 
 def preprocess_rho(n: int, epsilon: float, rho_scale: float = 1.0) -> float:
@@ -72,15 +61,13 @@ def preprocess_rho(n: int, epsilon: float, rho_scale: float = 1.0) -> float:
 def ni_preprocess(
     g: WeightedGraph,
     epsilon: float,
-    c: float = 1.0,
     seed: int = 0,
     rho_scale: float = 1.0,
 ) -> SparseGraph:
     """Compress every edge with p_e = min(1, rho / l_e).
 
-    The confidence parameter c is accepted for interface symmetry with the
-    main sparsifier; this sampler's fixed constant already carries its
-    confidence margin.
+    The sampler's fixed constant already carries its confidence margin, so
+    unlike the main sparsifier it takes no confidence exponent c.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -93,7 +80,7 @@ def ni_preprocess(
     for eid, (u, v, w) in enumerate(
         zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist())
     ):
-        p = min(1.0, rho / indices.levels[eid])
+        p = min(1.0, rho / indices[eid])
         new_w = compress_edge(w, p, rng)
         if new_w is not None:
             out.append((u, v, new_w))

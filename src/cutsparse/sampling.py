@@ -12,23 +12,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 
 _STREAM_VERSION = b"cutsparse-rng-v1"
-
-
-@dataclass(frozen=True)
-class CompressionParams:
-    """Trial count and success probability for one edge compression."""
-
-    n: int
-    p: float
-
-    def validate(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"trial count must be >= 1, got {self.n}")
-        if not (0.0 < self.p <= 1.0):
-            raise ValueError(f"probability must be in (0, 1], got {self.p}")
 
 
 class RngStream:
@@ -46,18 +31,12 @@ class RngStream:
         ).digest()
         return RngStream(int.from_bytes(digest[:8], "little"))
 
-    def random(self) -> float:
-        return self._rng.random()
-
     def uniform_open(self) -> float:
         """Uniform draw from the open interval (0, 1); keeps log(u) finite."""
         u = self._rng.random()
         while u == 0.0:
             u = self._rng.random()
         return u
-
-    def randbytes(self, k: int) -> bytes:
-        return self._rng.randbytes(k)
 
     def coin_flips(self, count: int):
         """`count` fair bits as a uint8 array, LSB-first within each byte."""

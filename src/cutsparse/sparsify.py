@@ -27,7 +27,6 @@ from .graph import (
 )
 from .msf import (
     OVER,
-    POLY_WEIGHT_EXPONENT,
     bottleneck_weights,
     msf_packing_bounded,
     msf_packing_windowed,
@@ -41,6 +40,9 @@ RHO_NUMERATOR = 1352.0
 # standard formula at epsilon/sqrt(2) realizes exactly that 2704-numerator rho.
 RHO_NUMERATOR_UNBOUNDED = 2704.0
 COMPRESSION_CONSTANT = 384.0 / 169.0
+# The auto regime runs exact packings while W <= n**4 (the polynomial weight
+# regime) and windowed estimates above it.
+POLY_WEIGHT_EXPONENT = 4
 
 
 class LevelOverflowError(RuntimeError):
@@ -501,7 +503,6 @@ def pipeline(g: WeightedGraph, cfg: SparsifyConfig) -> SparseGraph:
     pre = ni_preprocess(
         g,
         eps3,
-        cfg.c,
         seed=root.child("pipeline-preprocess").seed,
         rho_scale=cfg.rho_scale,
     )

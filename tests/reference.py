@@ -1,0 +1,276 @@
+"""Reference implementations the test suites compare against.
+
+Everything here is deliberately independent of the library's fast paths: the
+packing oracle repeats standalone Kruskal passes over its own descending
+sort, edge connectivity enumerates cuts or runs a max-flow, and the packing
+validators re-check forests edge by edge.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+
+import numpy as np
+
+from cutsparse import SparseGraph, WeightedGraph
+from cutsparse.msf import OVER, MsfPacking
+from cutsparse.oracles import ENUMERATION_LIMIT, _all_cut_weights
+
+
+def oracle_msf_packing(g: WeightedGraph, M: int) -> MsfPacking:
+    """Literal definition of a packing: M standalone descending-Kruskal
+    rounds, each removing its forest before the next round starts."""
+    if M < 1:
+        raise ValueError(f"forest count must be >= 1, got {M}")
+    m = g.m
+    us = g.edge_u.tolist()
+    vs = g.edge_v.tolist()
+    ws = g.edge_w.tolist()
+    levels = np.full(m, OVER, dtype=np.int64)
+    remaining = sorted(range(m), key=lambda e: (-ws[e], e))
+    for level in range(1, M + 1):
+        if not remaining:
+            break
+        parent = list(range(g.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        leftover = []
+        for eid in remaining:
+            ru, rv = find(us[eid]), find(vs[eid])
+            if ru != rv:
+                parent[ru] = rv
+                levels[eid] = level
+            else:
+                leftover.append(eid)
+        remaining = leftover
+
+    singleton = np.ones(g.n, dtype=np.int64)
+    for eid in range(m):
+        lev = levels[eid]
+        if lev != OVER:
+            for x in (us[eid], vs[eid]):
+                if singleton[x] <= lev:
+                    singleton[x] = lev + 1
+    return MsfPacking(M=M, levels=levels, singleton_level=singleton)
+
+
+# --- edge connectivity --------------------------------------------------------
+
+
+def edge_connectivity(
+    g: WeightedGraph | SparseGraph,
+    u: int,
+    v: int,
+    n_limit: int = ENUMERATION_LIMIT,
+) -> int | float:
+    """Minimum weight over all cuts separating u and v.
+
+    Exhaustive enumeration up to n_limit vertices; a capacity-scaled max-flow
+    (weights as capacities) beyond that.
+    """
+    if u == v:
+        raise ValueError("endpoints must differ")
+    if g.n <= n_limit:
+        n = g.n
+        size = 1 << (n - 1)
+        masks = np.arange(size, dtype=np.int64)
+        bu = (masks >> u) & 1 if u < n - 1 else np.zeros(size, dtype=np.int64)
+        bv = (masks >> v) & 1 if v < n - 1 else np.zeros(size, dtype=np.int64)
+        separating = bu != bv
+        weights = _all_cut_weights(g)
+        best = float(weights[separating].min())
+        if isinstance(g, WeightedGraph):
+            # recompute the winning cut exactly to avoid float rounding
+            idx = int(np.flatnonzero(separating)[np.argmin(weights[separating])])
+            member = [(idx >> x) & 1 if x < n - 1 else 0 for x in range(n)]
+            exact = sum(
+                w
+                for uu, vv, w in zip(
+                    g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()
+                )
+                if member[uu] != member[vv]
+            )
+            return exact
+        return best
+    return _dinic_max_flow(g, u, v)
+
+
+def _dinic_max_flow(g: WeightedGraph | SparseGraph, source: int, sink: int):
+    # capacities are the edge weights; parallel edges merge
+    cap: dict[tuple[int, int], int | float] = {}
+    for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
+        cap[(u, v)] = cap.get((u, v), 0) + w
+        cap[(v, u)] = cap.get((v, u), 0) + w
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    edges: list[list] = []  # [to, capacity, index of reverse]
+    for (u, v), c in sorted(cap.items()):
+        adj[u].append(len(edges))
+        edges.append([v, c, None])
+    lookup = {}
+    pos = 0
+    for (u, v), _c in sorted(cap.items()):
+        lookup[(u, v)] = pos
+        pos += 1
+    for (u, v), _c in sorted(cap.items()):
+        edges[lookup[(u, v)]][2] = lookup[(v, u)]
+
+    flow = 0
+    while True:
+        level = [-1] * g.n
+        level[source] = 0
+        queue = deque([source])
+        while queue:
+            x = queue.popleft()
+            for eid in adj[x]:
+                to, c, _ = edges[eid]
+                if c > 0 and level[to] == -1:
+                    level[to] = level[x] + 1
+                    queue.append(to)
+        if level[sink] == -1:
+            return flow
+        it = [0] * g.n
+
+        def dfs(x, pushed):
+            if x == sink:
+                return pushed
+            while it[x] < len(adj[x]):
+                eid = adj[x][it[x]]
+                to, c, rev = edges[eid]
+                if c > 0 and level[to] == level[x] + 1:
+                    got = dfs(to, min(pushed, c))
+                    if got:
+                        edges[eid][1] -= got
+                        edges[rev][1] += got
+                        return got
+                it[x] += 1
+            return 0
+
+        while True:
+            pushed = dfs(source, float("inf"))
+            if not pushed:
+                break
+            flow += pushed
+
+
+def binomial_pmf(n: int, p: float, k: int) -> float:
+    """Binomial point mass via log-gamma; exact short-circuits at p in {0,1}."""
+    if n < 0 or not (0.0 <= p <= 1.0):
+        raise ValueError("need n >= 0 and p in [0, 1]")
+    if k < 0 or k > n:
+        return 0.0
+    if p == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if p == 1.0:
+        return 1.0 if k == n else 0.0
+    log_pmf = (
+        math.lgamma(n + 1)
+        - math.lgamma(k + 1)
+        - math.lgamma(n - k + 1)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+    return math.exp(log_pmf)
+
+
+# --- packing validators (used by invariant tests) ------------------------------
+
+
+def validate_msf_packing_forests(g: WeightedGraph, packing: MsfPacking) -> None:
+    """Check each level's edge set is acyclic and levels stay within 1..M."""
+    levels = packing.levels
+    if len(levels) != g.m:
+        raise AssertionError("level array does not match edge count")
+    for level in sorted(set(levels.tolist()) - {OVER}):
+        if not (1 <= level <= packing.M):
+            raise AssertionError(f"level {level} outside 1..{packing.M}")
+        parent = list(range(g.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for eid in np.flatnonzero(levels == level).tolist():
+            ru, rv = find(int(g.edge_u[eid])), find(int(g.edge_v[eid]))
+            if ru == rv:
+                raise AssertionError(f"cycle in forest {level}")
+            parent[ru] = rv
+
+
+def validate_msf_packing_heaviness(g: WeightedGraph, packing: MsfPacking) -> None:
+    """For each OVER edge, its endpoints must be connected inside every level
+    using only edges at least as heavy (per-level BFS check)."""
+    levels = packing.levels.tolist()
+    us = g.edge_u.tolist()
+    vs = g.edge_v.tolist()
+    ws = g.edge_w.tolist()
+    max_level = max((lv for lv in levels if lv != OVER), default=0)
+    if max_level < packing.M and any(lv == OVER for lv in levels):
+        raise AssertionError("OVER edge although some forest stayed empty")
+    by_level: dict[int, list[int]] = {}
+    for eid, lv in enumerate(levels):
+        if lv != OVER:
+            by_level.setdefault(lv, []).append(eid)
+    for eid, lv in enumerate(levels):
+        if lv != OVER:
+            continue
+        threshold = ws[eid]
+        for level in range(1, packing.M + 1):
+            adj: dict[int, list[int]] = {}
+            for fid in by_level.get(level, []):
+                if ws[fid] >= threshold:
+                    adj.setdefault(us[fid], []).append(vs[fid])
+                    adj.setdefault(vs[fid], []).append(us[fid])
+            start, goal = us[eid], vs[eid]
+            seen = {start}
+            queue = deque([start])
+            found = False
+            while queue:
+                x = queue.popleft()
+                if x == goal:
+                    found = True
+                    break
+                for y in adj.get(x, []):
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            if not found:
+                raise AssertionError(
+                    f"edge {eid} is OVER but not heavy in forest {level}"
+                )
+
+
+def validate_ni_indices(g: WeightedGraph, levels: list[int]) -> None:
+    """Reconstruct the occupied forests: edge e occupies l_e - w(e) + 1 .. l_e
+    and every occupied forest must be acyclic."""
+    if len(levels) != g.m:
+        raise AssertionError("index list does not match edge count")
+    us = g.edge_u.tolist()
+    vs = g.edge_v.tolist()
+    ws = g.edge_w.tolist()
+    for eid in range(g.m):
+        if levels[eid] < ws[eid]:
+            raise AssertionError("edge cannot occupy nonpositive forest indices")
+    top = max(levels, default=0)
+    for forest in range(1, top + 1):
+        parent = list(range(g.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for eid in range(g.m):
+            if levels[eid] - ws[eid] + 1 <= forest <= levels[eid]:
+                ru, rv = find(us[eid]), find(vs[eid])
+                if ru == rv:
+                    raise AssertionError(f"cycle in occupied forest {forest}")
+                parent[ru] = rv

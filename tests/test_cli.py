@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from cutsparse import load_sparse, save_graph
+from cutsparse import WeightedGraph, load_graph, load_sparse, save_graph
 from cutsparse.cli import main
+from cutsparse.msf import OVER
 
 from conftest import complete_graph, dumbbell_graph, multi_complete_graph, random_graph
+from reference import oracle_msf_packing
 
 
 @pytest.fixture
@@ -19,6 +21,16 @@ def tiny_graph_file(tmp_path):
 def multigraph_file(tmp_path):
     path = tmp_path / "mg.txt"
     save_graph(multi_complete_graph(10, 30, 8, seed=2), path)
+    return path
+
+
+@pytest.fixture
+def heavy_graph_file(tmp_path):
+    # weights in [2^59, 2^60): dense enough for two rounds, whose second
+    # round rescales the weights past 2^63 - 1
+    g = random_graph(20, 800, 1 << 59, seed=3)
+    path = tmp_path / "heavy.txt"
+    save_graph(WeightedGraph.from_edges(g.n, [(u, v, w + (1 << 59) - 1) for u, v, w in g.edges()]), path)
     return path
 
 
@@ -90,6 +102,17 @@ class TestSparsifyCommand:
             assert rc == 0
             load_sparse(out)
 
+    @pytest.mark.parametrize("regime", ["auto", "polynomial"])
+    def test_rescale_overflow_exit_2(self, heavy_graph_file, tmp_path, capsys, regime):
+        out = tmp_path / "h.txt"
+        rc = main(
+            ["sparsify", "--input", str(heavy_graph_file), "--output", str(out),
+             "--epsilon", "0.5", "--rho-scale", "1e-6", "--regime", regime]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_identical_graphs_zero_error(self, tiny_graph_file, capsys):
@@ -127,6 +150,14 @@ class TestMincutCommand:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[0] == "value 1.0"
 
+    def test_rescale_overflow_exit_2(self, heavy_graph_file, capsys):
+        rc = main(["mincut", "--input", str(heavy_graph_file), "--epsilon", "0.5",
+                   "--rho-scale", "1e-6"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestMsfCommand:
     def test_dump_levels(self, tmp_path, capsys):
@@ -145,13 +176,14 @@ class TestMsfCommand:
         assert capsys.readouterr().out.splitlines()[2].endswith(" OVER")
 
     def test_algorithms_agree(self, tmp_path, capsys):
+        # the printed levels are those of the reference packing
         path = tmp_path / "g.txt"
-        save_graph(random_graph(15, 60, 40, seed=4), path)
-        main(["msf", "--input", str(path), "--levels", "4"])
-        bounded = capsys.readouterr().out
-        main(["msf", "--input", str(path), "--levels", "4", "--algorithm", "general"])
-        general = capsys.readouterr().out
-        assert bounded == general
+        g = random_graph(15, 60, 40, seed=4)
+        save_graph(g, path)
+        assert main(["msf", "--input", str(path), "--levels", "4"]) == 0
+        printed = [line.split()[-1] for line in capsys.readouterr().out.splitlines()]
+        expected = oracle_msf_packing(load_graph(path), 4).levels.tolist()
+        assert printed == ["OVER" if lv == OVER else str(lv) for lv in expected]
 
 
 class TestBenchCommand:
@@ -186,3 +218,11 @@ class TestBenchCommand:
             ]
             outputs.append(rows)
         assert outputs[0] == outputs[1]
+
+    def test_rescale_overflow_exit_2(self, heavy_graph_file, capsys):
+        rc = main(
+            ["bench", "--corpus", str(heavy_graph_file.parent), "--methods", "msf",
+             "--epsilon", "0.5", "--rho-scale", "1e-6"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")

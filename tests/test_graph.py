@@ -8,7 +8,6 @@ from cutsparse import (
     GraphFormatError,
     SparseGraph,
     WeightedGraph,
-    contract,
     cut_weight,
     load_graph,
     load_sparse,
@@ -91,60 +90,6 @@ class TestCutWeight:
     def test_sparse_graph_compensated_sum(self):
         h = SparseGraph.from_edges(2, [(0, 1, 1e16), (0, 1, 1.0), (0, 1, 1.0)])
         assert cut_weight(h, CutSpec.from_vertices([0])) == 1e16 + 2.0
-
-
-class TestContract:
-    def test_contract_nothing_is_identity(self):
-        g = triangle()
-        h, vmap = contract(g, lambda u, v, w: True)
-        assert h.edges() == g.edges()
-        assert vmap.tolist() == [0, 1, 2]
-
-    def test_contract_path_edge(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 2), (1, 2, 9)])
-        h, vmap = contract(g, lambda u, v, w: w > 5)
-        assert h.n == 2
-        assert len(h.edges()) == 1
-        assert h.edges()[0][2] == 9
-        assert vmap[0] == vmap[1] != vmap[2]
-
-    def test_contract_heavy_leaves_empty_graph(self):
-        # hand-trace: both weight-100 edges collapse, (0,2,1) becomes a loop
-        g = WeightedGraph.from_edges(3, [(0, 1, 100), (1, 2, 100), (0, 2, 1)])
-        h, vmap = contract(g, lambda u, v, w: w <= 50)
-        assert h.n == 1
-        assert h.m == 0
-        assert vmap.tolist() == [0, 0, 0]
-
-    def test_parallel_edges_retained(self):
-        g = WeightedGraph.from_edges(4, [(0, 1, 5), (0, 1, 6), (2, 3, 1), (1, 2, 7)])
-        h, _ = contract(g, [True, True, False, True])
-        assert h.n == 3
-        assert sorted(e[2] for e in h.edges()) == [5, 6, 7]
-
-    def test_mask_form_and_callable_agree(self):
-        g = random_graph(8, 25, 40, seed=5)
-        keep = [w % 2 == 0 for _, _, w in g.edges()]
-        h1, m1 = contract(g, keep)
-        h2, m2 = contract(g, lambda u, v, w: w % 2 == 0)
-        assert h1.edges() == h2.edges()
-        assert m1.tolist() == m2.tolist()
-
-    def test_cut_preserved_through_contraction(self):
-        # a cut of the contracted graph pulls back to the kept-edge weight
-        g = random_graph(9, 18, 20, seed=6)
-        keep = [w <= 17 for _, _, w in g.edges()]
-        h, vmap = contract(g, keep)
-        assert h.n >= 2
-        side_new = {0}
-        pre_side = [x for x in range(g.n) if vmap[x] in side_new]
-        expected = sum(
-            w
-            for (u, v, w), k in zip(g.edges(), keep)
-            if k and ((u in pre_side) != (v in pre_side))
-        )
-        got = cut_weight(h, CutSpec.from_vertices(side_new)) if h.n >= 2 else 0
-        assert got == expected
 
 
 class TestFileFormats:

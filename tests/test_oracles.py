@@ -8,16 +8,20 @@ from cutsparse import (
     CutSpec,
     SparseGraph,
     WeightedGraph,
-    binomial_pmf,
     check_sparsifier,
     cut_weight,
-    edge_connectivity,
     exact_min_cut,
-    oracle_msf_packing,
 )
 from cutsparse.msf import OVER
 
 from conftest import complete_graph, dumbbell_graph, random_graph
+from reference import (
+    binomial_pmf,
+    edge_connectivity,
+    oracle_msf_packing,
+    validate_msf_packing_forests,
+    validate_msf_packing_heaviness,
+)
 
 
 def triangle():
@@ -81,10 +85,6 @@ class TestOracleMsfPacking:
         assert sorted(packing.levels.tolist()) == [OVER, 1, 1]
 
     def test_oracle_satisfies_packing_invariants(self):
-        from cutsparse.oracles import (
-            validate_msf_packing_forests,
-            validate_msf_packing_heaviness,
-        )
 
         for seed in range(5):
             g = random_graph(9, 35, 15, seed=700 + seed)

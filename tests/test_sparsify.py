@@ -13,7 +13,6 @@ from cutsparse import (
     approx_min_cut,
     check_sparsifier,
     cut_weight,
-    edge_connectivity,
     exact_min_cut,
     msf_packing_bounded,
     pipeline,
@@ -32,6 +31,7 @@ from cutsparse.msf import OVER
 from cutsparse.sparsify import early_out_threshold, log_star2
 
 from conftest import complete_graph, dumbbell_graph, multi_complete_graph, random_graph
+from reference import edge_connectivity
 
 
 def practical_cfg(g, epsilon=0.5, seed=0, target_rho=8.0, **kw):
