@@ -1,5 +1,10 @@
 """Command-line front door: sparsify, verify, mincut, msf, and bench.
 
+`sparsify`, `mincut` and `bench` turn their flags into one SparsifyConfig and
+call `sparsify`: practical mode is rho = 8 in every msf round and rho = 25 in
+every NI pass, and an explicit --rho-scale selects theory mode instead.
+`sparsify` warns on stderr when every round took the early out.
+
 Every subcommand is deterministic for fixed flags including --seed; the only
 non-reproducible fields are wall-clock entries in reports and bench tables.
 
@@ -15,36 +20,30 @@ import io
 import json
 import sys
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .graph import (
     GraphFormatError,
-    WeightedGraph,
     load_graph,
     load_sparse,
     save_graph,
 )
 from .msf import OVER, msf_packing_bounded
-from .ni import ni_preprocess
 from .oracles import ENUMERATION_LIMIT, check_sparsifier
 from .sparsify import (
+    PRACTICAL_NI_RHO,
+    PRACTICAL_RHO,
     LevelOverflowError,
     SparsifyConfig,
     approx_min_cut,
-    pipeline,
-    practical_rho_scale,
-    sparsify_with_report,
+    sparsify,
 )
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
-
-PRACTICAL_TARGET_RHO = 8.0
-# The preprocessing sampler has its own constant; practical mode pins its
-# intensity to the calibrated value instead of reusing the main multiplier.
-PRACTICAL_TARGET_NI_RHO = 25.0
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -55,8 +54,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         "--mode",
         choices=("theory", "practical"),
         default="theory",
-        help="theory keeps the literal constants; practical rescales rho to "
-        f"{PRACTICAL_TARGET_RHO:g} at the input size",
+        help="theory keeps the literal constants; practical runs every msf "
+        f"round at rho = {PRACTICAL_RHO:g} and every NI pass at rho = "
+        f"{PRACTICAL_NI_RHO:g}",
     )
     p.add_argument(
         "--rho-scale",
@@ -72,19 +72,21 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_config(args: argparse.Namespace, g: WeightedGraph) -> SparsifyConfig:
-    if args.rho_scale is not None:
-        scale = args.rho_scale
-    elif args.mode == "practical" and g.n >= 2:
-        scale = practical_rho_scale(g.n, args.epsilon, args.c, PRACTICAL_TARGET_RHO)
-    else:
-        scale = 1.0
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
+def _build_config(args: argparse.Namespace, method: str = "msf") -> SparsifyConfig:
+    theory = args.rho_scale is not None
     cfg = SparsifyConfig(
         epsilon=args.epsilon,
         seed=args.seed,
         c=args.c,
-        rho_scale=scale,
+        rho_scale=args.rho_scale if theory else 1.0,
         regime=args.regime,
+        method=method,
+        mode="theory" if theory else args.mode,
     )
     cfg.validate()
     return cfg
@@ -133,49 +135,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_method(g: WeightedGraph, method: str, cfg: SparsifyConfig):
-    if method == "msf":
-        return sparsify_with_report(g, cfg)
-    if method == "ni":
-        h = ni_preprocess(g, cfg.epsilon, cfg.seed, cfg.rho_scale)
-        return h, []
-    if method == "pipeline":
-        return pipeline(g, cfg), []
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _cmd_sparsify(args: argparse.Namespace) -> int:
     try:
         g = load_graph(args.input, args.format)
     except (GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(exc, EXIT_PARSE)
     try:
-        cfg = _build_config(args, g)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        h, reports = _run_method(g, args.method, cfg)
+        cfg = _build_config(args, args.method)
+        h, reports = sparsify(g, cfg)
     except LevelOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+        return _fail(exc, EXIT_GUARD)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc, EXIT_CONFIG)
     save_graph(h, args.output)
+    if all(r.early_out for r in reports):
+        last = reports[-1]
+        print(
+            f"warning: every round took the early out (m={last.m} <= threshold "
+            f"{last.threshold:g}); the output is the input unchanged",
+            file=sys.stderr,
+        )
     if args.report:
         payload = {
             "input": {"n": g.n, "m": g.m, "w_max": g.max_weight()},
-            "method": args.method,
-            "mode": args.mode,
-            "config": {
-                "epsilon": cfg.epsilon,
-                "c": cfg.c,
-                "seed": cfg.seed,
-                "rho_scale": cfg.rho_scale,
-                "regime": cfg.regime,
-            },
+            "config": asdict(cfg),
             "output_size": h.m,
             "rounds": [r.to_dict() for r in reports],
         }
@@ -195,13 +178,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         g = _load_for_verify(args.graph)
         h = _load_for_verify(args.sparsifier)
     except (GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(exc, EXIT_PARSE)
     try:
         report = check_sparsifier(g, h, args.n_limit)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc, EXIT_CONFIG)
     print(json.dumps(report.to_dict(), sort_keys=True))
     return EXIT_OK
 
@@ -210,21 +191,14 @@ def _cmd_mincut(args: argparse.Namespace) -> int:
     try:
         g = load_graph(args.input, args.format)
     except (GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(exc, EXIT_PARSE)
     try:
-        cfg = _build_config(args, g)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        cfg = _build_config(args)
         cut, value = approx_min_cut(g, cfg)
     except LevelOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+        return _fail(exc, EXIT_GUARD)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc, EXIT_CONFIG)
     side = cut.vertices(g.n)
     print(f"value {value}")
     print("side " + " ".join(str(v) for v in side))
@@ -235,8 +209,7 @@ def _cmd_msf(args: argparse.Namespace) -> int:
     try:
         g = load_graph(args.input, args.format)
     except (GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(exc, EXIT_PARSE)
     if args.levels < 1:
         print("error: --levels must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
@@ -256,14 +229,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+        configs = [
+            _build_config(args, m.strip()) for m in args.methods.split(",") if m.strip()
+        ]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    for method in methods:
-        if method not in ("msf", "ni", "pipeline"):
-            print(f"error: unknown method {method!r}", file=sys.stderr)
-            return EXIT_CONFIG
+        return _fail(exc, EXIT_CONFIG)
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -274,32 +244,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except (GraphFormatError, OSError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        for method in methods:
+        for cfg in configs:
             sizes = []
             errors = []
             times = []
             for seed in seeds:
-                ns = argparse.Namespace(**vars(args))
-                ns.seed = seed
-                try:
-                    cfg = _build_config(ns, g)
-                except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return EXIT_CONFIG
                 t0 = time.perf_counter()
                 try:
-                    h, _ = _run_method(g, method, cfg)
+                    h, _ = sparsify(g, replace(cfg, seed=seed))
                 except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return EXIT_CONFIG
+                    return _fail(exc, EXIT_CONFIG)
                 times.append((time.perf_counter() - t0) * 1e3)
                 sizes.append(h.m)
                 if 2 <= g.n <= args.n_limit:
                     errors.append(check_sparsifier(g, h, args.n_limit).max_rel_error)
             row = [
                 path.name,
-                method,
-                args.mode,
+                cfg.method,
+                cfg.mode,
                 f"{sum(sizes) / len(sizes):.1f}",
                 f"{sum(errors) / len(errors):.6f}" if errors else "",
                 f"{sum(times) / len(times):.3f}",

@@ -1,6 +1,7 @@
 """The sparsifier: level sampling with forest packings, edge compression,
 the iterated wrapper, the unbounded-weight adaptation, the real-weight
-reduction, the preprocess pipeline, and approximate min-cut.
+reduction, the preprocess pipeline, and approximate min-cut.  `sparsify` is
+the one entry point; `SparsifyConfig.method` picks the sampler.
 
 One run proceeds in two phases.  Phase one peels the edge set into levels:
 F_0 is the union of a floor(2*rho)-partial packing, and while the leftover
@@ -31,7 +32,7 @@ from .msf import (
     msf_packing_bounded,
     msf_packing_windowed,
 )
-from .ni import ni_preprocess
+from .ni import ni_preprocess, preprocess_rho
 from .oracles import exact_min_cut, _components
 from .sampling import RngStream, binom_sample
 
@@ -43,6 +44,10 @@ COMPRESSION_CONSTANT = 384.0 / 169.0
 # The auto regime runs exact packings while W <= n**4 (the polynomial weight
 # regime) and windowed estimates above it.
 POLY_WEIGHT_EXPONENT = 4
+# Practical mode: the rho every main round and every NI pass runs at.  The
+# literal constants force the early-out on anything small enough to verify.
+PRACTICAL_RHO = 8.0
+PRACTICAL_NI_RHO = 25.0
 
 
 class LevelOverflowError(RuntimeError):
@@ -63,14 +68,6 @@ def rho(
     return rho_scale * (7.0 + c) * numerator * math.log(n) / (0.38 * epsilon**2)
 
 
-def practical_rho_scale(
-    n: int, epsilon: float, c: float = 1.0, target_rho: float = 8.0
-) -> float:
-    """Multiplier that pins rho to a small target so sampling actually runs
-    at desk scale (the literal constants force the early-out everywhere)."""
-    return target_rho / rho(n, epsilon, c, 1.0)
-
-
 def log_star2(x: float) -> int:
     count = 0
     while x > 1.0:
@@ -80,15 +77,25 @@ def log_star2(x: float) -> int:
 
 
 _REGIMES = ("auto", "polynomial", "unbounded")
+_METHODS = ("msf", "ni", "pipeline")
+_MODES = ("theory", "practical")
 
 
 @dataclass(frozen=True)
 class SparsifyConfig:
+    """`method`: msf (the iterated level sampler), ni (the forest-index
+    preprocessing sampler alone) or pipeline (ni, then msf).  `mode`: theory
+    runs rho at its literal constants times `rho_scale`; practical runs every
+    msf round at rho = PRACTICAL_RHO and every NI pass at PRACTICAL_NI_RHO,
+    each at the precision it actually runs at."""
+
     epsilon: float
     seed: int = 0
     c: float = 1.0
     rho_scale: float = 1.0
     regime: str = "auto"
+    method: str = "msf"
+    mode: str = "theory"
     max_levels_guard: int | None = None
 
     def validate(self) -> None:
@@ -98,8 +105,11 @@ class SparsifyConfig:
             raise ValueError(f"rho_scale must be positive, got {self.rho_scale}")
         if self.c < 1.0:
             raise ValueError(f"c must be >= 1, got {self.c}")
-        if self.regime not in _REGIMES:
-            raise ValueError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
+        for name, allowed in (("regime", _REGIMES), ("method", _METHODS), ("mode", _MODES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        if self.mode == "practical" and self.rho_scale != 1.0:
+            raise ValueError("rho_scale applies only in theory mode")
         if self.max_levels_guard is not None and self.max_levels_guard < 1:
             raise ValueError("max_levels_guard must be >= 1")
 
@@ -123,17 +133,19 @@ class RunReport:
     seed: int
     rho_scale: float
     regime: str
-    rho: float
-    early_out: bool
-    set_aside_count: int
+    rho: float = 0.0
+    early_out: bool = False
+    set_aside_count: int = 0
+    method: str = "msf"
+    threshold: float = 0.0  # m at or under it takes the early out
     levels: list[LevelStats] = field(default_factory=list)
     gamma: int = 0
     output_size: int = 0
     timings_ms: dict[str, float] = field(default_factory=dict)
     level_sets: list[dict[str, np.ndarray]] | None = None
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "n": self.n,
             "m": self.m,
             "w_max": self.w_max,
@@ -146,22 +158,16 @@ class RunReport:
             "rho": self.rho,
             "early_out": self.early_out,
             "set_aside_count": self.set_aside_count,
+            "method": self.method,
+            "threshold": self.threshold,
             "levels": [
                 {"x": s.x_size, "f": s.f_size, "y": s.y_size, "forests": s.forests}
                 for s in self.levels
             ],
             "gamma": self.gamma,
             "output_size": self.output_size,
+            "timings_ms": self.timings_ms,
         }
-        if include_timings:
-            out["timings_ms"] = self.timings_ms
-        return out
-
-
-def _identity_output(g: WeightedGraph) -> SparseGraph:
-    return SparseGraph(
-        g.n, g.edge_u, g.edge_v, g.edge_w.astype(np.float64)
-    )
 
 
 def early_out_threshold(n: int, m: int, epsilon: float, rho_val: float) -> float:
@@ -183,7 +189,6 @@ def _algorithm_one(
     rng: RngStream,
     *,
     windowed: bool,
-    with_set_aside: bool,
     capture_levels: bool = False,
 ) -> tuple[SparseGraph, RunReport]:
     n, m = g.n, g.m
@@ -197,26 +202,22 @@ def _algorithm_one(
         seed=cfg.seed,
         rho_scale=cfg.rho_scale,
         regime="unbounded" if windowed else "polynomial",
-        rho=0.0,
-        early_out=False,
-        set_aside_count=0,
         level_sets=[] if capture_levels else None,
     )
     t_start = time.perf_counter()
 
-    if n < 2 or m == 0:
+    if n >= 2 and m > 0:
+        if cfg.mode == "practical":
+            report.rho_scale = PRACTICAL_RHO / rho(n, eps_eff, cfg.c)
+        report.rho = rho(n, eps_eff, cfg.c, report.rho_scale)
+        report.threshold = early_out_threshold(n, m, eps_eff, report.rho)
+    if n < 2 or m <= report.threshold:
         report.early_out = True
         report.output_size = m
         report.timings_ms["total"] = (time.perf_counter() - t_start) * 1e3
-        return _identity_output(g), report
-
-    rho_val = rho(n, eps_eff, cfg.c, cfg.rho_scale)
-    report.rho = rho_val
-    if m <= early_out_threshold(n, m, eps_eff, rho_val):
-        report.early_out = True
-        report.output_size = m
-        report.timings_ms["total"] = (time.perf_counter() - t_start) * 1e3
-        return _identity_output(g), report
+        identity = SparseGraph(g.n, g.edge_u, g.edge_v, g.edge_w.astype(np.float64))
+        return identity, report
+    rho_val = report.rho
 
     guard = cfg.max_levels_guard if cfg.max_levels_guard is not None else n
     edge_u = g.edge_u.tolist()
@@ -232,7 +233,7 @@ def _algorithm_one(
     t_compress = 0.0
 
     aside_ids: np.ndarray | None = None
-    if with_set_aside:
+    if windowed:
         d_all = bottleneck_weights(g).tolist()
         aside_mask = np.fromiter(
             (n * w <= d for w, d in zip(edge_w, d_all)), dtype=bool, count=m
@@ -346,6 +347,7 @@ def _algorithm_one(
 def sparsify_once_with_report(
     g: WeightedGraph, cfg: SparsifyConfig, capture_levels: bool = False
 ) -> tuple[SparseGraph, RunReport]:
+    """One run of Algorithm 1, the level-sampling sparsifier, at cfg.epsilon."""
     cfg.validate()
     return _algorithm_one(
         g,
@@ -353,19 +355,16 @@ def sparsify_once_with_report(
         cfg.epsilon,
         RngStream(cfg.seed),
         windowed=False,
-        with_set_aside=False,
         capture_levels=capture_levels,
     )
-
-
-def sparsify_once(g: WeightedGraph, cfg: SparsifyConfig) -> SparseGraph:
-    """One run of the level-sampling sparsifier on an integer-weighted graph."""
-    return sparsify_once_with_report(g, cfg)[0]
 
 
 def sparsify_unbounded_with_report(
     g: WeightedGraph, cfg: SparsifyConfig, capture_levels: bool = False
 ) -> tuple[SparseGraph, RunReport]:
+    """Unbounded-weight Algorithm 1: edges no heavier than d(e)/n are
+    compressed directly against their bottleneck weight, the rest runs the
+    standard levels with windowed index estimates."""
     cfg.validate()
     # Looser per-level heaviness of the windowed estimate costs a factor
     # sqrt(2) in precision; equivalently, the doubled rho numerator.
@@ -376,42 +375,18 @@ def sparsify_unbounded_with_report(
         eps_eff,
         RngStream(cfg.seed),
         windowed=True,
-        with_set_aside=True,
         capture_levels=capture_levels,
     )
 
 
-def sparsify_unbounded(g: WeightedGraph, cfg: SparsifyConfig) -> SparseGraph:
-    """Unbounded-weight variant: edges no heavier than d(e)/n are compressed
-    directly against their bottleneck weight, the rest runs the standard
-    levels with windowed index estimates."""
-    return sparsify_unbounded_with_report(g, cfg)[0]
-
-
-def _wants_windowed(g: WeightedGraph, cfg: SparsifyConfig) -> bool:
-    if cfg.regime == "polynomial":
-        return False
-    if cfg.regime == "unbounded":
-        return True
-    return g.m > 0 and g.max_weight() > g.n**POLY_WEIGHT_EXPONENT
-
-
-def _route_round(
-    g: WeightedGraph, cfg: SparsifyConfig, eps_eff: float, rng: RngStream
-) -> tuple[SparseGraph, RunReport]:
-    if _wants_windowed(g, cfg):
-        return _algorithm_one(
-            g, cfg, eps_eff / math.sqrt(2.0), rng, windowed=True, with_set_aside=True
-        )
-    return _algorithm_one(
-        g, cfg, eps_eff, rng, windowed=False, with_set_aside=False
-    )
-
-
-def sparsify_with_report(
-    g: WeightedGraph, cfg: SparsifyConfig
+def _iterate(
+    g: WeightedGraph, cfg: SparsifyConfig, windowed: bool
 ) -> tuple[SparseGraph, list[RunReport]]:
-    cfg.validate()
+    """Iterated sparsification with exponentially tightening precision.
+
+    Runs log*(m / (n log n / eps^2)) rounds, round i at eps / 2^(k-i+2); the
+    error products telescope below 1 +/- eps.
+    """
     root = RngStream(cfg.seed)
     n, m = g.n, g.m
     if n >= 2 and m > 0:
@@ -421,7 +396,6 @@ def sparsify_with_report(
 
     reports: list[RunReport] = []
     scale_exp = 0
-    current: SparseGraph | None = None
     work = g
     for i in range(1, k + 1):
         eps_i = cfg.epsilon / 2.0 ** (k - i + 2)
@@ -433,7 +407,11 @@ def sparsify_with_report(
             run_eps = eps_i / 2.0
         else:
             run_eps = eps_i
-        current, rep = _route_round(work, cfg, run_eps, root.child(f"round:{i}"))
+        if windowed:
+            run_eps /= math.sqrt(2.0)
+        current, rep = _algorithm_one(
+            work, cfg, run_eps, root.child(f"round:{i}"), windowed=windowed
+        )
         reports.append(rep)
 
     if scale_exp:
@@ -441,13 +419,64 @@ def sparsify_with_report(
     return current, reports
 
 
-def sparsify(g: WeightedGraph, cfg: SparsifyConfig) -> SparseGraph:
-    """Iterated sparsification with exponentially tightening precision.
+def _ni_round(
+    g: WeightedGraph, cfg: SparsifyConfig, epsilon: float, seed: int, regime: str
+) -> tuple[SparseGraph, RunReport]:
+    """One pass of the forest-index preprocessing sampler, with its report."""
+    t_start = time.perf_counter()
+    scale = cfg.rho_scale
+    if cfg.mode == "practical" and g.n >= 2:
+        scale = PRACTICAL_NI_RHO / preprocess_rho(g.n, epsilon)
+    h = ni_preprocess(g, epsilon, seed=seed, rho_scale=scale)
+    report = RunReport(
+        n=g.n,
+        m=g.m,
+        w_max=g.max_weight(),
+        epsilon=cfg.epsilon,
+        epsilon_effective=epsilon,
+        c=cfg.c,
+        seed=seed,
+        rho_scale=scale,
+        regime=regime,
+        rho=preprocess_rho(g.n, epsilon, scale) if g.n >= 2 else 0.0,
+        method="ni",
+        output_size=h.m,
+    )
+    report.timings_ms["total"] = (time.perf_counter() - t_start) * 1e3
+    return h, report
 
-    Runs log*(m / (n log n / eps^2)) rounds, round i at eps / 2^(k-i+2); the
-    error products telescope below 1 +/- eps.
+
+def sparsify(
+    g: WeightedGraph, cfg: SparsifyConfig
+) -> tuple[SparseGraph, list[RunReport]]:
+    """The sparsifier named by cfg.method, with one report per round.
+
+    The weight regime is settled once, on the input.  msf runs the iterated
+    wrapper; ni runs one preprocessing pass at cfg.epsilon; pipeline runs the
+    preprocessing pass, reduces to integers and runs the iterated wrapper,
+    splitting the budget eps/3 + eps/3 + eps/3.
     """
-    return sparsify_with_report(g, cfg)[0]
+    cfg.validate()
+    windowed = cfg.regime == "unbounded" or (
+        cfg.regime == "auto" and g.m > 0 and g.max_weight() > g.n**POLY_WEIGHT_EXPONENT
+    )
+    if cfg.method == "msf":
+        return _iterate(g, cfg, windowed)
+    regime = "unbounded" if windowed else "polynomial"
+    if cfg.method == "ni":
+        h, rep = _ni_round(g, cfg, cfg.epsilon, cfg.seed, regime)
+        return h, [rep]
+    eps3 = cfg.epsilon / 3.0
+    root = RngStream(cfg.seed)
+    pre, rep = _ni_round(g, cfg, eps3, root.child("pipeline-preprocess").seed, regime)
+    g_int, r = reduce_real_weights(pre, eps3)
+    cfg_main = replace(cfg, epsilon=eps3, seed=root.child("pipeline-main").seed)
+    h, reports = _iterate(g_int, cfg_main, windowed)
+    return scale_back(h, r), [rep] + reports
+
+
+# The benchmark's tracer hooks this name and reads result[1], the reports.
+sparsify_with_report = sparsify
 
 
 # --- real-weight reduction ------------------------------------------------
@@ -491,25 +520,7 @@ def scale_back(h: SparseGraph, r: int) -> SparseGraph:
     )
 
 
-# --- pipeline and min-cut ---------------------------------------------------
-
-
-def pipeline(g: WeightedGraph, cfg: SparsifyConfig) -> SparseGraph:
-    """Preprocess with the forest-index sampler, reduce to integers, then run
-    the main sparsifier; the budget splits eps/3 + eps/3 + eps/3."""
-    cfg.validate()
-    eps3 = cfg.epsilon / 3.0
-    root = RngStream(cfg.seed)
-    pre = ni_preprocess(
-        g,
-        eps3,
-        seed=root.child("pipeline-preprocess").seed,
-        rho_scale=cfg.rho_scale,
-    )
-    g_int, r = reduce_real_weights(pre, eps3)
-    cfg_main = replace(cfg, epsilon=eps3, seed=root.child("pipeline-main").seed)
-    h = sparsify(g_int, cfg_main)
-    return scale_back(h, r)
+# --- min-cut ---------------------------------------------------------------
 
 
 def approx_min_cut(
@@ -523,6 +534,6 @@ def approx_min_cut(
     if len(set(comp)) > 1:
         side = [x for x in range(g.n) if comp[x] == comp[0]]
         return CutSpec.from_vertices(side), 0.0
-    h = sparsify(g, cfg)
+    h, _ = sparsify(g, cfg)
     cut, _ = exact_min_cut(h)
     return cut, float(cut_weight(g, cut))

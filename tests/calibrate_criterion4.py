@@ -10,9 +10,9 @@ import time
 sys.path.insert(0, "tests")
 
 from conftest import topology_gallery
-from cutsparse import SparsifyConfig, practical_rho_scale
+from cutsparse import SparsifyConfig
 from cutsparse.oracles import _all_cut_weights
-from cutsparse.sparsify import sparsify_once
+from cutsparse.sparsify import sparsify_once_with_report
 
 
 def main() -> None:
@@ -23,12 +23,11 @@ def main() -> None:
     worst_p95 = 0.0
     for name, g in topology_gallery():
         base = _all_cut_weights(g)[1:]
-        scale = practical_rho_scale(g.n, eps, 1.0, 8.0)
         errors = []
         t0 = time.perf_counter()
         for seed in range(seeds):
-            cfg = SparsifyConfig(epsilon=eps, seed=seed, rho_scale=scale)
-            h = sparsify_once(g, cfg)
+            cfg = SparsifyConfig(epsilon=eps, seed=seed, mode="practical")
+            h, _ = sparsify_once_with_report(g, cfg)
             out = _all_cut_weights(h)[1:]
             errors.append(float(max(abs(out / base - 1.0))))
         dt = (time.perf_counter() - t0) * 1e3 / seeds

@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the library's fast paths: the
 packing oracle repeats standalone Kruskal passes over its own descending
 sort, edge connectivity enumerates cuts or runs a max-flow, and the packing
-validators re-check forests edge by edge.
+validators re-check forests edge by edge.  `rho_scale_for` pins a single
+round at a rho other than practical mode's.
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ import numpy as np
 from cutsparse import SparseGraph, WeightedGraph
 from cutsparse.msf import OVER, MsfPacking
 from cutsparse.oracles import ENUMERATION_LIMIT, _all_cut_weights
+from cutsparse.sparsify import rho
+
+
+def rho_scale_for(n: int, epsilon: float, target: float, c: float = 1.0) -> float:
+    """Theory-mode rho_scale that puts a round run at precision `epsilon` at
+    rho = target (practical mode computes its scale the same way, at 8)."""
+    return target / rho(n, epsilon, c)
 
 
 def oracle_msf_packing(g: WeightedGraph, M: int) -> MsfPacking:

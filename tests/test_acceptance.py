@@ -8,6 +8,7 @@ seeded and therefore reproducible bit for bit.
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,32 +21,27 @@ from conftest import (
     random_graph,
     topology_gallery,
 )
-from reference import binomial_pmf, edge_connectivity, oracle_msf_packing
+from reference import binomial_pmf, edge_connectivity, oracle_msf_packing, rho_scale_for
 from cutsparse import (
     CutSpec,
-    RngStream,
     SparseGraph,
     SparsifyConfig,
     WeightedGraph,
     approx_min_cut,
-    binom_sample,
     cut_weight,
     exact_min_cut,
-    ni_preprocess,
     msf_packing_bounded,
     msf_packing_windowed,
-    pipeline,
-    practical_rho_scale,
     reduce_real_weights,
-    rho,
     save_graph,
     scale_back,
+    sparsify,
 )
 from cutsparse.cli import main as cli_main
 from cutsparse.msf import OVER
-from cutsparse.ni import preprocess_rho
 from cutsparse.oracles import _all_cut_weights
-from cutsparse.sparsify import sparsify_once, sparsify_once_with_report, sparsify_with_report
+from cutsparse.sampling import RngStream, binom_sample
+from cutsparse.sparsify import PRACTICAL_RHO, sparsify_once_with_report
 
 EPS = cal.PRACTICAL_EPSILON
 
@@ -91,9 +87,8 @@ def test_criterion_02_leftover_heaviness():
     runs = 0
     checked = 0
     for name, g in topology_gallery()[:5]:
-        scale = practical_rho_scale(g.n, EPS, 1.0, cal.PRACTICAL_TARGET_RHO)
         for seed in range(4):
-            cfg = SparsifyConfig(epsilon=EPS, seed=seed, rho_scale=scale)
+            cfg = SparsifyConfig(epsilon=EPS, seed=seed, mode="practical")
             _, rep = sparsify_once_with_report(g, cfg, capture_levels=True)
             assert not rep.early_out, name
             runs += 1
@@ -163,6 +158,7 @@ def test_criterion_03_binomial_sampler():
 
 
 def test_criterion_04_cut_preservation():
+    assert PRACTICAL_RHO == cal.PRACTICAL_TARGET_RHO  # the calibrated operating point
     seeds = 200
     total = 0
     within = 0
@@ -170,12 +166,11 @@ def test_criterion_04_cut_preservation():
     for name, g in topology_gallery():
         base = _all_cut_weights(g)[1:]
         assert len(base) == 2 ** (g.n - 1) - 1
-        scale = practical_rho_scale(g.n, EPS, 1.0, cal.PRACTICAL_TARGET_RHO)
         # fitted level-count regression: gamma <= log2(m / (c n log2 n / eps^2)) + 2
         gamma_bound = math.log2(g.m / (g.n * math.log2(g.n) / EPS**2)) + 2
         topo_within = 0
         for seed in range(seeds):
-            cfg = SparsifyConfig(epsilon=EPS, seed=seed, rho_scale=scale)
+            cfg = SparsifyConfig(epsilon=EPS, seed=seed, mode="practical")
             h, rep = sparsify_once_with_report(g, cfg)
             assert not rep.early_out, name
             assert rep.gamma <= gamma_bound, (name, seed, rep.gamma)
@@ -195,13 +190,11 @@ def test_criterion_05_unbiasedness():
     cuts = [CutSpec.from_vertices(s) for s in ([0], [0, 1], [0, 2, 4], [1, 3, 5, 7], [0, 1, 2, 3])]
     true = [cut_weight(g, c) for c in cuts]
     seeds = 10_000
-    msf_scale = practical_rho_scale(8, EPS, 1.0, 4.0)
-    ni_scale = 25.0 / preprocess_rho(8, EPS)
-    pipe_scale = 25.0 / preprocess_rho(8, EPS / 3.0)
+    msf_scale = rho_scale_for(8, EPS, 4.0)
     methods = [
-        ("msf", lambda s: sparsify_once(g, SparsifyConfig(epsilon=EPS, seed=s, rho_scale=msf_scale))),
-        ("ni", lambda s: ni_preprocess(g, EPS, seed=s, rho_scale=ni_scale)),
-        ("pipeline", lambda s: pipeline(g, SparsifyConfig(epsilon=EPS, seed=s, rho_scale=pipe_scale))),
+        ("msf", lambda s: sparsify_once_with_report(g, SparsifyConfig(epsilon=EPS, seed=s, rho_scale=msf_scale))[0]),
+        ("ni", lambda s: sparsify(g, SparsifyConfig(epsilon=EPS, seed=s, method="ni", mode="practical"))[0]),
+        ("pipeline", lambda s: sparsify(g, SparsifyConfig(epsilon=EPS, seed=s, method="pipeline", mode="practical"))[0]),
     ]
     worst_z = 0.0
     for method, runner in methods:
@@ -238,7 +231,7 @@ def test_criterion_06_theory_mode_identity():
     for g in corpus:
         assert g.n <= 10**4
         cfg = SparsifyConfig(epsilon=EPS, seed=9)
-        h, reports = sparsify_with_report(g, cfg)
+        h, reports = sparsify(g, cfg)
         assert all(r.early_out for r in reports)
         assert h.n == g.n
         assert h.edges() == [(u, v, float(w)) for u, v, w in g.edges()]
@@ -248,7 +241,6 @@ def test_criterion_06_theory_mode_identity():
 def test_criterion_07_size_regression():
     n, m = 1 << 10, 100_000
     g = random_graph(n, m, n**3, seed=42)
-    scale = practical_rho_scale(n, EPS, 1.0, cal.PRACTICAL_TARGET_RHO)
     bound = (
         cal.SIZE_CONSTANT
         * n
@@ -260,7 +252,7 @@ def test_criterion_07_size_regression():
     shrink_ok = 0
     worst_size = 0
     for seed in range(50):
-        cfg = SparsifyConfig(epsilon=EPS, seed=seed, rho_scale=scale)
+        cfg = SparsifyConfig(epsilon=EPS, seed=seed, mode="practical")
         h, rep = sparsify_once_with_report(g, cfg)
         assert not rep.early_out
         assert h.m <= bound, (seed, h.m, bound)
@@ -279,9 +271,7 @@ def test_criterion_07_size_regression():
 
 
 def test_criterion_08_approx_min_cut():
-    def last_round_scale(n, target=cal.PRACTICAL_TARGET_RHO):
-        # pin rho to the target at the final wrapper round's effective epsilon
-        return target / rho(n, EPS / 8.0, 1.0, 1.0)
+    practical = SparsifyConfig(epsilon=EPS, mode="practical")
 
     # spec dumbbell: unique wide-gap min cut, identity early-out keeps it exact
     g = dumbbell_graph(6)
@@ -289,8 +279,7 @@ def test_criterion_08_approx_min_cut():
     assert lam == 1
     exact_hits = 0
     for seed in range(200):
-        cfg = SparsifyConfig(epsilon=EPS, seed=seed, rho_scale=practical_rho_scale(g.n, EPS, 1.0, 8.0))
-        cut, value = approx_min_cut(g, cfg)
+        cut, value = approx_min_cut(g, replace(practical, seed=seed))
         assert value <= (1 + 2 * EPS) * lam
         exact_hits += value == lam
     assert exact_hits >= 0.99 * 200
@@ -298,10 +287,9 @@ def test_criterion_08_approx_min_cut():
     # parallel-edge dumbbell: genuinely sampled, bridge must still win
     g = dumbbell_graph(6, copies=34)
     lam = exact_min_cut(g)[1]
-    scale = last_round_scale(g.n)
     exercised_hits = 0
     for seed in range(200):
-        cut, value = approx_min_cut(g, SparsifyConfig(epsilon=EPS, seed=seed, rho_scale=scale))
+        cut, value = approx_min_cut(g, replace(practical, seed=seed))
         assert value <= (1 + 2 * EPS) * lam
         exercised_hits += value == lam
     assert exercised_hits >= 0.99 * 200
@@ -310,9 +298,8 @@ def test_criterion_08_approx_min_cut():
     worst_ratio = 1.0
     for name, g in topology_gallery()[:3]:
         lam = exact_min_cut(g)[1]
-        scale = last_round_scale(g.n)
         for seed in range(67):
-            cut, value = approx_min_cut(g, SparsifyConfig(epsilon=EPS, seed=seed, rho_scale=scale))
+            cut, value = approx_min_cut(g, replace(practical, seed=seed))
             ratio = value / lam
             worst_ratio = max(worst_ratio, ratio)
             assert ratio <= 1 + 2 * EPS, (name, seed, ratio)
@@ -352,11 +339,10 @@ def test_criterion_09_real_weight_reduction():
     g_real = SparseGraph.from_edges(n, edges)
     base = _all_cut_weights(g_real)[1:]
     g_int, r = reduce_real_weights(g_real, EPS)
-    scale = practical_rho_scale(n, EPS, 1.0, cal.PRACTICAL_TARGET_RHO)
     within = 0
     worst = 0.0
     for seed in range(200):
-        h = sparsify_once(g_int, SparsifyConfig(epsilon=EPS, seed=seed, rho_scale=scale))
+        h, _ = sparsify_once_with_report(g_int, SparsifyConfig(epsilon=EPS, seed=seed, mode="practical"))
         back = scale_back(h, r)
         err = float(np.abs(_all_cut_weights(back)[1:] / base - 1.0).max())
         worst = max(worst, err)
@@ -470,9 +456,7 @@ def test_criterion_12_performance_smoke():
 
     # the spec'd practical default (rho = 8) takes the early-out on this shape
     t0 = time.perf_counter()
-    h, rep = sparsify_once_with_report(
-        g, SparsifyConfig(epsilon=EPS, seed=7, rho_scale=practical_rho_scale(n, EPS, 1.0, 8.0))
-    )
+    h, rep = sparsify_once_with_report(g, SparsifyConfig(epsilon=EPS, seed=7, mode="practical"))
     t_default = time.perf_counter() - t0
     assert rep.early_out
     assert t_default < cal.PERF_BUDGET_SECONDS
@@ -480,7 +464,7 @@ def test_criterion_12_performance_smoke():
     # and a genuinely exercised run (rho = 4) must also fit the budget
     t0 = time.perf_counter()
     h, rep = sparsify_once_with_report(
-        g, SparsifyConfig(epsilon=EPS, seed=7, rho_scale=practical_rho_scale(n, EPS, 1.0, 4.0))
+        g, SparsifyConfig(epsilon=EPS, seed=7, rho_scale=rho_scale_for(n, EPS, 4.0))
     )
     t_exercised = time.perf_counter() - t0
     assert not rep.early_out

@@ -2,11 +2,19 @@ import json
 
 import pytest
 
-from cutsparse import WeightedGraph, load_graph, load_sparse, save_graph
+import calibration as cal
+from cutsparse import WeightedGraph, check_sparsifier, load_graph, load_sparse, save_graph
 from cutsparse.cli import main
 from cutsparse.msf import OVER
+from cutsparse.oracles import _components
 
-from conftest import complete_graph, dumbbell_graph, multi_complete_graph, random_graph
+from conftest import (
+    complete_graph,
+    dumbbell_graph,
+    multi_complete_graph,
+    random_graph,
+    topology_gallery,
+)
 from reference import oracle_msf_packing
 
 
@@ -35,7 +43,7 @@ def heavy_graph_file(tmp_path):
 
 
 class TestSparsifyCommand:
-    def test_theory_mode_identity_bytes(self, tiny_graph_file, tmp_path):
+    def test_theory_mode_identity_bytes(self, tiny_graph_file, tmp_path, capsys):
         out = tmp_path / "h.txt"
         rc = main(
             ["sparsify", "--input", str(tiny_graph_file), "--output", str(out),
@@ -43,6 +51,28 @@ class TestSparsifyCommand:
         )
         assert rc == 0
         assert out.read_text() == tiny_graph_file.read_text()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("warning: every round took the early out (m=20 <= threshold ")
+
+    @pytest.mark.parametrize("method", ["msf", "ni", "pipeline"])
+    def test_practical_mode_samples_the_gallery(self, tmp_path, capsys, method):
+        for name, g in topology_gallery():
+            path = tmp_path / f"{name}.txt"
+            save_graph(g, path)
+            for seed in (1, 2):
+                out = tmp_path / f"{name}-{seed}-out.txt"
+                rc = main(
+                    ["sparsify", "--input", str(path), "--output", str(out),
+                     "--epsilon", "0.5", "--seed", str(seed), "--mode", "practical",
+                     "--method", method]
+                )
+                assert rc == 0
+                assert capsys.readouterr().err == "", (name, seed)
+                h = load_sparse(out)
+                assert h.m < g.m, (name, seed)
+                assert len(set(_components(h))) == 1, (name, seed)
+                assert check_sparsifier(g, h).max_rel_error <= cal.CUT_TOLERANCE_HARD, (name, seed)
 
     def test_repeat_runs_byte_identical(self, multigraph_file, tmp_path):
         outs = []
@@ -86,6 +116,7 @@ class TestSparsifyCommand:
         assert rc == 0
         payload = json.loads(report.read_text())
         assert payload["input"]["n"] == 10
+        assert payload["config"]["mode"] == "theory"  # --rho-scale overrides --mode
         assert payload["rounds"]
         exercised = [r for r in payload["rounds"] if not r["early_out"]]
         assert exercised, "this rho-scale must make the final round sample"
@@ -95,12 +126,17 @@ class TestSparsifyCommand:
     def test_methods_run(self, multigraph_file, tmp_path):
         for method in ("msf", "ni", "pipeline"):
             out = tmp_path / f"{method}.txt"
+            report = tmp_path / f"{method}.json"
             rc = main(
                 ["sparsify", "--input", str(multigraph_file), "--output", str(out),
-                 "--epsilon", "0.5", "--seed", "1", "--method", method]
+                 "--epsilon", "0.5", "--seed", "1", "--method", method,
+                 "--report", str(report)]
             )
             assert rc == 0
             load_sparse(out)
+            rounds = json.loads(report.read_text())["rounds"]
+            assert rounds, method  # every method reports its rounds
+            assert (rounds[0]["method"] == "ni") == (method != "msf")
 
     @pytest.mark.parametrize("regime", ["auto", "polynomial"])
     def test_rescale_overflow_exit_2(self, heavy_graph_file, tmp_path, capsys, regime):

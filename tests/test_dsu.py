@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cutsparse import ForestDsu
+from cutsparse.dsu import ForestDsu
 
 BACKENDS = [ForestDsu]
 

@@ -4,14 +4,8 @@ from collections import deque
 
 import pytest
 
-from cutsparse import (
-    CutSpec,
-    WeightedGraph,
-    cut_weight,
-    ni_preprocess,
-    ni_indices,
-)
-from cutsparse.ni import preprocess_rho
+from cutsparse import CutSpec, WeightedGraph, cut_weight, ni_preprocess
+from cutsparse.ni import ni_indices, preprocess_rho
 
 from conftest import complete_graph, multi_complete_graph, random_graph
 from reference import validate_ni_indices

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cutsparse import RngStream, binom_sample, compress_edge
+from cutsparse.sampling import RngStream, binom_sample, compress_edge
 
 from reference import binomial_pmf
 

@@ -15,27 +15,34 @@ from cutsparse import (
     cut_weight,
     exact_min_cut,
     msf_packing_bounded,
-    pipeline,
-    practical_rho_scale,
     reduce_real_weights,
-    rho,
     scale_back,
     sparsify,
-    sparsify_once,
-    sparsify_once_with_report,
-    sparsify_unbounded,
-    sparsify_unbounded_with_report,
-    sparsify_with_report,
 )
 from cutsparse.msf import OVER
-from cutsparse.sparsify import early_out_threshold, log_star2
+from cutsparse.sparsify import (
+    early_out_threshold,
+    log_star2,
+    rho,
+    sparsify_once_with_report,
+    sparsify_unbounded_with_report,
+)
 
-from conftest import complete_graph, dumbbell_graph, multi_complete_graph, random_graph
-from reference import edge_connectivity
+from conftest import (
+    complete_graph,
+    dumbbell_graph,
+    multi_complete_graph,
+    random_graph,
+    topology_gallery,
+)
+from reference import edge_connectivity, rho_scale_for
 
 
-def practical_cfg(g, epsilon=0.5, seed=0, target_rho=8.0, **kw):
-    scale = practical_rho_scale(g.n, epsilon, kw.get("c", 1.0), target_rho)
+def practical_cfg(g, epsilon=0.5, seed=0, target_rho=None, **kw):
+    """Practical mode (rho = 8), or a theory config pinned at target_rho."""
+    if target_rho is None:
+        return SparsifyConfig(epsilon=epsilon, seed=seed, mode="practical", **kw)
+    scale = rho_scale_for(g.n, epsilon, target_rho, kw.get("c", 1.0))
     return SparsifyConfig(epsilon=epsilon, seed=seed, rho_scale=scale, **kw)
 
 
@@ -77,6 +84,12 @@ class TestConfig:
             SparsifyConfig(epsilon=0.5, c=0.5).validate()
         with pytest.raises(ValueError):
             SparsifyConfig(epsilon=0.5, regime="weird").validate()
+        with pytest.raises(ValueError):
+            SparsifyConfig(epsilon=0.5, method="weird").validate()
+        with pytest.raises(ValueError):
+            SparsifyConfig(epsilon=0.5, mode="weird").validate()
+        with pytest.raises(ValueError):
+            SparsifyConfig(epsilon=0.5, mode="practical", rho_scale=0.5).validate()
 
     def test_log_star(self):
         assert log_star2(0.5) == 0
@@ -90,9 +103,8 @@ class TestEarlyOut:
         for seed in (1, 2):
             g = random_graph(40, 300, 1000, seed=seed)
             cfg = SparsifyConfig(epsilon=0.5, seed=seed)
-            h = sparsify_once(g, cfg)
+            h, rep = sparsify_once_with_report(g, cfg)
             assert h.edges() == as_float_edges(g)
-            h2, rep = sparsify_once_with_report(g, cfg)
             assert rep.early_out
 
     def test_threshold_formula(self):
@@ -116,9 +128,9 @@ class TestSparsifyOnce:
     def test_determinism(self):
         g = multi_complete_graph(10, 20, 5, seed=4)
         cfg = practical_cfg(g, seed=21)
-        assert sparsify_once(g, cfg).edges() == sparsify_once(g, cfg).edges()
-        other = sparsify_once(g, replace(cfg, seed=22))
-        assert other.edges() != sparsify_once(g, cfg).edges()
+        first = sparsify_once_with_report(g, cfg)[0].edges()
+        assert sparsify_once_with_report(g, cfg)[0].edges() == first
+        assert sparsify_once_with_report(g, replace(cfg, seed=22))[0].edges() != first
 
     def test_larger_graph_shrinks(self):
         # n=64, m=1500 at rho = 4: real sampling, sampled cuts stay sane
@@ -183,13 +195,13 @@ class TestSparsifyOnce:
         g = multi_complete_graph(8, 40, 4, seed=8)
         cfg = practical_cfg(g, target_rho=2.0, seed=19, max_levels_guard=1)
         with pytest.raises(LevelOverflowError):
-            sparsify_once(g, cfg)
+            sparsify_once_with_report(g, cfg)
 
 
 class TestSparsifyWrapper:
     def test_single_round_when_ratio_small(self):
         g = random_graph(30, 60, 10, seed=9)
-        h, reports = sparsify_with_report(g, SparsifyConfig(epsilon=0.9, seed=1))
+        h, reports = sparsify(g, SparsifyConfig(epsilon=0.9, seed=1))
         assert len(reports) == max(1, log_star2(60 / (30 * math.log2(30) / 0.81)))
 
     def test_epsilon_schedule_products(self):
@@ -204,14 +216,32 @@ class TestSparsifyWrapper:
     def test_theory_mode_identity_multi_round(self):
         g = random_graph(100, 3000, 50, seed=10)
         cfg = SparsifyConfig(epsilon=0.5, seed=3)
-        h, reports = sparsify_with_report(g, cfg)
+        h, reports = sparsify(g, cfg)
         assert all(r.early_out for r in reports)
         assert h.edges() == as_float_edges(g)
 
     def test_determinism(self):
         g = multi_complete_graph(12, 25, 10, seed=11)
         cfg = practical_cfg(g, seed=5, target_rho=2.0)
-        assert sparsify(g, cfg).edges() == sparsify(g, cfg).edges()
+        assert sparsify(g, cfg)[0].edges() == sparsify(g, cfg)[0].edges()
+
+    def test_auto_regime_settled_on_the_input(self):
+        # the reduction multiplies each round's weights by 2^r, so re-checking
+        # W > n^4 per round would switch late rounds to the windowed path
+        for name, g in topology_gallery():
+            assert g.max_weight() <= g.n**4
+            for seed in range(3):
+                cfg = SparsifyConfig(epsilon=0.5, seed=seed, mode="practical")
+                _, reports = sparsify(g, cfg)
+                assert len(reports) > 1, name
+                assert [r.regime for r in reports] == ["polynomial"] * len(reports), (name, seed)
+
+    def test_practical_mode_runs_every_round_at_rho_8(self):
+        g = multi_complete_graph(12, 30, 8, seed=101)
+        _, reports = sparsify(g, SparsifyConfig(epsilon=0.5, seed=1, mode="practical"))
+        assert len(reports) == 3
+        assert [r.rho for r in reports] == pytest.approx([8.0] * 3)
+        assert not reports[0].early_out
 
 
 class TestReduceRealWeights:
@@ -265,18 +295,18 @@ class TestUnbounded:
     def test_no_set_aside_equals_once_at_scaled_epsilon(self):
         g = multi_complete_graph(8, 15, 1, seed=13)  # uniform weights, m = 420
         eps = 0.5
-        scale = practical_rho_scale(g.n, eps / math.sqrt(2), 1.0, 1.5)
+        scale = rho_scale_for(g.n, eps / math.sqrt(2), 1.5)
         cfg = SparsifyConfig(epsilon=eps, seed=23, rho_scale=scale, regime="unbounded")
         h_unbounded, rep = sparsify_unbounded_with_report(g, cfg)
         assert rep.set_aside_count == 0
         cfg_poly = replace(cfg, epsilon=eps / math.sqrt(2), regime="polynomial")
-        h_once = sparsify_once(g, cfg_poly)
+        h_once, _ = sparsify_once_with_report(g, cfg_poly)
         assert h_unbounded.edges() == h_once.edges()
 
     def test_bridge_between_cliques_not_set_aside(self):
         # bridge is a forest edge: d = w, and w <= w/n never holds
         g = dumbbell_graph(6)
-        scale = practical_rho_scale(g.n, 0.5 / math.sqrt(2), 1.0, 0.4)
+        scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 0.4)
         cfg = SparsifyConfig(epsilon=0.5, seed=1, rho_scale=scale, regime="unbounded")
         _, rep = sparsify_unbounded_with_report(g, cfg)
         assert rep.set_aside_count == 0
@@ -288,7 +318,7 @@ class TestUnbounded:
         ]
         edges.append((0, 1, 1))  # light chord, d = 2^60
         g = WeightedGraph.from_edges(8, edges)
-        scale = practical_rho_scale(g.n, 0.5 / math.sqrt(2), 1.0, 0.8)
+        scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 0.8)
         cfg = SparsifyConfig(epsilon=0.5, seed=2, rho_scale=scale, regime="unbounded")
         h, rep = sparsify_unbounded_with_report(g, cfg)
         assert not rep.early_out
@@ -298,36 +328,36 @@ class TestUnbounded:
 
     def test_deterministic(self):
         g = multi_complete_graph(8, 12, 1 << 40, seed=14)
-        scale = practical_rho_scale(g.n, 0.5 / math.sqrt(2), 1.0, 1.0)
+        scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 1.0)
         cfg = SparsifyConfig(epsilon=0.5, seed=31, rho_scale=scale, regime="unbounded")
-        assert sparsify_unbounded(g, cfg).edges() == sparsify_unbounded(g, cfg).edges()
+        first = sparsify_unbounded_with_report(g, cfg)[0].edges()
+        assert sparsify_unbounded_with_report(g, cfg)[0].edges() == first
 
 
 class TestPipeline:
     def test_tiny_graph_identity(self):
         g = random_graph(8, 20, 9, seed=15)
-        cfg = SparsifyConfig(epsilon=0.5, seed=4)
-        h = pipeline(g, cfg)
+        cfg = SparsifyConfig(epsilon=0.5, seed=4, method="pipeline")
+        h, reports = sparsify(g, cfg)
         assert h.edges() == as_float_edges(g)
+        assert [r.method for r in reports] == ["ni", "msf"]
 
     def test_determinism(self):
         g = multi_complete_graph(10, 20, 6, seed=16)
-        scale = practical_rho_scale(g.n, 0.5, 1.0, 8.0)
-        cfg = SparsifyConfig(epsilon=0.5, seed=6, rho_scale=scale)
-        assert pipeline(g, cfg).edges() == pipeline(g, cfg).edges()
+        cfg = SparsifyConfig(epsilon=0.5, seed=6, method="pipeline", mode="practical")
+        assert sparsify(g, cfg)[0].edges() == sparsify(g, cfg)[0].edges()
 
     def test_cut_preservation_practical_mode(self):
         # n=12: all cuts within the calibrated tolerance on >= 95% of seeds
-        from cutsparse.ni import preprocess_rho
         from cutsparse.oracles import _all_cut_weights
 
         eps = 0.5
         g = multi_complete_graph(12, 30, 8, seed=101)
         base = _all_cut_weights(g)[1:]
-        scale = 25.0 / preprocess_rho(g.n, eps / 3.0)
         within = 0
         for seed in range(200):
-            h = pipeline(g, SparsifyConfig(epsilon=eps, seed=seed, rho_scale=scale))
+            cfg = SparsifyConfig(epsilon=eps, seed=seed, method="pipeline", mode="practical")
+            h, _ = sparsify(g, cfg)
             err = float(np.abs(_all_cut_weights(h)[1:] / base - 1.0).max())
             within += err <= eps
         assert within >= 0.95 * 200, within
