@@ -150,9 +150,12 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     save_graph(h, args.output)
     if all(r.early_out for r in reports):
         last = reports[-1]
+        reason = f"m={last.m} <= threshold {last.threshold:g}"
+        if last.method == "ni":
+            reason = f"every NI index <= rho {last.threshold:g}"
         print(
-            f"warning: every round took the early out (m={last.m} <= threshold "
-            f"{last.threshold:g}); the output is the input unchanged",
+            f"warning: every round took the early out ({reason}); "
+            "the output is the input unchanged",
             file=sys.stderr,
         )
     if args.report:

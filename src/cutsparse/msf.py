@@ -3,9 +3,11 @@
 A packing assigns each edge the index of the first forest whose endpoints it
 can join when edges are inserted in descending weight order; edges whose
 endpoints are already connected in every forest up to the requested bound get
-the explicit OVER sentinel.  The exact packing is a first-fit over lazily
-created disjoint-set forests; a windowed estimator rescales extreme weight
-ranges into polynomial bands and reads exact packings there.
+the explicit OVER sentinel.  The exact packing is one first-fit kernel over
+list-backed union-find forests, allocated as the packing first reaches them;
+its first forest is also the maximum spanning forest behind the bottleneck
+weights.  A windowed estimator rescales extreme weight ranges into
+polynomial bands and reads exact packings there.
 """
 
 from __future__ import annotations
@@ -59,14 +61,18 @@ def _pack_levels(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy first-fit packing over a fixed edge order.
 
-    Binary search runs only over levels below min(s(u), s(v)), where both
-    endpoints are known to be non-singletons; failing that, the level is
-    min(s(u), s(v)) itself and the missing endpoints are created there.
+    Forest connectivity is nested (endpoints joined in forest j are joined in
+    every forest below it), so each edge first probes its top candidate,
+    forest min(s(u), s(v), M + 1) - 1.  If that joins its endpoints, the edge
+    lands at min(s(u), s(v)), where an endpoint is still a singleton, or is
+    OVER beyond M; otherwise a binary search below the top finds the first
+    forest that does not join them.  Forest j is allocated when a singleton
+    level first reaches it; `find` runs inline on its parent list.
     """
     m = len(edge_u)
-    levels = np.empty(m, dtype=np.int64)
+    levels = [OVER] * m
     m_eff = min(M, m)  # a level index can never exceed the edge count
-    forests = [ForestDsu() for _ in range(m_eff + 1)]  # 1-based
+    parents: list[list[int]] = [[]]  # 1-based
     s = [1] * n
 
     for eid in order:
@@ -75,36 +81,50 @@ def _pack_levels(
         su = s[u]
         sv = s[v]
         smin = su if su < sv else sv
-        hi0 = smin - 1
-        if hi0 > m_eff:
-            hi0 = m_eff
-        lo = 1
-        hi = hi0
-        while lo <= hi:
-            mid = (lo + hi) >> 1
-            forest = forests[mid]
-            if forest.find(u) == forest.find(v):
-                lo = mid + 1
+        top = smin - 1 if smin <= m_eff else m_eff
+        if top:
+            p = parents[top]
+            ru = u
+            while p[ru] != ru:
+                p[ru] = ru = p[p[ru]]
+            rv = v
+            while p[rv] != rv:
+                p[rv] = rv = p[p[rv]]
+            if ru != rv:
+                level = top
+                lo = 1
+                hi = top - 1
+                while lo <= hi:
+                    mid = (lo + hi) >> 1
+                    q = parents[mid]
+                    a = u
+                    while q[a] != a:
+                        q[a] = a = q[q[a]]
+                    b = v
+                    while q[b] != b:
+                        q[b] = b = q[q[b]]
+                    if a == b:
+                        lo = mid + 1
+                    else:
+                        hi = mid - 1
+                        level, p, ru, rv = mid, q, a, b
+                p[ru] = rv
+                levels[eid] = level
+                continue
+        if smin <= m_eff:
+            if smin == len(parents):
+                parents.append(ForestDsu(n).parent)
+            # an endpoint at s == smin is a singleton there: hang it on the other
+            if su == smin:
+                parents[smin][u] = v
+                s[u] = smin + 1
             else:
-                hi = mid - 1
-        if lo <= hi0:
-            forests[lo].union(u, v)
-            levels[eid] = lo
-        elif smin <= m_eff:
-            j = smin
-            forest = forests[j]
-            if su == j:
-                forest.make_set(u)
-                s[u] = j + 1
-            if sv == j:
-                forest.make_set(v)
-                s[v] = j + 1
-            forest.union(u, v)
-            levels[eid] = j
-        else:
-            levels[eid] = OVER
+                parents[smin][v] = u
+            if sv == smin:
+                s[v] = smin + 1
+            levels[eid] = smin
 
-    return levels, np.array(s, dtype=np.int64)
+    return np.array(levels, dtype=np.int64), np.array(s, dtype=np.int64)
 
 
 def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
@@ -125,7 +145,8 @@ _UNREACHABLE = (1 << 63) - 1  # sentinel min; cannot be undercut by any weight
 
 def bottleneck_weights(g: WeightedGraph) -> np.ndarray:
     """d(e): minimum edge weight on the path between e's endpoints in one
-    maximum spanning forest; for forest edges d(e) = w(e).
+    maximum spanning forest (the packing's first forest); for forest edges
+    d(e) = w(e).
 
     Path minima are answered with binary-lifting ancestor tables over the
     rooted forest.  Every edge of the graph has both endpoints inside one
@@ -141,23 +162,10 @@ def bottleneck_weights(g: WeightedGraph) -> np.ndarray:
     ws = g.edge_w.tolist()
     order = _descending_order(g.edge_w)
 
-    parent_uf = list(range(n))
-
-    def find(x: int) -> int:
-        root = x
-        while parent_uf[root] != root:
-            root = parent_uf[root]
-        while parent_uf[x] != root:
-            parent_uf[x], x = root, parent_uf[x]
-        return root
-
+    in_tree = (_pack_levels(n, us, vs, order, 1)[0] == 1).tolist()
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    in_tree = [False] * m
     for eid in order:
-        ru, rv = find(us[eid]), find(vs[eid])
-        if ru != rv:
-            parent_uf[ru] = rv
-            in_tree[eid] = True
+        if in_tree[eid]:
             adj[us[eid]].append((vs[eid], ws[eid]))
             adj[vs[eid]].append((us[eid], ws[eid]))
 

@@ -69,6 +69,14 @@ def ni_preprocess(
     The sampler's fixed constant already carries its confidence margin, so
     unlike the main sparsifier it takes no confidence exponent c.
     """
+    return _ni_sample(g, epsilon, seed, rho_scale)[0]
+
+
+def _ni_sample(
+    g: WeightedGraph, epsilon: float, seed: int, rho_scale: float
+) -> tuple[SparseGraph, bool]:
+    """`ni_preprocess`, plus whether it kept every edge (every l_e <= rho,
+    so every p_e = 1 and the output is the input)."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if rho_scale <= 0.0:
@@ -84,4 +92,4 @@ def ni_preprocess(
         new_w = compress_edge(w, p, rng)
         if new_w is not None:
             out.append((u, v, new_w))
-    return SparseGraph.from_edges(g.n, out)
+    return SparseGraph.from_edges(g.n, out), all(l <= rho for l in indices)

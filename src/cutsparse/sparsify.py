@@ -32,7 +32,7 @@ from .msf import (
     msf_packing_bounded,
     msf_packing_windowed,
 )
-from .ni import ni_preprocess, preprocess_rho
+from .ni import _ni_sample, preprocess_rho
 from .oracles import exact_min_cut, _components
 from .sampling import RngStream, binom_sample
 
@@ -137,7 +137,7 @@ class RunReport:
     early_out: bool = False
     set_aside_count: int = 0
     method: str = "msf"
-    threshold: float = 0.0  # m at or under it takes the early out
+    threshold: float = 0.0  # msf: m at or under it; ni: every index at or under it
     levels: list[LevelStats] = field(default_factory=list)
     gamma: int = 0
     output_size: int = 0
@@ -258,18 +258,19 @@ def _algorithm_one(
     f_levels: list[np.ndarray] = []  # F_i id arrays, i = 0..Gamma
 
     i = 0
-    m0 = math.floor(2.0 * rho_val)
-    t0 = time.perf_counter()
-    levels = pack(x_ids, m0)
-    t_pack += time.perf_counter() - t0
-    f_ids = x_ids[levels != OVER]
-    y_ids = x_ids[levels == OVER]
-    f_levels.append(f_ids)
-    report.levels.append(LevelStats(len(x_ids), len(f_ids), len(y_ids), m0))
-    if capture_levels:
-        report.level_sets.append({"x": x_ids, "f": f_ids, "y": y_ids})
-
-    while len(y_ids) > 2.0 * rho_val * n:
+    m_i = math.floor(2.0 * rho_val)
+    while True:
+        t0 = time.perf_counter()
+        levels = pack(x_ids, m_i)
+        t_pack += time.perf_counter() - t0
+        f_ids = x_ids[levels != OVER]
+        y_ids = x_ids[levels == OVER]
+        f_levels.append(f_ids)
+        report.levels.append(LevelStats(len(x_ids), len(f_ids), len(y_ids), m_i))
+        if capture_levels:
+            report.level_sets.append({"x": x_ids, "f": f_ids, "y": y_ids})
+        if len(y_ids) <= 2.0 * rho_val * n:
+            break
         t0 = time.perf_counter()
         bits = rng.child(f"half-sample:{i}").coin_flips(len(y_ids))
         x_ids = y_ids[bits == 1]
@@ -281,15 +282,6 @@ def _algorithm_one(
                 f"(n={n}, m={m}, rho={rho_val:.3f})"
             )
         m_i = math.floor(rho_val * 2.0 ** (i + 1))
-        t0 = time.perf_counter()
-        levels = pack(x_ids, m_i)
-        t_pack += time.perf_counter() - t0
-        f_ids = x_ids[levels != OVER]
-        y_ids = x_ids[levels == OVER]
-        f_levels.append(f_ids)
-        report.levels.append(LevelStats(len(x_ids), len(f_ids), len(y_ids), m_i))
-        if capture_levels:
-            report.level_sets.append({"x": x_ids, "f": f_ids, "y": y_ids})
 
     gamma = i
     report.gamma = gamma
@@ -427,7 +419,7 @@ def _ni_round(
     scale = cfg.rho_scale
     if cfg.mode == "practical" and g.n >= 2:
         scale = PRACTICAL_NI_RHO / preprocess_rho(g.n, epsilon)
-    h = ni_preprocess(g, epsilon, seed=seed, rho_scale=scale)
+    h, kept_all = _ni_sample(g, epsilon, seed, scale)
     report = RunReport(
         n=g.n,
         m=g.m,
@@ -442,6 +434,9 @@ def _ni_round(
         method="ni",
         output_size=h.m,
     )
+    if kept_all:
+        report.early_out = True
+        report.threshold = report.rho
     report.timings_ms["total"] = (time.perf_counter() - t_start) * 1e3
     return h, report
 
@@ -488,9 +483,11 @@ def reduce_real_weights(
     """Round weights to the nearest multiple of 2^-r and rescale to integers.
 
     r = -floor(log2((eps/2) * W_min)) with W_min = min(1, smallest weight),
-    so the per-edge additive error 2^-r never exceeds (eps/2) * W_min.  A
-    (1 +/- eps/3)-sparsifier of the scaled graph, scaled back by 2^-r, is a
-    (1 +/- eps)-sparsifier of the input.
+    lowered to the largest r that keeps the heaviest weight within 63 bits
+    (r may go negative).  The per-edge additive error 2^-r must not exceed
+    (eps/2) times the smallest weight; a weight range too wide for that is
+    refused.  A (1 +/- eps/3)-sparsifier of the scaled graph, scaled back by
+    2^-r, is a (1 +/- eps)-sparsifier of the input.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -501,11 +498,13 @@ def reduce_real_weights(
     w = g_real.edge_w
     if not np.all(np.isfinite(w)) or float(w.min()) <= 0.0:
         raise ValueError("weights must be positive and finite")
-    w_min = min(1.0, float(w.min()))
-    r = -math.floor(math.log2(0.5 * epsilon * w_min))
+    w_min = float(w.min())
+    r = -math.floor(math.log2(0.5 * epsilon * min(1.0, w_min)))
+    # max * 2^r < 2^63 iff its binary exponent (frexp's) is at most 63
+    r = min(r, MAX_WEIGHT.bit_length() - math.frexp(float(w.max()))[1])
+    if math.ldexp(1.0, -r) > 0.5 * epsilon * w_min:
+        raise ValueError("weight range too wide to round into 63 bits at this epsilon")
     scaled = [math.floor(math.ldexp(float(x), r) + 0.5) for x in w.tolist()]
-    if max(scaled) > MAX_WEIGHT:
-        raise ValueError("scaled weights exceed the 63-bit range")
     g_int = WeightedGraph.from_edges(
         g_real.n,
         zip(g_real.edge_u.tolist(), g_real.edge_v.tolist(), scaled),

@@ -34,8 +34,10 @@ def multigraph_file(tmp_path):
 
 @pytest.fixture
 def heavy_graph_file(tmp_path):
-    # weights in [2^59, 2^60): dense enough for two rounds, whose second
-    # round rescales the weights past 2^63 - 1
+    # weights in [2^59, 2^60): dense enough for two sampled rounds at
+    # --rho-scale 1e-7, whose second round must cap its rescale exponent to
+    # stay within 2^63 - 1.  The tests on it keep their name from when that
+    # rescale was refused with exit 2.
     g = random_graph(20, 800, 1 << 59, seed=3)
     path = tmp_path / "heavy.txt"
     save_graph(WeightedGraph.from_edges(g.n, [(u, v, w + (1 << 59) - 1) for u, v, w in g.edges()]), path)
@@ -54,6 +56,27 @@ class TestSparsifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("warning: every round took the early out (m=20 <= threshold ")
+
+    @pytest.mark.parametrize("method", ["ni", "pipeline"])
+    def test_ni_keeping_every_edge_warns(self, tiny_graph_file, tmp_path, capsys, method):
+        out = tmp_path / "h.txt"
+        report = tmp_path / "r.json"
+        rc = main(
+            ["sparsify", "--input", str(tiny_graph_file), "--output", str(out),
+             "--epsilon", "0.5", "--seed", "7", "--method", method,
+             "--report", str(report)]
+        )
+        assert rc == 0
+        assert out.read_text() == tiny_graph_file.read_text()
+        ni_round = json.loads(report.read_text())["rounds"][0]
+        assert ni_round["method"] == "ni" and ni_round["early_out"]
+        assert ni_round["threshold"] == ni_round["rho"] > 0
+        warning = "warning: every round took the early out "
+        if method == "ni":
+            warning += f"(every NI index <= rho {ni_round['threshold']:g})"
+        else:
+            warning += "(m=20 <= threshold "
+        assert capsys.readouterr().err.startswith(warning)
 
     @pytest.mark.parametrize("method", ["msf", "ni", "pipeline"])
     def test_practical_mode_samples_the_gallery(self, tmp_path, capsys, method):
@@ -143,11 +166,13 @@ class TestSparsifyCommand:
         out = tmp_path / "h.txt"
         rc = main(
             ["sparsify", "--input", str(heavy_graph_file), "--output", str(out),
-             "--epsilon", "0.5", "--rho-scale", "1e-6", "--regime", regime]
+             "--epsilon", "0.5", "--rho-scale", "1e-7", "--regime", regime]
         )
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        h = load_sparse(out)
+        assert h.m < load_graph(heavy_graph_file).m
+        assert len(set(_components(h))) == 1
 
 
 class TestVerifyCommand:
@@ -188,11 +213,11 @@ class TestMincutCommand:
 
     def test_rescale_overflow_exit_2(self, heavy_graph_file, capsys):
         rc = main(["mincut", "--input", str(heavy_graph_file), "--epsilon", "0.5",
-                   "--rho-scale", "1e-6"])
-        assert rc == 2
+                   "--rho-scale", "1e-7"])
+        assert rc == 0
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert captured.out == ""
+        assert captured.err == ""
+        assert captured.out.startswith("value ")
 
 
 class TestMsfCommand:
@@ -258,7 +283,10 @@ class TestBenchCommand:
     def test_rescale_overflow_exit_2(self, heavy_graph_file, capsys):
         rc = main(
             ["bench", "--corpus", str(heavy_graph_file.parent), "--methods", "msf",
-             "--epsilon", "0.5", "--rho-scale", "1e-6"]
+             "--epsilon", "0.5", "--rho-scale", "1e-7"]
         )
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        row = captured.out.strip().splitlines()[1].split(",")
+        assert float(row[3]) < load_graph(heavy_graph_file).m

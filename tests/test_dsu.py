@@ -35,38 +35,19 @@ def partition_of(dsu, elements) -> dict[int, set[int]]:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBasics:
     def test_fresh_singletons_are_distinct(self, backend):
-        dsu = backend()
-        dsu.make_set(1)
-        dsu.make_set(2)
+        dsu = backend(3)
         assert dsu.find(1) != dsu.find(2)
 
     def test_union_connects(self, backend):
-        dsu = backend()
-        dsu.make_set(1)
-        dsu.make_set(2)
+        dsu = backend(3)
         dsu.union(1, 2)
         assert dsu.find(1) == dsu.find(2)
-
-    def test_uncreated_element_raises(self, backend):
-        dsu = backend()
-        with pytest.raises(KeyError):
-            dsu.find(0)
-        dsu.make_set(0)
-        with pytest.raises(KeyError):
-            dsu.union(0, 1)
-
-    def test_duplicate_make_set_raises(self, backend):
-        dsu = backend()
-        dsu.make_set(3)
-        with pytest.raises(ValueError):
-            dsu.make_set(3)
+        assert dsu.find(0) != dsu.find(1)
 
     def test_equivalence_laws(self, backend):
         rng = random.Random(11)
-        dsu = backend()
         elements = list(range(40))
-        for x in elements:
-            dsu.make_set(x)
+        dsu = backend(len(elements))
         for _ in range(60):
             dsu.union(rng.choice(elements), rng.choice(elements))
         for x in elements:
@@ -84,9 +65,7 @@ def test_random_script_matches_label_propagation(backend):
     rng = random.Random(123)
     n = 200
     unions = [(rng.randrange(n), rng.randrange(n)) for _ in range(150)]
-    dsu = backend()
-    for x in range(n):
-        dsu.make_set(x)
+    dsu = backend(n)
     for a, b in unions:
         dsu.union(a, b)
     oracle = naive_partition(n, unions)
@@ -100,10 +79,8 @@ def test_random_script_matches_label_propagation(backend):
 def test_mixed_operation_smoke_budget(backend):
     # regression guard, not an asymptotic claim: 10^6 mixed ops in bounded time
     n = 100_000
-    dsu = backend()
     t0 = time.perf_counter()
-    for x in range(n):
-        dsu.make_set(x)
+    dsu = backend(n)
     rng = random.Random(5)
     for _ in range(450_000):
         dsu.union(rng.randrange(n), rng.randrange(n))

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutsparse import (
     MAX_WEIGHT,
@@ -94,7 +96,35 @@ class TestPackingExamples:
             packer(triangle(), 0)
 
 
+@st.composite
+def multigraphs(draw) -> WeightedGraph:
+    """Multigraphs on n >= 2 vertices whose edges use only the first k of
+    them (vertices past k stay isolated), with weight ties at the extremes
+    and repeated edges."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(2, n))
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 2)).map(
+        lambda p: (p[0], p[1] + (p[1] >= p[0]))
+    )
+    weight = st.one_of(
+        st.sampled_from([1, 2, MAX_WEIGHT - 1, MAX_WEIGHT]), st.integers(1, MAX_WEIGHT)
+    )
+    edges = draw(st.lists(st.tuples(pair, weight), max_size=30))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=10))
+    return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in edges])
+
+
 class TestPackingAgreement:
+    @settings(max_examples=300, deadline=None)
+    @given(g=multigraphs())
+    def test_matches_oracle_on_random_multigraphs(self, g):
+        for M in (1, 2, max(1, g.m), g.m + 5):
+            fast = msf_packing_bounded(g, M)
+            oracle = oracle_msf_packing(g, M)
+            assert fast.levels.tolist() == oracle.levels.tolist()
+            assert fast.singleton_level.tolist() == oracle.singleton_level.tolist()
+
     def test_bounded_oracle_identical(self):
         rng = random.Random(42)
         for trial in range(25):

@@ -283,6 +283,22 @@ class TestReduceRealWeights:
             for (_, _, orig), (_, _, scaled) in zip(edges, g.edges()):
                 assert abs(scaled * math.ldexp(1.0, -r) - orig) <= math.ldexp(1.0, -r)
 
+    @pytest.mark.parametrize(
+        "w_max, r", [(2.0**60 - 2.0**8, 3), (2.0**60, 2)], ids=["below-2^60", "2^60"]
+    )
+    def test_heavy_weights_cap_the_exponent(self, w_max, r):
+        # eps/2 = 1/16 asks for r = 4, which would carry w_max past 2^63 - 1
+        h = SparseGraph.from_edges(3, [(0, 1, 2.0**59), (1, 2, w_max)])
+        g, r_got = reduce_real_weights(h, 0.125)
+        assert r_got == r
+        assert [w for _, _, w in g.edges()] == [2**59 << r, int(w_max) << r]
+
+    def test_rejects_a_range_too_wide_for_63_bits(self):
+        # 2^62 caps r at 0, whose grid step 1 exceeds (eps/2) * 1
+        h = SparseGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0**62)])
+        with pytest.raises(ValueError, match="63 bits"):
+            reduce_real_weights(h, 0.5)
+
     def test_rejects_bad_epsilon(self):
         h = SparseGraph.from_edges(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
