@@ -8,8 +8,8 @@ every NI pass, and an explicit --rho-scale selects theory mode instead.
 Every subcommand is deterministic for fixed flags including --seed; the only
 non-reproducible fields are wall-clock entries in reports and bench tables.
 
-Exit codes: 0 success, 1 input parse error, 2 configuration violation,
-3 internal level-guard overflow.
+Exit codes: 0 success, 1 file error (input unreadable or unparsable, output
+unwritable), 2 configuration violation, 3 internal level-guard overflow.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .sparsify import (
 )
 
 EXIT_OK = 0
-EXIT_PARSE = 1
+EXIT_FILE = 1
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
 
@@ -139,7 +139,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     try:
         g = load_graph(args.input, args.format)
     except (GraphFormatError, OSError) as exc:
-        return _fail(exc, EXIT_PARSE)
+        return _fail(exc, EXIT_FILE)
     try:
         cfg = _build_config(args, args.method)
         h, reports = sparsify(g, cfg)
@@ -147,7 +147,18 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
         return _fail(exc, EXIT_GUARD)
     except ValueError as exc:
         return _fail(exc, EXIT_CONFIG)
-    save_graph(h, args.output)
+    try:
+        save_graph(h, args.output)
+        if args.report:
+            payload = {
+                "input": {"n": g.n, "m": g.m, "w_max": g.max_weight()},
+                "config": asdict(cfg),
+                "output_size": h.m,
+                "rounds": [r.to_dict() for r in reports],
+            }
+            Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        return _fail(exc, EXIT_FILE)
     if all(r.early_out for r in reports):
         last = reports[-1]
         reason = f"m={last.m} <= threshold {last.threshold:g}"
@@ -158,14 +169,6 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
             "the output is the input unchanged",
             file=sys.stderr,
         )
-    if args.report:
-        payload = {
-            "input": {"n": g.n, "m": g.m, "w_max": g.max_weight()},
-            "config": asdict(cfg),
-            "output_size": h.m,
-            "rounds": [r.to_dict() for r in reports],
-        }
-        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -181,7 +184,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         g = _load_for_verify(args.graph)
         h = _load_for_verify(args.sparsifier)
     except (GraphFormatError, OSError) as exc:
-        return _fail(exc, EXIT_PARSE)
+        return _fail(exc, EXIT_FILE)
     try:
         report = check_sparsifier(g, h, args.n_limit)
     except ValueError as exc:
@@ -194,7 +197,7 @@ def _cmd_mincut(args: argparse.Namespace) -> int:
     try:
         g = load_graph(args.input, args.format)
     except (GraphFormatError, OSError) as exc:
-        return _fail(exc, EXIT_PARSE)
+        return _fail(exc, EXIT_FILE)
     try:
         cfg = _build_config(args)
         cut, value = approx_min_cut(g, cfg)
@@ -212,7 +215,7 @@ def _cmd_msf(args: argparse.Namespace) -> int:
     try:
         g = load_graph(args.input, args.format)
     except (GraphFormatError, OSError) as exc:
-        return _fail(exc, EXIT_PARSE)
+        return _fail(exc, EXIT_FILE)
     if args.levels < 1:
         print("error: --levels must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
@@ -229,7 +232,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     corpus = [p for p in corpus if p.is_file()]
     if not corpus:
         print(f"error: no graph files in {args.corpus}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_FILE
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         configs = [
@@ -246,7 +249,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             g = load_graph(path)
         except (GraphFormatError, OSError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            return EXIT_FILE
         for cfg in configs:
             sizes = []
             errors = []
@@ -272,7 +275,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             writer.writerow(row)
     text = buf.getvalue()
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            return _fail(exc, EXIT_FILE)
     else:
         sys.stdout.write(text)
     return EXIT_OK

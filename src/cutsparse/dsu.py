@@ -2,8 +2,9 @@
 
 `ForestDsu(n)` is a disjoint-set forest over the elements 0..n-1, held as a
 plain list of parents with path halving.  The packing kernel builds one per
-forest it allocates and runs `find` inline on its `parent` list; the
-bottleneck weights take their spanning forest from the same kernel.
+forest it allocates and runs `find` inline on its `parent` list.  The
+bottleneck weights keep a forest of their own: path halving would destroy
+the order of unions that their climb reads.
 """
 
 from __future__ import annotations

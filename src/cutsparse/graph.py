@@ -224,7 +224,10 @@ def _check_endpoints(u: int, v: int, n: int, lineno: int) -> None:
 
 
 def _read_lines(source: str | Path) -> list[str]:
-    return Path(source).read_text().splitlines()
+    try:
+        return Path(source).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{source}: {exc}") from None
 
 
 def load_graph(source: str | Path, fmt: str = "auto") -> WeightedGraph:

@@ -4,10 +4,11 @@ A packing assigns each edge the index of the first forest whose endpoints it
 can join when edges are inserted in descending weight order; edges whose
 endpoints are already connected in every forest up to the requested bound get
 the explicit OVER sentinel.  The exact packing is one first-fit kernel over
-list-backed union-find forests, allocated as the packing first reaches them;
-its first forest is also the maximum spanning forest behind the bottleneck
-weights.  A windowed estimator rescales extreme weight ranges into
-polynomial bands and reads exact packings there.
+list-backed union-find forests, allocated as the packing first reaches them.
+The bottleneck weights come from their own descending Kruskal pass over a
+union-by-size forest that keeps the order of its unions.  A windowed
+estimator rescales extreme weight ranges into polynomial bands and reads
+exact packings there.
 """
 
 from __future__ import annotations
@@ -140,95 +141,47 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
 
 # --- bottleneck weights ------------------------------------------------------
 
-_UNREACHABLE = (1 << 63) - 1  # sentinel min; cannot be undercut by any weight
-
 
 def bottleneck_weights(g: WeightedGraph) -> np.ndarray:
-    """d(e): minimum edge weight on the path between e's endpoints in one
-    maximum spanning forest (the packing's first forest); for forest edges
-    d(e) = w(e).
+    """d(e): minimum edge weight on the path between e's endpoints in the
+    maximum spanning forest that Kruskal builds in `_descending_order`; for
+    forest edges d(e) = w(e).
 
-    Path minima are answered with binary-lifting ancestor tables over the
-    rooted forest.  Every edge of the graph has both endpoints inside one
-    forest component, so the +inf sentinel is unreachable (asserted).
+    One descending pass over a union-by-size forest without path compression
+    (depth at most log2 n).  Each attached root keeps the order position and
+    weight of the edge that attached it, and positions rise along every path
+    to a root.  A non-forest edge climbs both endpoints, always stepping the
+    one attached earlier, until they meet: the last attachment climbed is the
+    union that first joined them, and its weight is d(e).
     """
     n, m = g.n, g.m
-    d = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return d
-
     us = g.edge_u.tolist()
     vs = g.edge_v.tolist()
     ws = g.edge_w.tolist()
-    order = _descending_order(g.edge_w)
-
-    in_tree = (_pack_levels(n, us, vs, order, 1)[0] == 1).tolist()
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid in order:
-        if in_tree[eid]:
-            adj[us[eid]].append((vs[eid], ws[eid]))
-            adj[vs[eid]].append((us[eid], ws[eid]))
-
-    # Root every tree; record parent, depth, and the weight up to the parent.
-    parent = [-1] * n
-    pweight = [0] * n
-    depth = [0] * n
-    comp = [-1] * n
-    for root in range(n):
-        if comp[root] != -1:
-            continue
-        comp[root] = root
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y, wxy in adj[x]:
-                if comp[y] == -1:
-                    comp[y] = root
-                    parent[y] = x
-                    pweight[y] = wxy
-                    depth[y] = depth[x] + 1
-                    stack.append(y)
-
-    levels = max(1, max(depth).bit_length())
-    up = [parent[:]]
-    mn = [[pw if par != -1 else _UNREACHABLE for pw, par in zip(pweight, parent)]]
-    for x in range(n):
-        if up[0][x] == -1:
-            up[0][x] = x
-    for k in range(1, levels):
-        prev_up, prev_mn = up[k - 1], mn[k - 1]
-        up.append([prev_up[prev_up[x]] for x in range(n)])
-        mn.append([min(prev_mn[x], prev_mn[prev_up[x]]) for x in range(n)])
-
-    def path_min(u: int, v: int) -> int:
-        best = _UNREACHABLE
-        if depth[u] < depth[v]:
-            u, v = v, u
-        diff = depth[u] - depth[v]
-        k = 0
-        while diff:
-            if diff & 1:
-                if mn[k][u] < best:
-                    best = mn[k][u]
-                u = up[k][u]
-            diff >>= 1
-            k += 1
-        if u == v:
-            return best
-        for k in range(levels - 1, -1, -1):
-            if up[k][u] != up[k][v]:
-                best = min(best, mn[k][u], mn[k][v])
-                u = up[k][u]
-                v = up[k][v]
-        return min(best, mn[0][u], mn[0][v])
-
-    for eid in range(m):
-        if in_tree[eid]:
-            d[eid] = ws[eid]
-        else:
-            assert comp[us[eid]] == comp[vs[eid]], "forest must span each component"
-            d[eid] = path_min(us[eid], vs[eid])
-    return d
+    d = [0] * m
+    parent = list(range(n))
+    size = [1] * n
+    when = [m] * n  # order position of the edge that attached x; m at a root
+    via = [0] * n  # weight of that edge
+    for pos, eid in enumerate(_descending_order(g.edge_w)):
+        x = us[eid]
+        y = vs[eid]
+        while x != y:
+            if when[x] < when[y]:
+                d[eid] = via[x]
+                x = parent[x]
+            elif when[y] < when[x]:
+                d[eid] = via[y]
+                y = parent[y]
+            else:  # two roots: e joins their trees
+                if size[x] < size[y]:
+                    x, y = y, x
+                parent[y] = x
+                size[x] += size[y]
+                when[y] = pos
+                via[y] = d[eid] = ws[eid]
+                break
+    return np.array(d, dtype=np.int64)
 
 
 # --- windowed estimation ------------------------------------------------------
@@ -245,7 +198,9 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     drops edges not heavier than D/n**2, rescales weights in (D/n**2, D] by
     n**3/D (round half up), caps everything heavier than D at n**3 + 1, and
     reads the exact packing of that rescaled graph.  Each edge is covered by
-    the first window whose (D/n, D] interval contains its d(e).
+    the first window whose (D/n, D] interval contains its d(e).  d is taken
+    in `g` itself: for the working set of a later level it differs from the
+    whole input's d, so it cannot be computed once and passed down.
 
     Capping (rather than contracting) the heavy edges keeps their
     multiplicities honest: the window's forests are genuine subgraphs of the

@@ -219,7 +219,9 @@ def _algorithm_one(
         return identity, report
     rho_val = report.rho
 
-    guard = cfg.max_levels_guard if cfg.max_levels_guard is not None else n
+    # reaching level L needs an edge that survived L fair coins, which has
+    # probability at most m * 2^-L
+    guard = cfg.max_levels_guard or m.bit_length() + 64
     edge_u = g.edge_u.tolist()
     edge_v = g.edge_v.tolist()
     edge_w = g.edge_w.tolist()

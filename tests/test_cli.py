@@ -126,6 +126,50 @@ class TestSparsifyCommand:
         )
         assert rc == 1
 
+    def test_non_utf8_input_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"2 1\n0 1 \xff\n")
+        rc = main(
+            ["sparsify", "--input", str(bad), "--output", str(tmp_path / "h.txt"),
+             "--epsilon", "0.5"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    def test_unwritable_output_exit_1(self, multigraph_file, tmp_path, capsys):
+        rc = main(
+            ["sparsify", "--input", str(multigraph_file),
+             "--output", str(tmp_path / "missing" / "h.txt"), "--epsilon", "0.5",
+             "--mode", "practical"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+
+    def test_unwritable_report_exit_1(self, multigraph_file, tmp_path, capsys):
+        out = tmp_path / "h.txt"
+        rc = main(
+            ["sparsify", "--input", str(multigraph_file), "--output", str(out),
+             "--epsilon", "0.5", "--mode", "practical",
+             "--report", str(tmp_path / "missing" / "r.json")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+        assert out.exists()
+
+    def test_two_vertices_parallel_edges_practical(self, tmp_path):
+        # 2 vertices and 1,000 unit edges: the round runs 3 levels, more than n
+        path = tmp_path / "pair.txt"
+        save_graph(WeightedGraph.from_edges(2, [(0, 1, 1)] * 1000), path)
+        out = tmp_path / "h.txt"
+        rc = main(
+            ["sparsify", "--input", str(path), "--output", str(out),
+             "--epsilon", "0.5", "--mode", "practical"]
+        )
+        assert rc == 0
+        h = load_sparse(out)
+        assert 0 < h.m < 1000
+        assert len(set(_components(h))) == 1
+
     def test_report_written(self, multigraph_file, tmp_path):
         report = tmp_path / "report.json"
         # rho-scale small enough that the final wrapper round samples despite
@@ -279,6 +323,17 @@ class TestBenchCommand:
             ]
             outputs.append(rows)
         assert outputs[0] == outputs[1]
+
+    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        save_graph(random_graph(8, 18, 6, seed=10), corpus / "g.txt")
+        rc = main(
+            ["bench", "--corpus", str(corpus), "--methods", "msf", "--epsilon", "0.5",
+             "--output", str(tmp_path / "missing" / "bench.csv")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
 
     def test_rescale_overflow_exit_2(self, heavy_graph_file, capsys):
         rc = main(

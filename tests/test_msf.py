@@ -97,11 +97,11 @@ class TestPackingExamples:
 
 
 @st.composite
-def multigraphs(draw) -> WeightedGraph:
+def multigraphs(draw, max_n: int = 12, max_edges: int = 30) -> WeightedGraph:
     """Multigraphs on n >= 2 vertices whose edges use only the first k of
     them (vertices past k stay isolated), with weight ties at the extremes
     and repeated edges."""
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, max_n))
     k = draw(st.integers(2, n))
     pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 2)).map(
         lambda p: (p[0], p[1] + (p[1] >= p[0]))
@@ -109,9 +109,9 @@ def multigraphs(draw) -> WeightedGraph:
     weight = st.one_of(
         st.sampled_from([1, 2, MAX_WEIGHT - 1, MAX_WEIGHT]), st.integers(1, MAX_WEIGHT)
     )
-    edges = draw(st.lists(st.tuples(pair, weight), max_size=30))
+    edges = draw(st.lists(st.tuples(pair, weight), max_size=max_edges))
     if edges:
-        edges += draw(st.lists(st.sampled_from(edges), max_size=10))
+        edges += draw(st.lists(st.sampled_from(edges), max_size=max_edges // 3))
     return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in edges])
 
 
@@ -211,6 +211,12 @@ class TestBottleneckWeights:
     def test_disconnected_components(self):
         g = WeightedGraph.from_edges(4, [(0, 1, 5), (2, 3, 7)])
         assert bottleneck_weights(g).tolist() == [5, 7]
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=multigraphs(max_n=8, max_edges=15))
+    def test_matches_brute_force_on_random_multigraphs(self, g):
+        expected = [brute_force_maximin(g, u, v) for u, v, _ in g.edges()]
+        assert bottleneck_weights(g).tolist() == expected
 
 
 class TestWindowedPacking:
