@@ -136,10 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sparsify(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
     try:
         g = load_graph(args.input, args.format)
     except (GraphFormatError, OSError) as exc:
         return _fail(exc, EXIT_FILE)
+    timings_ms = {"load": (time.perf_counter() - t0) * 1e3}
     try:
         cfg = _build_config(args, args.method)
         h, reports = sparsify(g, cfg)
@@ -148,13 +150,16 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(exc, EXIT_CONFIG)
     try:
+        t0 = time.perf_counter()
         save_graph(h, args.output)
+        timings_ms["save"] = (time.perf_counter() - t0) * 1e3
         if args.report:
             payload = {
                 "input": {"n": g.n, "m": g.m, "w_max": g.max_weight()},
                 "config": asdict(cfg),
                 "output_size": h.m,
                 "rounds": [r.to_dict() for r in reports],
+                "timings_ms": timings_ms,
             }
             Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     except OSError as exc:

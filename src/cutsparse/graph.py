@@ -9,6 +9,7 @@ accumulated in arbitrary-precision integers to rule out overflow.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -27,47 +28,83 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Integer-weighted undirected multigraph on vertices 0..n-1."""
+def _column(values, dtype, overflow: str) -> np.ndarray:
+    """A read-only copy of one edge column; `overflow` is the message for
+    integers beyond int64."""
+    try:
+        return _frozen(np.array(values, dtype=dtype))
+    except OverflowError:
+        raise ValueError(overflow) from None
+
+
+@dataclass(frozen=True, eq=False)
+class _Graph:
+    """Undirected multigraph on vertices 0..n-1 as three edge columns."""
 
     n: int
     edge_u: np.ndarray  # int64
     edge_v: np.ndarray  # int64
-    edge_w: np.ndarray  # int64, each in [1, MAX_WEIGHT]
+    edge_w: np.ndarray
 
     @property
     def m(self) -> int:
         return len(self.edge_u)
 
-    @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int, int]]) -> "WeightedGraph":
-        edges = list(edges)
-        for e in edges:
-            if not (1 <= e[2] <= MAX_WEIGHT):
-                raise ValueError(f"edge weight {e[2]} outside [1, 2^63-1]")
-        u = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-        v = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-        w = np.fromiter((e[2] for e in edges), dtype=np.int64, count=len(edges))
-        g = WeightedGraph(n, _frozen(u), _frozen(v), _frozen(w))
-        g._validate()
-        return g
-
     def _validate(self) -> None:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
+        if not (self.edge_u.ndim == 1 and self.edge_u.shape == self.edge_v.shape == self.edge_w.shape):
+            raise ValueError("edge columns must be one-dimensional and of equal length")
         if self.m:
-            if self.edge_u.min() < 0 or self.edge_v.min() < 0:
+            if min(self.edge_u.min(), self.edge_v.min()) < 0:
                 raise ValueError("negative vertex id")
             if max(self.edge_u.max(), self.edge_v.max()) >= self.n:
                 raise ValueError("edge endpoint out of range")
             if np.any(self.edge_u == self.edge_v):
                 raise ValueError("self-loops are not allowed")
-            if self.edge_w.min() < 1:
-                raise ValueError("edge weights must be >= 1")
+            self._validate_weights()
 
-    def edges(self) -> list[tuple[int, int, int]]:
+    def _validate_weights(self) -> None:
+        raise NotImplementedError
+
+    def edges(self) -> list[tuple]:
         return list(zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.m == other.m
+            and bool(np.array_equal(self.edge_u, other.edge_u))
+            and bool(np.array_equal(self.edge_v, other.edge_v))
+            and bool(np.array_equal(self.edge_w, other.edge_w))
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class WeightedGraph(_Graph):
+    """Integer-weighted multigraph; edge_w is int64, each in [1, MAX_WEIGHT]."""
+
+    @staticmethod
+    def from_arrays(n: int, edge_u, edge_v, edge_w) -> "WeightedGraph":
+        """Validated graph over read-only int64 copies of the given columns."""
+        g = WeightedGraph(
+            n,
+            _column(edge_u, np.int64, "edge endpoint out of range"),
+            _column(edge_v, np.int64, "edge endpoint out of range"),
+            _column(edge_w, np.int64, "edge weight outside [1, 2^63-1]"),
+        )
+        g._validate()
+        return g
+
+    @staticmethod
+    def from_edges(n: int, edges: Iterable[tuple[int, int, int]]) -> "WeightedGraph":
+        return WeightedGraph.from_arrays(n, *_columns(edges))
+
+    def _validate_weights(self) -> None:
+        if self.edge_w.min() < 1:
+            raise ValueError("edge weights must be >= 1")
 
     def subgraph_edges(self, idx: np.ndarray) -> "WeightedGraph":
         """Graph on the same vertex set restricted to the given edge indices."""
@@ -81,65 +118,36 @@ class WeightedGraph:
     def max_weight(self) -> int:
         return int(self.edge_w.max()) if self.m else 0
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightedGraph):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.m == other.m
-            and bool(np.array_equal(self.edge_u, other.edge_u))
-            and bool(np.array_equal(self.edge_v, other.edge_v))
-            and bool(np.array_equal(self.edge_w, other.edge_w))
-        )
 
-
-@dataclass(frozen=True)
-class SparseGraph:
-    """Reweighted subgraph with positive 64-bit float weights."""
-
-    n: int
-    edge_u: np.ndarray  # int64
-    edge_v: np.ndarray  # int64
-    edge_w: np.ndarray  # float64, strictly positive and finite
-
-    @property
-    def m(self) -> int:
-        return len(self.edge_u)
+@dataclass(frozen=True, eq=False)
+class SparseGraph(_Graph):
+    """Reweighted subgraph; edge_w is float64, strictly positive and finite."""
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> "SparseGraph":
-        edges = list(edges)
-        u = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-        v = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-        w = np.fromiter((e[2] for e in edges), dtype=np.float64, count=len(edges))
-        g = SparseGraph(n, _frozen(u), _frozen(v), _frozen(w))
+    def from_arrays(n: int, edge_u, edge_v, edge_w) -> "SparseGraph":
+        """Validated graph over read-only int64 / float64 copies of the columns."""
+        g = SparseGraph(
+            n,
+            _column(edge_u, np.int64, "edge endpoint out of range"),
+            _column(edge_v, np.int64, "edge endpoint out of range"),
+            _column(edge_w, np.float64, "edge weights must be positive and finite"),
+        )
         g._validate()
         return g
 
-    def _validate(self) -> None:
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
-        if self.m:
-            if max(self.edge_u.max(), self.edge_v.max()) >= self.n or min(self.edge_u.min(), self.edge_v.min()) < 0:
-                raise ValueError("edge endpoint out of range")
-            if np.any(self.edge_u == self.edge_v):
-                raise ValueError("self-loops are not allowed")
-            if not np.all(np.isfinite(self.edge_w)) or self.edge_w.min() <= 0.0:
-                raise ValueError("edge weights must be positive and finite")
+    @staticmethod
+    def from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> "SparseGraph":
+        return SparseGraph.from_arrays(n, *_columns(edges))
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        return list(zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()))
+    def _validate_weights(self) -> None:
+        if not np.all(np.isfinite(self.edge_w)) or self.edge_w.min() <= 0.0:
+            raise ValueError("edge weights must be positive and finite")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseGraph):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.m == other.m
-            and bool(np.array_equal(self.edge_u, other.edge_u))
-            and bool(np.array_equal(self.edge_v, other.edge_v))
-            and bool(np.array_equal(self.edge_w, other.edge_w))
-        )
+
+def _columns(edges: Iterable[tuple]) -> tuple[tuple, tuple, tuple]:
+    """(u, v, w) edge tuples as three columns."""
+    edges = list(edges)
+    return tuple(zip(*edges)) if edges else ((), (), ())
 
 
 @dataclass(frozen=True)
@@ -232,6 +240,10 @@ def _read_lines(source: str | Path) -> list[str]:
 
 def load_graph(source: str | Path, fmt: str = "auto") -> WeightedGraph:
     """Read an integer-weighted graph from an edge-list or DIMACS file."""
+    if fmt in ("auto", "edgelist"):
+        g = _load_edgelist_arrays(source, Path(source).read_bytes())
+        if g is not None:
+            return g
     lines = _read_lines(source)
     if fmt == "auto":
         non_blank = next((ln for ln in lines if ln.strip()), "")
@@ -241,6 +253,54 @@ def load_graph(source: str | Path, fmt: str = "auto") -> WeightedGraph:
     if fmt == "dimacs":
         return _load_dimacs(lines)
     raise ValueError(f"unknown graph format {fmt!r}")
+
+
+# numpy and str.splitlines() agree on where lines and tokens end only for
+# these bytes (numpy also splits on \x0c, \x1c and other separators)
+_EDGELIST_BYTES = b"0123456789+- \t\r\n"
+_NON_BLANK = re.compile(rb"[^ \t\r\n]")
+_LINE_END = re.compile(rb"[\r\n]")
+
+
+def _load_edgelist_arrays(source: str | Path, data: bytes) -> WeightedGraph | None:
+    """The edge-list reader's fast path: numpy parses the body and the array
+    constructor checks it in bulk.  None wherever it cannot vouch for the
+    result (another byte, a bad token, count or value); the line parser then
+    decides, and names the offending line."""
+    if data.translate(None, _EDGELIST_BYTES):
+        return None
+    first = _NON_BLANK.search(data)
+    if first is None:
+        return None
+    start = first.start()
+    eol = _LINE_END.search(data, start)
+    end = eol.start() if eol else len(data)
+    header = data[start:end].split()
+    if len(header) != 2:
+        return None
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        return None
+    if n < 1 or m < 0:
+        return None
+    if _NON_BLANK.search(data, end):
+        blank = data[:start]  # the blank lines above the header
+        skip = blank.count(b"\n") + blank.count(b"\r") - blank.count(b"\r\n") + 1
+        try:
+            cols = np.loadtxt(
+                source, dtype=np.int64, ndmin=2, comments=None, skiprows=skip, encoding="ascii"
+            )
+        except (ValueError, OverflowError):
+            return None
+    else:
+        cols = np.zeros((0, 3), dtype=np.int64)
+    if cols.shape != (m, 3):
+        return None
+    try:
+        return WeightedGraph.from_arrays(n, *cols.T)
+    except ValueError:
+        return None
 
 
 def load_sparse(source: str | Path) -> SparseGraph:
@@ -334,26 +394,28 @@ def _load_dimacs(lines: list[str]) -> WeightedGraph:
     return WeightedGraph.from_edges(n, edges)
 
 
-def format_weight(w: float) -> str:
-    """Render a float weight; integral values print as integers."""
-    if float(w).is_integer() and abs(w) < 2**63:
-        return str(int(w))
-    return repr(float(w))
+def _weight_column(w: np.ndarray) -> list[str]:
+    """Weights as text: integral values as integers, other floats by repr."""
+    if w.dtype != np.float64:
+        return list(map(str, w.tolist()))
+    text = list(map(float.__repr__, w.tolist()))
+    integral = np.flatnonzero((np.floor(w) == w) & (np.abs(w) < 2.0**63))
+    for i, t in zip(integral.tolist(), map(str, w[integral].astype(np.int64).tolist())):
+        text[i] = t
+    return text
 
 
 def save_graph(g: WeightedGraph | SparseGraph, sink: str | Path, fmt: str = "edgelist") -> None:
     """Write a graph; edge order is preserved as given."""
     if fmt == "edgelist":
-        out = [f"{g.n} {g.m}"]
-        if isinstance(g, SparseGraph):
-            out += [f"{u} {v} {format_weight(w)}" for u, v, w in g.edges()]
-        else:
-            out += [f"{u} {v} {w}" for u, v, w in g.edges()]
+        head, line, shift = f"{g.n} {g.m}", "{} {} {}", 0
     elif fmt == "dimacs":
         if isinstance(g, SparseGraph):
             raise ValueError("DIMACS output supports integer graphs only")
-        out = [f"p sp {g.n} {g.m}"]
-        out += [f"a {u + 1} {v + 1} {w}" for u, v, w in g.edges()]
+        head, line, shift = f"p sp {g.n} {g.m}", "a {} {} {}", 1
     else:
         raise ValueError(f"unknown graph format {fmt!r}")
-    Path(sink).write_text("\n".join(out) + "\n")
+    body = map(
+        line.format, (g.edge_u + shift).tolist(), (g.edge_v + shift).tolist(), _weight_column(g.edge_w)
+    )
+    Path(sink).write_text("\n".join([head, *body]) + "\n")

@@ -220,8 +220,6 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     ws = g.edge_w.tolist()
     d = bottleneck_weights(g)
     ds = d.tolist()
-    us = g.edge_u.tolist()
-    vs = g.edge_v.tolist()
     cap = n**3 + 1  # sorts above every rescaled in-window weight, stays < n**4
 
     pending = [e for e in _descending_order(d) if n * ws[e] > ds[e]]
@@ -235,16 +233,12 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
             pos += 1
 
         window_ids = [e for e in range(m) if n * n * ws[e] > D]
-        window_graph = WeightedGraph.from_edges(
+        idx = np.array(window_ids, dtype=np.int64)
+        window_graph = WeightedGraph.from_arrays(
             g.n,
-            [
-                (
-                    us[e],
-                    vs[e],
-                    cap if ws[e] > D else _round_half_up(n**3 * ws[e], D),
-                )
-                for e in window_ids
-            ],
+            g.edge_u[idx],
+            g.edge_v[idx],
+            [cap if ws[e] > D else _round_half_up(n**3 * ws[e], D) for e in window_ids],
         )
         packing = msf_packing_bounded(window_graph, M)
         local = {e: i for i, e in enumerate(window_ids)}

@@ -12,6 +12,8 @@ from __future__ import annotations
 import heapq
 import math
 
+import numpy as np
+
 from .graph import SparseGraph, WeightedGraph
 from .sampling import RngStream, compress_edge
 
@@ -84,12 +86,13 @@ def _ni_sample(
     indices = ni_indices(g)
     rho = preprocess_rho(g.n, epsilon, rho_scale) if g.n >= 2 else float("inf")
     rng = RngStream(seed).child("ni-compress")
-    out: list[tuple[int, int, float]] = []
-    for eid, (u, v, w) in enumerate(
-        zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist())
-    ):
-        p = min(1.0, rho / indices[eid])
-        new_w = compress_edge(w, p, rng)
+    keep_ids: list[int] = []
+    keep_w: list[float] = []
+    for eid, w in enumerate(g.edge_w.tolist()):
+        new_w = compress_edge(w, min(1.0, rho / indices[eid]), rng)
         if new_w is not None:
-            out.append((u, v, new_w))
-    return SparseGraph.from_edges(g.n, out), all(l <= rho for l in indices)
+            keep_ids.append(eid)
+            keep_w.append(new_w)
+    ids = np.array(keep_ids, dtype=np.int64)
+    h = SparseGraph.from_arrays(g.n, g.edge_u[ids], g.edge_v[ids], keep_w)
+    return h, all(l <= rho for l in indices)

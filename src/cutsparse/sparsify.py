@@ -208,8 +208,11 @@ def _algorithm_one(
 
     if n >= 2 and m > 0:
         if cfg.mode == "practical":
+            # rho(n, eps, c, 8 / rho(n, eps, c)) can land an ulp under 8
             report.rho_scale = PRACTICAL_RHO / rho(n, eps_eff, cfg.c)
-        report.rho = rho(n, eps_eff, cfg.c, report.rho_scale)
+            report.rho = PRACTICAL_RHO
+        else:
+            report.rho = rho(n, eps_eff, cfg.c, report.rho_scale)
         report.threshold = early_out_threshold(n, m, eps_eff, report.rho)
     if n < 2 or m <= report.threshold:
         report.early_out = True
@@ -222,20 +225,15 @@ def _algorithm_one(
     # reaching level L needs an edge that survived L fair coins, which has
     # probability at most m * 2^-L
     guard = cfg.max_levels_guard or m.bit_length() + 64
-    edge_u = g.edge_u.tolist()
-    edge_v = g.edge_v.tolist()
     edge_w = g.edge_w.tolist()
-
-    out_u: list[int] = []
-    out_v: list[int] = []
-    out_w: list[float] = []
 
     t_pack = 0.0
     t_sample = 0.0
-    t_compress = 0.0
+    t_bottleneck = 0.0
 
     aside_ids: np.ndarray | None = None
     if windowed:
+        t0 = time.perf_counter()
         d_all = bottleneck_weights(g).tolist()
         aside_mask = np.fromiter(
             (n * w <= d for w, d in zip(edge_w, d_all)), dtype=bool, count=m
@@ -243,6 +241,7 @@ def _algorithm_one(
         aside_ids = np.flatnonzero(aside_mask)
         report.set_aside_count = len(aside_ids)
         x_ids = np.flatnonzero(~aside_mask)
+        t_bottleneck = time.perf_counter() - t0
     else:
         x_ids = np.arange(m, dtype=np.int64)
 
@@ -288,21 +287,10 @@ def _algorithm_one(
     gamma = i
     report.gamma = gamma
 
-    # F_0 is kept verbatim.
-    for e in f_levels[0].tolist():
-        out_u.append(edge_u[e])
-        out_v.append(edge_v[e])
-        out_w.append(float(edge_w[e]))
-
-    # The final leftover is kept, scaled up by the gamma elapsed halvings.
-    # (The run's own analysis requires the 2^gamma factor: the leftover
-    # survived gamma fair coins, so anything else would bias every cut.)
-    for e in y_ids.tolist():
-        out_u.append(edge_u[e])
-        out_v.append(edge_v[e])
-        out_w.append(math.ldexp(float(edge_w[e]), gamma))
-
+    # Compressed edges, by id, in level order and then the set-aside edges.
     t0 = time.perf_counter()
+    comp_ids: list[int] = []
+    comp_w: list[float] = []
     for j in range(1, gamma + 1):
         stream = rng.child(f"compress:{j}")
         four_j = 4**j
@@ -311,9 +299,8 @@ def _algorithm_one(
             p = min(1.0, COMPRESSION_CONSTANT / (four_j * w))
             r = binom_sample((1 << j) * w, p, stream)
             if r > 0:
-                out_u.append(edge_u[e])
-                out_v.append(edge_v[e])
-                out_w.append(r / p)
+                comp_ids.append(e)
+                comp_w.append(r / p)
 
     if aside_ids is not None and len(aside_ids):
         stream = rng.child("set-aside")
@@ -322,17 +309,32 @@ def _algorithm_one(
             p = min(1.0, COMPRESSION_CONSTANT / d_all[e])
             r = binom_sample(w, p, stream)
             if r > 0:
-                out_u.append(edge_u[e])
-                out_v.append(edge_v[e])
-                out_w.append(r / p)
-    t_compress += time.perf_counter() - t0
+                comp_ids.append(e)
+                comp_w.append(r / p)
+    t_compress = time.perf_counter() - t0
 
-    result = SparseGraph.from_edges(n, list(zip(out_u, out_v, out_w)))
+    # F_0 is kept verbatim.  The final leftover is kept, scaled up by the
+    # gamma elapsed halvings.  (The run's own analysis requires the 2^gamma
+    # factor: the leftover survived gamma fair coins, so anything else would
+    # bias every cut.)  Then the compressed edges.
+    t0 = time.perf_counter()
+    f0 = f_levels[0]
+    ids = np.concatenate([f0, y_ids, np.array(comp_ids, dtype=np.int64)])
+    out_w = np.concatenate(
+        [
+            g.edge_w[f0].astype(np.float64),
+            np.ldexp(g.edge_w[y_ids].astype(np.float64), gamma),
+            np.array(comp_w, dtype=np.float64),
+        ]
+    )
+    result = SparseGraph.from_arrays(n, g.edge_u[ids], g.edge_v[ids], out_w)
     report.output_size = result.m
     report.timings_ms = {
         "packing": t_pack * 1e3,
         "sampling": t_sample * 1e3,
         "compression": t_compress * 1e3,
+        "bottleneck": t_bottleneck * 1e3,
+        "assembly": (time.perf_counter() - t0) * 1e3,
         "total": (time.perf_counter() - t_start) * 1e3,
     }
     return result, report
@@ -495,7 +497,7 @@ def reduce_real_weights(
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if g_real.m == 0:
         r = -math.floor(math.log2(0.5 * epsilon))
-        return WeightedGraph.from_edges(g_real.n, []), r
+        return WeightedGraph.from_arrays(g_real.n, [], [], []), r
 
     w = g_real.edge_w
     if not np.all(np.isfinite(w)) or float(w.min()) <= 0.0:
@@ -506,12 +508,8 @@ def reduce_real_weights(
     r = min(r, MAX_WEIGHT.bit_length() - math.frexp(float(w.max()))[1])
     if math.ldexp(1.0, -r) > 0.5 * epsilon * w_min:
         raise ValueError("weight range too wide to round into 63 bits at this epsilon")
-    scaled = [math.floor(math.ldexp(float(x), r) + 0.5) for x in w.tolist()]
-    g_int = WeightedGraph.from_edges(
-        g_real.n,
-        zip(g_real.edge_u.tolist(), g_real.edge_v.tolist(), scaled),
-    )
-    return g_int, r
+    scaled = np.floor(np.ldexp(w, r) + 0.5).astype(np.int64)
+    return WeightedGraph.from_arrays(g_real.n, g_real.edge_u, g_real.edge_v, scaled), r
 
 
 def scale_back(h: SparseGraph, r: int) -> SparseGraph:

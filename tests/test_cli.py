@@ -189,6 +189,7 @@ class TestSparsifyCommand:
         assert exercised, "this rho-scale must make the final round sample"
         for rnd in exercised:
             assert len(rnd["levels"]) == rnd["gamma"] + 1
+        assert set(payload["timings_ms"]) == {"load", "save"}
 
     def test_methods_run(self, multigraph_file, tmp_path):
         for method in ("msf", "ni", "pipeline"):

@@ -1,4 +1,6 @@
+import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -152,3 +154,210 @@ class TestFileFormats:
         assert back.edges() == h.edges()
         # integral weights serialize without a decimal point
         assert "7\n" in p.read_text()
+
+
+class TestArrayConstructor:
+    @pytest.mark.parametrize(
+        "n, u, v, w",
+        [
+            (0, [], [], []),
+            (2, [0], [2], [1]),
+            (2, [-1], [1], [1]),
+            (2, [0], [1 << 63], [1]),
+            (2, [1], [1], [1]),
+            (2, [0], [1], [0]),
+            (2, [0], [1], [-5]),
+            (2, [0, 1], [1], [1]),
+        ],
+        ids=["n0", "endpoint-n", "endpoint-neg", "endpoint-2^63", "self-loop",
+             "w0", "w-neg", "ragged"],
+    )
+    @pytest.mark.parametrize("cls", [WeightedGraph, SparseGraph])
+    def test_rejects_what_from_edges_rejects(self, cls, n, u, v, w):
+        with pytest.raises(ValueError):
+            cls.from_arrays(n, u, v, w)
+        if len(u) == len(v) == len(w):
+            with pytest.raises(ValueError):
+                cls.from_edges(n, zip(u, v, w))
+
+    def test_integer_weights_stop_at_2_63_minus_1(self):
+        with pytest.raises(ValueError, match=r"outside \[1, 2\^63-1\]"):
+            WeightedGraph.from_arrays(2, [0], [1], [1 << 63])
+        with pytest.raises(ValueError):
+            WeightedGraph.from_edges(2, [(0, 1, 1 << 63)])
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, 0.0, -0.5, 10**400])
+    def test_sparse_rejects_non_finite_or_non_positive(self, w):
+        with pytest.raises(ValueError):
+            SparseGraph.from_arrays(2, [0], [1], [w])
+        with pytest.raises(ValueError):
+            SparseGraph.from_edges(2, [(0, 1, w)])
+
+    @pytest.mark.parametrize("cls, w", [(WeightedGraph, 7), (SparseGraph, 0.5)])
+    def test_read_only_copies(self, cls, w):
+        u, v, ws = np.array([0, 1]), np.array([1, 2]), np.array([w, w])
+        g = cls.from_arrays(3, u, v, ws)
+        for col in (g.edge_u, g.edge_v, g.edge_w):
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 1
+        u[0] = 2  # the caller's arrays stay the caller's
+        assert g.edge_u.tolist() == [0, 1]
+        assert g == cls.from_edges(3, [(0, 1, w), (1, 2, w)])
+
+    def test_dtypes(self):
+        g = WeightedGraph.from_arrays(3, (0, 1), (1, 2), ((1 << 63) - 1, 1))
+        assert g.edge_u.dtype == g.edge_v.dtype == g.edge_w.dtype == np.int64
+        h = SparseGraph.from_arrays(3, (0, 1), (1, 2), (2, 0.5))
+        assert h.edge_w.dtype == np.float64
+        assert g != h and h != g
+
+
+# --- the edge-list fast path against the line parser ---------------------------
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cutsparse.graph import (  # noqa: E402
+    _EDGELIST_BYTES,
+    _load_edgelist,
+    _load_edgelist_arrays,
+    _read_lines,
+)
+
+# separators numpy and str.split() disagree on, a non-UTF-8 byte
+# (surrogate-escaped until encoding) and a comment marker
+_ODD = ["\x0b", "\x0c", "\x1c", "\xa0", "\udcff", "#"]
+_SEPARATORS = [" ", "  ", "\t", " \t "]
+_JUNK = ["+", "-", "--1", "+-1", "1-2", "x", "1.0", "1e3", "#1"] + _ODD
+_EXTREMES = [-1, 0, (1 << 63) - 1, 1 << 63, 10**20]
+
+
+@st.composite
+def _token(draw, value: int, junk: bool) -> str:
+    style = draw(st.integers(0, 9))
+    if junk and style == 0:
+        return draw(st.sampled_from(_JUNK))
+    if value >= 0 and style in (1, 2):
+        return ("+", "00")[style - 1] + str(value)
+    if value == 0 and style == 3:
+        return "-0"
+    return str(value)
+
+
+@st.composite
+def edge_list_texts(draw) -> bytes:
+    """Mostly valid edge-list files, some with one kind of fault: odd
+    separators or bytes, junk tokens, extreme values, a 4-token line followed
+    by a 2-token line, or a wrong edge count."""
+    n = draw(st.integers(1, 5))
+    odd, junk, extreme, shifted, miscount = (draw(st.integers(0, 7)) == 0 for _ in range(5))
+    vertex = st.integers(0, n - 1) | st.sampled_from([n, -1]) if extreme else st.integers(0, n - 1)
+    weight = st.integers(1, 9) | st.sampled_from(_EXTREMES) if extreme else st.integers(0, 9)
+    rows = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=6))
+    if not extreme:  # self-loops only among the faults
+        rows = [(u, (u + 1) % n if u == v else v, w) for u, v, w in rows]
+    m = draw(st.integers(-1, 7)) if miscount else len(rows)
+    lines = [[draw(_token(x, junk)) for x in row] for row in [(n, m), *rows]]
+    if shifted and len(lines) > 2:
+        # one line of 4 tokens, then one of 2: the total count still adds up
+        i = draw(st.integers(1, len(lines) - 2))
+        lines[i].append(lines[i + 1].pop(0))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([[], [""], [" \t"]])))
+    separators = st.sampled_from(_SEPARATORS + _ODD if odd else _SEPARATORS)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = "".join(draw(separators).join(line) + ending for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _outcome(load, path):
+    try:
+        g = load(path)
+    except GraphFormatError as exc:
+        return str(exc)
+    return g.n, g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()
+
+
+class TestEdgeListFastPath:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=edge_list_texts())
+    def test_same_arrays_or_same_error_as_the_line_parser(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("edgelist") / "g.txt"
+        path.write_bytes(data)
+        expected = _outcome(lambda p: _load_edgelist(_read_lines(p), float_weights=False), path)
+        assert _outcome(load_graph, path) == expected
+        assert _outcome(lambda p: load_graph(p, "edgelist"), path) == expected
+        if not isinstance(expected, str) and not data.translate(None, _EDGELIST_BYTES):
+            # a valid file of the guarded bytes never needs the line parser
+            assert _load_edgelist_arrays(path, data) is not None
+
+    @pytest.mark.parametrize(
+        "text, edges",
+        [
+            ("\n3 2\r\n\r\n0 1 +5\r\n  \t\r\n1 2 007\r\n", [(0, 1, 5), (1, 2, 7)]),
+            ("3 1\r-0 2 1\r", [(0, 2, 1)]),
+            ("2 1\n0 1 9223372036854775807", [(0, 1, (1 << 63) - 1)]),
+        ],
+    )
+    def test_valid_files_take_the_fast_path(self, tmp_path, text, edges):
+        path = tmp_path / "g.txt"
+        path.write_text(text, newline="")
+        g = _load_edgelist_arrays(path, path.read_bytes())
+        assert g is not None and g.edges() == edges
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 1\n0 1 9223372036854775808\n", "line 2: weight exceeds 2^63-1"),
+            ("3 2\n0 1 5 1\n2 3\n", "line 2: expected 'u v w'"),
+            ("3 1\n0\x0c1 3\n", "line 2: expected 'u v w'"),
+            ("3 1\n0 1 -0\n", "line 2: weight must be >= 1, got 0"),
+            ("3 1\n0 1 5\n1 2 3\n", "header announced 1 edges but file has 2"),
+        ],
+    )
+    def test_line_parser_errors(self, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError) as info:
+            load_graph(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["5 0\n", "5 0", "\n5 0\n\n \t\n", "5 0\r\n\r\n"])
+    def test_no_edges_loads_quietly(self, tmp_path, capfd, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_graph(path)
+        assert (g.n, g.m) == (5, 0)
+        assert capfd.readouterr().err == ""
+
+
+def _weight_text_reference(w: float) -> str:
+    """The per-edge weight formatting the column writer replaces."""
+    if float(w).is_integer() and abs(w) < 2**63:
+        return str(int(w))
+    return repr(float(w))
+
+
+class TestSaveColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(
+                st.floats(min_value=5e-324, max_value=1e308, allow_nan=False),
+                st.integers(1, 1 << 64).map(float),
+                st.sampled_from([2.0**63, 2.0**63 - 1024, 2.0**53 + 2, 0.5, 1.0]),
+            ),
+            max_size=20,
+        )
+    )
+    def test_sparse_weights_match_per_edge_formatting(self, weights, tmp_path_factory):
+        h = SparseGraph.from_arrays(2, [0] * len(weights), [1] * len(weights), weights)
+        path = tmp_path_factory.mktemp("save") / "h.txt"
+        save_graph(h, path)
+        lines = [f"2 {len(weights)}"] + [f"0 1 {_weight_text_reference(w)}" for w in weights]
+        assert path.read_text() == "\n".join(lines) + "\n"

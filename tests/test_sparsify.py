@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -115,6 +116,25 @@ class TestEarlyOut:
 
 
 class TestSparsifyOnce:
+    def test_practical_rho_is_exactly_8(self):
+        # rho(12, 0.5, 1, 8 / rho(12, 0.5)) is 7.999999999999999, whose floor(2 rho)
+        # would pack 15 forests
+        g = multi_complete_graph(12, 30, 8, seed=3)
+        _, rep = sparsify_once_with_report(g, practical_cfg(g, seed=1))
+        assert rep.rho == 8.0
+        assert rep.levels[0].forests == 16
+        assert rep.levels[1].forests == 32
+
+    def test_timings_cover_every_stage(self):
+        g = multi_complete_graph(12, 30, 8, seed=3)
+        for run in (sparsify_once_with_report, sparsify_unbounded_with_report):
+            _, rep = run(g, practical_cfg(g, seed=1))
+            assert not rep.early_out
+            assert set(rep.timings_ms) == {
+                "packing", "sampling", "compression", "bottleneck", "assembly", "total"
+            }
+            assert (rep.timings_ms["bottleneck"] > 0) == (run is sparsify_unbounded_with_report)
+
     def test_exercised_run_shrinks_and_preserves_cuts(self):
         g = multi_complete_graph(12, 30, 8, seed=3)  # m = 1980
         cfg = practical_cfg(g, seed=11)
@@ -298,6 +318,18 @@ class TestReduceRealWeights:
         h = SparseGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0**62)])
         with pytest.raises(ValueError, match="63 bits"):
             reduce_real_weights(h, 0.5)
+
+    def test_matches_the_per_edge_rounding(self):
+        # the vectorised floor(ldexp(w, r) + 0.5) against the math version
+        rng = np.random.default_rng(5)
+        w = np.concatenate([rng.uniform(0.01, 1e6, 5000), 2.0 ** rng.uniform(-6, 40, 5000)])
+        u = rng.integers(0, 50, w.size)
+        h = SparseGraph.from_arrays(51, u, u + 1, w)
+        g, r = reduce_real_weights(h, 0.3)
+        expected = [math.floor(math.ldexp(x, r) + 0.5) for x in w.tolist()]
+        digest = lambda ints: hashlib.sha256(np.array(ints, dtype=np.int64).tobytes()).hexdigest()
+        assert digest(g.edge_w) == digest(expected)
+        assert g.edge_u.tolist() == u.tolist()
 
     def test_rejects_bad_epsilon(self):
         h = SparseGraph.from_edges(2, [(0, 1, 1.0)])
