@@ -71,20 +71,18 @@ def ni_preprocess(
     The sampler's fixed constant already carries its confidence margin, so
     unlike the main sparsifier it takes no confidence exponent c.
     """
-    return _ni_sample(g, epsilon, seed, rho_scale)[0]
-
-
-def _ni_sample(
-    g: WeightedGraph, epsilon: float, seed: int, rho_scale: float
-) -> tuple[SparseGraph, bool]:
-    """`ni_preprocess`, plus whether it kept every edge (every l_e <= rho,
-    so every p_e = 1 and the output is the input)."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if rho_scale <= 0.0:
         raise ValueError(f"rho_scale must be positive, got {rho_scale}")
-    indices = ni_indices(g)
     rho = preprocess_rho(g.n, epsilon, rho_scale) if g.n >= 2 else float("inf")
+    return _ni_sample(g, rho, seed)[0]
+
+
+def _ni_sample(g: WeightedGraph, rho: float, seed: int) -> tuple[SparseGraph, bool]:
+    """`ni_preprocess` at a given rho, plus whether it kept every edge (every
+    l_e <= rho, so every p_e = 1 and the output is the input)."""
+    indices = ni_indices(g)
     rng = RngStream(seed).child("ni-compress")
     keep_ids: list[int] = []
     keep_w: list[float] = []

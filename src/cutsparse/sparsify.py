@@ -421,9 +421,15 @@ def _ni_round(
     """One pass of the forest-index preprocessing sampler, with its report."""
     t_start = time.perf_counter()
     scale = cfg.rho_scale
-    if cfg.mode == "practical" and g.n >= 2:
+    if g.n < 2:
+        rho_val = float("inf")
+    elif cfg.mode == "practical":
+        # preprocess_rho(n, eps, 25 / preprocess_rho(n, eps)) can land an ulp under 25
         scale = PRACTICAL_NI_RHO / preprocess_rho(g.n, epsilon)
-    h, kept_all = _ni_sample(g, epsilon, seed, scale)
+        rho_val = PRACTICAL_NI_RHO
+    else:
+        rho_val = preprocess_rho(g.n, epsilon, scale)
+    h, kept_all = _ni_sample(g, rho_val, seed)
     report = RunReport(
         n=g.n,
         m=g.m,
@@ -434,7 +440,7 @@ def _ni_round(
         seed=seed,
         rho_scale=scale,
         regime=regime,
-        rho=preprocess_rho(g.n, epsilon, scale) if g.n >= 2 else 0.0,
+        rho=rho_val if g.n >= 2 else 0.0,
         method="ni",
         output_size=h.m,
     )

@@ -63,12 +63,12 @@ CASES = {
     "sparsify-ni": (
         "multi",
         ["sparsify", "--method", "ni", *PRACTICAL],
-        "16d839a45167203325f184a0fd92119c6f016df06c43a5722669c26b9f4e0817",
+        "65d5acacc20be6fc3e540fd5e9621888a0a309f84247b339a54579baa429eb44",
     ),
     "sparsify-pipeline": (
         "multi",
         ["sparsify", "--method", "pipeline", *PRACTICAL],
-        "0b4f67a5bcc87ab6bcc0101fc061e7099e17e0706a4b779eb78008108d3a422a",
+        "f483b1e8c69ae0c0793e4c23cb6ecc311f218b3be7cd37dddce40bd64a978c98",
     ),
     "mincut": (
         "dumbbell",

@@ -382,6 +382,17 @@ class TestUnbounded:
         assert sparsify_unbounded_with_report(g, cfg)[0].edges() == first
 
 
+class TestNiRound:
+    def test_practical_rho_is_exactly_25(self):
+        # at n = 2, eps = 0.5 the scale's round trip lands at 24.999999999999996,
+        # where an index-25 edge would get p < 1 and weight r / p != 25
+        g = WeightedGraph.from_edges(2, [(0, 1, 25)])
+        h, (rep,) = sparsify(g, SparsifyConfig(epsilon=0.5, method="ni", mode="practical"))
+        assert rep.rho == 25.0
+        assert rep.early_out
+        assert h.edges() == [(0, 1, 25.0)]
+
+
 class TestPipeline:
     def test_tiny_graph_identity(self):
         g = random_graph(8, 20, 9, seed=15)
