@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cutsparse import (
     CutSpec,
@@ -14,6 +16,12 @@ from cutsparse import (
     load_graph,
     load_sparse,
     save_graph,
+)
+from cutsparse.graph import (
+    _EDGELIST_BYTES,
+    _load_edgelist,
+    _load_edgelist_arrays,
+    _read_lines,
 )
 
 from conftest import random_graph
@@ -214,16 +222,6 @@ class TestArrayConstructor:
 
 
 # --- the edge-list fast path against the line parser ---------------------------
-
-from hypothesis import HealthCheck, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from cutsparse.graph import (  # noqa: E402
-    _EDGELIST_BYTES,
-    _load_edgelist,
-    _load_edgelist_arrays,
-    _read_lines,
-)
 
 # separators numpy and str.split() disagree on, a non-UTF-8 byte
 # (surrogate-escaped until encoding) and a comment marker
