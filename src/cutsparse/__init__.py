@@ -17,7 +17,6 @@ from .msf import (
     msf_packing_bounded,
     msf_packing_windowed,
 )
-from .ni import ni_preprocess
 from .oracles import CutReport, check_sparsifier, exact_min_cut
 from .sparsify import (
     LevelOverflowError,
@@ -51,7 +50,6 @@ __all__ = [
     "load_sparse",
     "msf_packing_bounded",
     "msf_packing_windowed",
-    "ni_preprocess",
     "reduce_real_weights",
     "save_graph",
     "scale_back",

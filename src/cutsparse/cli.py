@@ -165,12 +165,8 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(exc, EXIT_FILE)
     if all(r.early_out for r in reports):
-        last = reports[-1]
-        reason = f"m={last.m} <= threshold {last.threshold:g}"
-        if last.method == "ni":
-            reason = f"every NI index <= rho {last.threshold:g}"
         print(
-            f"warning: every round took the early out ({reason}); "
+            f"warning: every round took the early out ({reports[-1].early_out_reason}); "
             "the output is the input unchanged",
             file=sys.stderr,
         )

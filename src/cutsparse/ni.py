@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .graph import SparseGraph, WeightedGraph
-from .sampling import RngStream, compress_edge
+from .sampling import RngStream, compress
 
 # Fixed constant of the preprocessing sampler; scaled only by the shared
 # practical-mode knob.
@@ -60,37 +60,21 @@ def preprocess_rho(n: int, epsilon: float, rho_scale: float = 1.0) -> float:
     return rho_scale * PREPROCESS_RHO_CONSTANT * math.log(n) / epsilon**2
 
 
-def ni_preprocess(
-    g: WeightedGraph,
-    epsilon: float,
-    seed: int = 0,
-    rho_scale: float = 1.0,
-) -> SparseGraph:
-    """Compress every edge with p_e = min(1, rho / l_e).
+def ni_preprocess(g: WeightedGraph, rho: float, seed: int) -> tuple[SparseGraph, bool]:
+    """Compress every edge with p_e = min(1, rho / l_e); also return whether
+    it kept every edge (every l_e <= rho, so every p_e = 1 and the output is
+    the input).
 
     The sampler's fixed constant already carries its confidence margin, so
-    unlike the main sparsifier it takes no confidence exponent c.
+    unlike the main sparsifier its rho takes no confidence exponent c.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if rho_scale <= 0.0:
-        raise ValueError(f"rho_scale must be positive, got {rho_scale}")
-    rho = preprocess_rho(g.n, epsilon, rho_scale) if g.n >= 2 else float("inf")
-    return _ni_sample(g, rho, seed)[0]
-
-
-def _ni_sample(g: WeightedGraph, rho: float, seed: int) -> tuple[SparseGraph, bool]:
-    """`ni_preprocess` at a given rho, plus whether it kept every edge (every
-    l_e <= rho, so every p_e = 1 and the output is the input)."""
     indices = ni_indices(g)
-    rng = RngStream(seed).child("ni-compress")
-    keep_ids: list[int] = []
-    keep_w: list[float] = []
-    for eid, w in enumerate(g.edge_w.tolist()):
-        new_w = compress_edge(w, min(1.0, rho / indices[eid]), rng)
-        if new_w is not None:
-            keep_ids.append(eid)
-            keep_w.append(new_w)
-    ids = np.array(keep_ids, dtype=np.int64)
-    h = SparseGraph.from_arrays(g.n, g.edge_u[ids], g.edge_v[ids], keep_w)
+    kept, weights = compress(
+        range(g.m),
+        g.edge_w.tolist(),
+        (min(1.0, rho / l) for l in indices),
+        RngStream(seed).child("ni-compress"),
+    )
+    ids = np.array(kept, dtype=np.int64)
+    h = SparseGraph.from_arrays(g.n, g.edge_u[ids], g.edge_v[ids], weights)
     return h, all(l <= rho for l in indices)

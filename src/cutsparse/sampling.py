@@ -1,4 +1,4 @@
-"""Seeded randomness and the geometric-skip binomial sampler.
+"""Seeded randomness, the geometric-skip binomial sampler and edge compression.
 
 Stream-split convention: one 64-bit root seed; the stream for a phase is
 obtained by hashing the parent seed together with a text label
@@ -77,18 +77,20 @@ def binom_sample(n: int, p: float, rng: RngStream) -> int:
         k += 1
 
 
-def compress_edge(w: int, p: float, rng: RngStream) -> float | None:
-    """Compress a weight-w edge: Binomial(w, p) successes reweighted by 1/p.
+def compress(ids, trials, probs, rng: RngStream) -> tuple[list[int], list[float]]:
+    """Compress edges: edge ids[i] draws r ~ Binomial(trials[i], probs[i])
+    from `rng`, one draw per edge in order, and is kept at weight
+    r / probs[i] when r > 0.  The three are iterables of equal length, read
+    once, in step.
 
-    Returns the new weight r/p, or None when the draw is zero and the edge
-    drops out.  Unbiased: the expected returned weight (absent counted as 0)
-    equals w.
+    Unbiased: an edge's expected weight (absent counted as 0) is its trial
+    count.  Returns the kept ids and their weights, in input order.
     """
-    if w < 1:
-        raise ValueError(f"edge weight must be >= 1, got {w}")
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"probability must be in (0, 1], got {p}")
-    r = binom_sample(w, p, rng)
-    if r == 0:
-        return None
-    return r / p
+    kept_ids: list[int] = []
+    weights: list[float] = []
+    for e, t, p in zip(ids, trials, probs):
+        r = binom_sample(t, p, rng)
+        if r > 0:
+            kept_ids.append(e)
+            weights.append(r / p)
+    return kept_ids, weights

@@ -32,9 +32,9 @@ from .msf import (
     msf_packing_bounded,
     msf_packing_windowed,
 )
-from .ni import _ni_sample, preprocess_rho
+from .ni import ni_preprocess, preprocess_rho
 from .oracles import exact_min_cut, _components
-from .sampling import RngStream, binom_sample
+from .sampling import RngStream, compress
 
 RHO_NUMERATOR = 1352.0
 # The unbounded-weight analysis doubles the overlap constant; running the
@@ -51,8 +51,9 @@ PRACTICAL_NI_RHO = 25.0
 
 
 class LevelOverflowError(RuntimeError):
-    """Level count exceeded the configured guard; indicates a broken input
-    or a pathological configuration rather than normal operation."""
+    """Level count exceeded its guard, m.bit_length() + 64; indicates a
+    broken input or a pathological configuration rather than normal
+    operation."""
 
 
 def rho(
@@ -96,7 +97,6 @@ class SparsifyConfig:
     regime: str = "auto"
     method: str = "msf"
     mode: str = "theory"
-    max_levels_guard: int | None = None
 
     def validate(self) -> None:
         if not (0.0 < self.epsilon < 1.0):
@@ -110,8 +110,6 @@ class SparsifyConfig:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.mode == "practical" and self.rho_scale != 1.0:
             raise ValueError("rho_scale applies only in theory mode")
-        if self.max_levels_guard is not None and self.max_levels_guard < 1:
-            raise ValueError("max_levels_guard must be >= 1")
 
 
 @dataclass
@@ -135,6 +133,7 @@ class RunReport:
     regime: str
     rho: float = 0.0
     early_out: bool = False
+    early_out_reason: str | None = None
     set_aside_count: int = 0
     method: str = "msf"
     threshold: float = 0.0  # msf: m at or under it; ni: every index at or under it
@@ -157,6 +156,7 @@ class RunReport:
             "regime": self.regime,
             "rho": self.rho,
             "early_out": self.early_out,
+            "early_out_reason": self.early_out_reason,
             "set_aside_count": self.set_aside_count,
             "method": self.method,
             "threshold": self.threshold,
@@ -216,15 +216,16 @@ def _algorithm_one(
         report.threshold = early_out_threshold(n, m, eps_eff, report.rho)
     if n < 2 or m <= report.threshold:
         report.early_out = True
+        report.early_out_reason = f"m={m} <= threshold {report.threshold:g}"
         report.output_size = m
+        identity = SparseGraph.from_arrays(n, g.edge_u, g.edge_v, g.edge_w)
         report.timings_ms["total"] = (time.perf_counter() - t_start) * 1e3
-        identity = SparseGraph(g.n, g.edge_u, g.edge_v, g.edge_w.astype(np.float64))
         return identity, report
     rho_val = report.rho
 
     # reaching level L needs an edge that survived L fair coins, which has
     # probability at most m * 2^-L
-    guard = cfg.max_levels_guard or m.bit_length() + 64
+    guard = m.bit_length() + 64
     edge_w = g.edge_w.tolist()
 
     t_pack = 0.0
@@ -292,25 +293,27 @@ def _algorithm_one(
     comp_ids: list[int] = []
     comp_w: list[float] = []
     for j in range(1, gamma + 1):
-        stream = rng.child(f"compress:{j}")
         four_j = 4**j
-        for e in f_levels[j].tolist():
-            w = edge_w[e]
-            p = min(1.0, COMPRESSION_CONSTANT / (four_j * w))
-            r = binom_sample((1 << j) * w, p, stream)
-            if r > 0:
-                comp_ids.append(e)
-                comp_w.append(r / p)
+        level = f_levels[j].tolist()
+        kept, weights = compress(
+            level,
+            ((1 << j) * edge_w[e] for e in level),
+            (min(1.0, COMPRESSION_CONSTANT / (four_j * edge_w[e])) for e in level),
+            rng.child(f"compress:{j}"),
+        )
+        comp_ids += kept
+        comp_w += weights
 
     if aside_ids is not None and len(aside_ids):
-        stream = rng.child("set-aside")
-        for e in aside_ids.tolist():
-            w = edge_w[e]
-            p = min(1.0, COMPRESSION_CONSTANT / d_all[e])
-            r = binom_sample(w, p, stream)
-            if r > 0:
-                comp_ids.append(e)
-                comp_w.append(r / p)
+        aside = aside_ids.tolist()
+        kept, weights = compress(
+            aside,
+            (edge_w[e] for e in aside),
+            (min(1.0, COMPRESSION_CONSTANT / d_all[e]) for e in aside),
+            rng.child("set-aside"),
+        )
+        comp_ids += kept
+        comp_w += weights
     t_compress = time.perf_counter() - t0
 
     # F_0 is kept verbatim.  The final leftover is kept, scaled up by the
@@ -429,7 +432,7 @@ def _ni_round(
         rho_val = PRACTICAL_NI_RHO
     else:
         rho_val = preprocess_rho(g.n, epsilon, scale)
-    h, kept_all = _ni_sample(g, rho_val, seed)
+    h, kept_all = ni_preprocess(g, rho_val, seed)
     report = RunReport(
         n=g.n,
         m=g.m,
@@ -447,6 +450,7 @@ def _ni_round(
     if kept_all:
         report.early_out = True
         report.threshold = report.rho
+        report.early_out_reason = f"every NI index <= rho {report.threshold:g}"
     report.timings_ms["total"] = (time.perf_counter() - t_start) * 1e3
     return h, report
 
@@ -520,9 +524,7 @@ def reduce_real_weights(
 
 def scale_back(h: SparseGraph, r: int) -> SparseGraph:
     """Undo the 2^r rescaling of reduce_real_weights."""
-    return SparseGraph(
-        h.n, h.edge_u, h.edge_v, (h.edge_w * math.ldexp(1.0, -r)).astype(np.float64)
-    )
+    return SparseGraph.from_arrays(h.n, h.edge_u, h.edge_v, h.edge_w * math.ldexp(1.0, -r))
 
 
 # --- min-cut ---------------------------------------------------------------

@@ -1,12 +1,20 @@
 """Shared generators for the test suite: seeded random graphs, including the
 parallel-edge-heavy multigraphs that keep small-n runs above the early-out
-threshold."""
+threshold, a hypothesis strategy for small multigraphs, and a fixture that
+forces the level guard to trip."""
 
 from __future__ import annotations
 
 import random
+import sys
+from types import SimpleNamespace
 
-from cutsparse import WeightedGraph
+import numpy as np
+import pytest
+from hypothesis import strategies as st
+
+from cutsparse import MAX_WEIGHT, OVER, WeightedGraph
+from cutsparse.sampling import RngStream
 
 
 def random_graph(
@@ -122,3 +130,35 @@ def topology_gallery() -> list[tuple[str, WeightedGraph]]:
 
     out.append(("random-very-dense", random_graph(12, 2600, 1000, seed=110)))
     return out
+
+
+@st.composite
+def multigraphs(draw, max_n: int = 12, max_edges: int = 30) -> WeightedGraph:
+    """Multigraphs on n >= 2 vertices whose edges use only the first k of
+    them (vertices past k stay isolated), with weight ties at the extremes
+    and repeated edges."""
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(2, n))
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 2)).map(
+        lambda p: (p[0], p[1] + (p[1] >= p[0]))
+    )
+    weight = st.one_of(
+        st.sampled_from([1, 2, MAX_WEIGHT - 1, MAX_WEIGHT]), st.integers(1, MAX_WEIGHT)
+    )
+    edges = draw(st.lists(st.tuples(pair, weight), max_size=max_edges))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=max_edges // 3))
+    return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in edges])
+
+
+@pytest.fixture
+def levels_never_shrink(monkeypatch):
+    """Every packing leaves every edge over and every coin comes up heads, so
+    a sampled run's leftover never shrinks and its level guard must trip."""
+    module = sys.modules["cutsparse.sparsify"]  # the package attribute is the function
+    monkeypatch.setattr(
+        module,
+        "msf_packing_bounded",
+        lambda sub, forests: SimpleNamespace(levels=np.full(sub.m, OVER, dtype=np.int64)),
+    )
+    monkeypatch.setattr(RngStream, "coin_flips", lambda self, count: np.ones(count, dtype=np.uint8))

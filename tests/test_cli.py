@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import calibration as cal
 from cutsparse import WeightedGraph, check_sparsifier, load_graph, load_sparse, save_graph
@@ -12,6 +18,7 @@ from conftest import (
     complete_graph,
     dumbbell_graph,
     multi_complete_graph,
+    multigraphs,
     random_graph,
     topology_gallery,
 )
@@ -71,6 +78,7 @@ class TestSparsifyCommand:
         ni_round = json.loads(report.read_text())["rounds"][0]
         assert ni_round["method"] == "ni" and ni_round["early_out"]
         assert ni_round["threshold"] == ni_round["rho"] > 0
+        assert ni_round["early_out_reason"] == f"every NI index <= rho {ni_round['threshold']:g}"
         warning = "warning: every round took the early out "
         if method == "ni":
             warning += f"(every NI index <= rho {ni_round['threshold']:g})"
@@ -189,6 +197,7 @@ class TestSparsifyCommand:
         assert exercised, "this rho-scale must make the final round sample"
         for rnd in exercised:
             assert len(rnd["levels"]) == rnd["gamma"] + 1
+            assert rnd["early_out_reason"] is None
         assert set(payload["timings_ms"]) == {"load", "save"}
 
     def test_methods_run(self, multigraph_file, tmp_path):
@@ -218,6 +227,55 @@ class TestSparsifyCommand:
         h = load_sparse(out)
         assert h.m < load_graph(heavy_graph_file).m
         assert len(set(_components(h))) == 1
+
+    def test_level_guard_overflow_exit_3(self, tmp_path, capsys, levels_never_shrink):
+        path = tmp_path / "pair.txt"
+        save_graph(WeightedGraph.from_edges(2, [(0, 1, 1)] * 1000), path)
+        rc = main(
+            ["sparsify", "--input", str(path), "--output", str(tmp_path / "h.txt"),
+             "--epsilon", "0.5", "--mode", "practical"]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: level count exceeded guard 74 ")
+
+
+@st.composite
+def cli_inputs(draw):
+    """Multigraphs from n = 2 up, often disconnected, with weights up to
+    2^63 - 1, sometimes flooded with copies of one edge."""
+    g = draw(multigraphs(max_n=6, max_edges=10))
+    edges = g.edges()
+    if edges:
+        edges += [edges[0]] * draw(st.sampled_from([0, 40, 400]))
+    return WeightedGraph.from_edges(g.n, edges)
+
+
+class TestSparsifyProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=cli_inputs(),
+        method=st.sampled_from(["msf", "ni", "pipeline"]),
+        regime=st.sampled_from(["auto", "polynomial", "unbounded"]),
+        mode=st.sampled_from([["--mode", "theory"], ["--mode", "practical"], ["--rho-scale", "1e-6"]]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_writes_a_sparsifier_or_exits_with_an_error(self, g, method, regime, mode, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "g.txt", Path(tmp) / "h.txt"
+            save_graph(g, path)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(
+                    ["sparsify", "--input", str(path), "--output", str(out),
+                     "--epsilon", "0.5", "--seed", str(seed), "--method", method,
+                     "--regime", regime, *mode]
+                )
+            if rc == 0:
+                h = load_sparse(out)
+                assert h.n == g.n and h.m <= g.m
+            else:
+                assert rc in (1, 2, 3)
+                assert err.getvalue().startswith("error: ")
 
 
 class TestVerifyCommand:

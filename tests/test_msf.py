@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cutsparse import (
     MAX_WEIGHT,
@@ -14,7 +13,7 @@ from cutsparse import (
 )
 from cutsparse.msf import OVER
 
-from conftest import complete_graph, random_graph
+from conftest import complete_graph, multigraphs, random_graph
 from reference import (
     edge_connectivity,
     oracle_msf_packing,
@@ -94,25 +93,6 @@ class TestPackingExamples:
     def test_rejects_nonpositive_m(self, packer):
         with pytest.raises(ValueError):
             packer(triangle(), 0)
-
-
-@st.composite
-def multigraphs(draw, max_n: int = 12, max_edges: int = 30) -> WeightedGraph:
-    """Multigraphs on n >= 2 vertices whose edges use only the first k of
-    them (vertices past k stay isolated), with weight ties at the extremes
-    and repeated edges."""
-    n = draw(st.integers(2, max_n))
-    k = draw(st.integers(2, n))
-    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 2)).map(
-        lambda p: (p[0], p[1] + (p[1] >= p[0]))
-    )
-    weight = st.one_of(
-        st.sampled_from([1, 2, MAX_WEIGHT - 1, MAX_WEIGHT]), st.integers(1, MAX_WEIGHT)
-    )
-    edges = draw(st.lists(st.tuples(pair, weight), max_size=max_edges))
-    if edges:
-        edges += draw(st.lists(st.sampled_from(edges), max_size=max_edges // 3))
-    return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in edges])
 
 
 class TestPackingAgreement:

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from cutsparse import CutSpec, WeightedGraph, cut_weight, ni_preprocess
+from cutsparse import CutSpec, SparsifyConfig, WeightedGraph, cut_weight, sparsify
 from cutsparse.ni import ni_indices, preprocess_rho
 
 from conftest import complete_graph, multi_complete_graph, random_graph
@@ -86,27 +86,33 @@ class TestNiIndices:
         assert ni_indices(g) == []
 
 
+def ni_sparsify(g, epsilon, seed=0, rho_scale=1.0):
+    """The preprocessing sampler alone, through the one entry point."""
+    cfg = SparsifyConfig(epsilon, seed=seed, rho_scale=rho_scale, method="ni")
+    return sparsify(g, cfg)[0]
+
+
 class TestFhhpPreprocess:
     def test_epsilon_range_enforced(self):
         g = complete_graph(4)
         with pytest.raises(ValueError):
-            ni_preprocess(g, 1.5)
+            ni_sparsify(g, 1.5)
         with pytest.raises(ValueError):
-            ni_preprocess(g, 0.0)
+            ni_sparsify(g, 0.0)
 
     def test_p_one_branch_exact_retention(self):
         # default constants make rho astronomically larger than any l_e here
         g = random_graph(8, 20, 9, seed=1)
-        h = ni_preprocess(g, 0.5, seed=3)
+        h = ni_sparsify(g, 0.5, seed=3)
         assert [(u, v, float(w)) for u, v, w in g.edges()] == h.edges()
 
     def test_determinism(self):
         g = random_graph(10, 200, 40, seed=2)
         scale = 30.0 / preprocess_rho(g.n, 0.5)
-        h1 = ni_preprocess(g, 0.5, seed=7, rho_scale=scale)
-        h2 = ni_preprocess(g, 0.5, seed=7, rho_scale=scale)
+        h1 = ni_sparsify(g, 0.5, seed=7, rho_scale=scale)
+        h2 = ni_sparsify(g, 0.5, seed=7, rho_scale=scale)
         assert h1.edges() == h2.edges()
-        h3 = ni_preprocess(g, 0.5, seed=8, rho_scale=scale)
+        h3 = ni_sparsify(g, 0.5, seed=8, rho_scale=scale)
         assert h1.edges() != h3.edges()
 
     def test_keeps_low_index_edges_exact(self):
@@ -114,7 +120,7 @@ class TestFhhpPreprocess:
 
         g = random_graph(10, 120, 6, seed=3)
         scale = 20.0 / preprocess_rho(g.n, 0.5)
-        h = ni_preprocess(g, 0.5, seed=5, rho_scale=scale)
+        h = ni_sparsify(g, 0.5, seed=5, rho_scale=scale)
         levels = ni_indices(g)
         rho = preprocess_rho(g.n, 0.5, scale)
         exact = Counter(
@@ -137,7 +143,7 @@ class TestFhhpPreprocess:
         runs = 10_000
         samples = []
         for seed in range(runs):
-            h = ni_preprocess(g, 0.5, seed=seed, rho_scale=scale)
+            h = ni_sparsify(g, 0.5, seed=seed, rho_scale=scale)
             samples.append(cut_weight(h, cut) if h.m else 0.0)
         mean = sum(samples) / runs
         var = sum((x - mean) ** 2 for x in samples) / (runs - 1)
@@ -156,7 +162,7 @@ class TestFhhpPreprocess:
         scale = 25.0 / preprocess_rho(g.n, eps)
         within = 0
         for seed in range(200):
-            h = ni_preprocess(g, eps, seed=seed, rho_scale=scale)
+            h = ni_sparsify(g, eps, seed=seed, rho_scale=scale)
             err = float(np.abs(_all_cut_weights(h)[1:] / base - 1.0).max())
             within += err <= eps
         assert within >= 0.95 * 200, within

@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "load_sparse",
     "msf_packing_bounded",
     "msf_packing_windowed",
-    "ni_preprocess",
     "reduce_real_weights",
     "save_graph",
     "scale_back",

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cutsparse.sampling import RngStream, binom_sample, compress_edge
+from cutsparse.sampling import RngStream, binom_sample, compress
 
 from reference import binomial_pmf
 
@@ -107,25 +107,32 @@ class TestCompressEdge:
     def test_p_one_is_identity(self):
         rng = RngStream(2)
         for w in (1, 7, 1 << 40):
-            assert compress_edge(w, 1.0, rng) == w
+            assert compress([5], [w], [1.0], rng) == ([5], [w])
 
     def test_rejects_bad_arguments(self):
+        # the per-edge draw's own checks: trials >= 0 and p in [0, 1]
         with pytest.raises(ValueError):
-            compress_edge(0, 0.5, RngStream(1))
+            compress([0], [-1], [0.5], RngStream(1))
         with pytest.raises(ValueError):
-            compress_edge(3, 0.0, RngStream(1))
+            compress([0], [3], [1.5], RngStream(1))
+
+    def test_matches_one_draw_per_edge_in_order(self):
+        trials = [1, 12, 1 << 40, 3, 0, 7]
+        probs = [0.25, 0.2, 1e-11, 1.0, 0.5, 0.0]
+        rng = RngStream(13)
+        expected = [(e, r / p) for e, (t, p) in enumerate(zip(trials, probs))
+                    if (r := binom_sample(t, p, rng)) > 0]
+        kept, weights = compress(range(6), trials, probs, RngStream(13))
+        assert list(zip(kept, weights)) == expected
 
     def test_unbiased_mean(self):
         # E[returned weight, absent = 0] = w within 3 standard errors
         w, p, trials = 12, 0.2, 100_000
-        rng = RngStream(99)
-        total = 0.0
-        values = []
-        for _ in range(trials):
-            out = compress_edge(w, p, rng)
-            values.append(0.0 if out is None else out)
-            total += values[-1]
-        mean = total / trials
+        kept, weights = compress(range(trials), [w] * trials, [p] * trials, RngStream(99))
+        values = [0.0] * trials
+        for e, x in zip(kept, weights):
+            values[e] = x
+        mean = sum(values) / trials
         var = sum((x - mean) ** 2 for x in values) / (trials - 1)
         se = math.sqrt(var / trials)
         assert abs(mean - w) <= 3 * se
@@ -133,13 +140,8 @@ class TestCompressEdge:
     def test_bernoulli_special_case(self):
         # w=1, p=0.25: present with probability 1/4 and weight 4
         trials = 100_000
-        rng = RngStream(55)
-        present = 0
-        for _ in range(trials):
-            out = compress_edge(1, 0.25, rng)
-            if out is not None:
-                assert out == 4.0
-                present += 1
-        rate = present / trials
+        kept, weights = compress(range(trials), [1] * trials, [0.25] * trials, RngStream(55))
+        assert set(weights) == {4.0}
+        rate = len(kept) / trials
         se = math.sqrt(0.25 * 0.75 / trials)
         assert abs(rate - 0.25) <= 3 * se

@@ -107,6 +107,7 @@ class TestEarlyOut:
             h, rep = sparsify_once_with_report(g, cfg)
             assert h.edges() == as_float_edges(g)
             assert rep.early_out
+            assert rep.early_out_reason == f"m=300 <= threshold {rep.threshold:g}"
 
     def test_threshold_formula(self):
         # the clamped log keeps the bound at 4*rho*n when the ratio dips under 1
@@ -130,6 +131,7 @@ class TestSparsifyOnce:
         for run in (sparsify_once_with_report, sparsify_unbounded_with_report):
             _, rep = run(g, practical_cfg(g, seed=1))
             assert not rep.early_out
+            assert rep.early_out_reason is None
             assert set(rep.timings_ms) == {
                 "packing", "sampling", "compression", "bottleneck", "assembly", "total"
             }
@@ -211,10 +213,10 @@ class TestSparsifyOnce:
                 checked += 1
         assert checked > 0
 
-    def test_gamma_guard_trips(self):
+    def test_gamma_guard_trips(self, levels_never_shrink):
         g = multi_complete_graph(8, 40, 4, seed=8)
-        cfg = practical_cfg(g, target_rho=2.0, seed=19, max_levels_guard=1)
-        with pytest.raises(LevelOverflowError):
+        cfg = practical_cfg(g, target_rho=2.0, seed=19)
+        with pytest.raises(LevelOverflowError, match=f"guard {g.m.bit_length() + 64} "):
             sparsify_once_with_report(g, cfg)
 
 
@@ -390,6 +392,7 @@ class TestNiRound:
         h, (rep,) = sparsify(g, SparsifyConfig(epsilon=0.5, method="ni", mode="practical"))
         assert rep.rho == 25.0
         assert rep.early_out
+        assert rep.early_out_reason == "every NI index <= rho 25"
         assert h.edges() == [(0, 1, 25.0)]
 
 
@@ -447,3 +450,23 @@ class TestApproxMinCut:
         assert lam == 1
         cut, value = approx_min_cut(g, cfg)
         assert value == 1.0
+
+
+class TestOutputColumns:
+    @pytest.mark.parametrize(
+        "g, cfg",
+        [
+            (random_graph(8, 20, 9, seed=1), SparsifyConfig(epsilon=0.5)),
+            (multi_complete_graph(10, 30, 8, seed=2), SparsifyConfig(epsilon=0.5, mode="practical")),
+            (
+                multi_complete_graph(10, 30, 8, seed=2),
+                SparsifyConfig(epsilon=0.5, method="pipeline", mode="practical"),
+            ),
+        ],
+        ids=["early-out-identity", "msf-scaled-back", "pipeline"],
+    )
+    def test_every_column_is_read_only(self, g, cfg):
+        h, _ = sparsify(g, cfg)
+        for column in (h.edge_u, h.edge_v, h.edge_w):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
