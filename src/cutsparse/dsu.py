@@ -1,31 +1,17 @@
-"""Union-find for the forest packings.
-
-`ForestDsu(n)` is a disjoint-set forest over the elements 0..n-1, held as a
-plain list of parents with path halving.  The packing kernel builds one per
-forest it allocates and runs `find` inline on its `parent` list.  The
-bottleneck weights keep a forest of their own: path halving would destroy
-the order of unions that their climb reads.
+"""The packing kernel's forest allocation: `ForestDsu(n).parent` is a list
+of n singleton parents, on which the kernel runs union-find inline.  The
+class remains only as the hook through which the benchmark's tracer counts
+forests (`dsu.forests`); once a benchmark change counts the kernel's
+allocation directly, this module can go.
 """
 
 from __future__ import annotations
 
 
 class ForestDsu:
-    """Disjoint-set forest over 0..n-1; set ids are root element ids."""
+    """Parent list of n singleton sets; set ids are root element ids."""
 
     __slots__ = ("parent",)
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx = self.find(x)
-        ry = self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry

@@ -214,37 +214,29 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     n, m = g.n, g.m
     levels = np.zeros(m, dtype=np.int64)
     covered = np.zeros(m, dtype=bool)
-    if m == 0:
-        return EstimatedMsfPacking(M=M, levels=levels, covered=covered)
-
-    ws = g.edge_w.tolist()
+    w = g.edge_w
     d = bottleneck_weights(g)
-    ds = d.tolist()
     cap = n**3 + 1  # sorts above every rescaled in-window weight, stays < n**4
 
-    pending = [e for e in _descending_order(d) if n * ws[e] > ds[e]]
+    # For positive integers k*x > y exactly when x > y // k, so the weight
+    # tests below stay in int64 without overflow.
+    pending = w > d // n
+    while pending.any():
+        D = int(d[pending].max())
+        batch = pending & (d > D // n)
+        pending &= ~batch
 
-    pos = 0
-    while pos < len(pending):
-        D = ds[pending[pos]]
-        batch = []
-        while pos < len(pending) and n * ds[pending[pos]] > D:
-            batch.append(pending[pos])
-            pos += 1
-
-        window_ids = [e for e in range(m) if n * n * ws[e] > D]
-        idx = np.array(window_ids, dtype=np.int64)
+        window = w > D // (n * n)
+        assert window[batch].all(), "covered edge must survive into its window"
+        idx = np.flatnonzero(window)
         window_graph = WeightedGraph.from_arrays(
             g.n,
             g.edge_u[idx],
             g.edge_v[idx],
-            [cap if ws[e] > D else _round_half_up(n**3 * ws[e], D) for e in window_ids],
+            [cap if x > D else _round_half_up(n**3 * x, D) for x in w[idx].tolist()],
         )
         packing = msf_packing_bounded(window_graph, M)
-        local = {e: i for i, e in enumerate(window_ids)}
-        for e in batch:
-            assert e in local, "covered edge must survive into its window"
-            levels[e] = packing.levels[local[e]]
-            covered[e] = True
+        levels[batch] = packing.levels[np.searchsorted(idx, np.flatnonzero(batch))]
+        covered |= batch
 
     return EstimatedMsfPacking(M=M, levels=levels, covered=covered)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -37,9 +38,6 @@ from .oracles import exact_min_cut, _components
 from .sampling import RngStream, compress
 
 RHO_NUMERATOR = 1352.0
-# The unbounded-weight analysis doubles the overlap constant; running the
-# standard formula at epsilon/sqrt(2) realizes exactly that 2704-numerator rho.
-RHO_NUMERATOR_UNBOUNDED = 2704.0
 COMPRESSION_CONSTANT = 384.0 / 169.0
 # The auto regime runs exact packings while W <= n**4 (the polynomial weight
 # regime) and windowed estimates above it.
@@ -56,17 +54,11 @@ class LevelOverflowError(RuntimeError):
     operation."""
 
 
-def rho(
-    n: int,
-    epsilon: float,
-    c: float = 1.0,
-    rho_scale: float = 1.0,
-    numerator: float = RHO_NUMERATOR,
-) -> float:
-    """Sampling intensity rho = rho_scale * (7+c) * numerator * ln(n) / (0.38 eps^2)."""
+def rho(n: int, epsilon: float, c: float = 1.0, rho_scale: float = 1.0) -> float:
+    """Sampling intensity rho = rho_scale * (7+c) * 1352 * ln(n) / (0.38 eps^2)."""
     if n < 2:
         raise ValueError(f"rho needs n >= 2, got {n}")
-    return rho_scale * (7.0 + c) * numerator * math.log(n) / (0.38 * epsilon**2)
+    return rho_scale * (7.0 + c) * RHO_NUMERATOR * math.log(n) / (0.38 * epsilon**2)
 
 
 def log_star2(x: float) -> int:
@@ -144,40 +136,60 @@ class RunReport:
     level_sets: list[dict[str, np.ndarray]] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "w_max": self.w_max,
-            "epsilon": self.epsilon,
-            "epsilon_effective": self.epsilon_effective,
-            "c": self.c,
-            "seed": self.seed,
-            "rho_scale": self.rho_scale,
-            "regime": self.regime,
-            "rho": self.rho,
-            "early_out": self.early_out,
-            "early_out_reason": self.early_out_reason,
-            "set_aside_count": self.set_aside_count,
-            "method": self.method,
-            "threshold": self.threshold,
-            "levels": [
-                {"x": s.x_size, "f": s.f_size, "y": s.y_size, "forests": s.forests}
-                for s in self.levels
-            ],
-            "gamma": self.gamma,
-            "output_size": self.output_size,
-            "timings_ms": self.timings_ms,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "level_sets"}
+        out["levels"] = [
+            {"x": s.x_size, "f": s.f_size, "y": s.y_size, "forests": s.forests}
+            for s in self.levels
+        ]
+        return out
+
+
+def _round_report(
+    g: WeightedGraph,
+    cfg: SparsifyConfig,
+    eps_eff: float,
+    seed: int,
+    regime: str,
+    method: str,
+) -> RunReport:
+    """A round's report and rho: in practical mode exactly the method's target,
+    with the scale that gives it; in theory mode the method's formula at
+    cfg.rho_scale.  Below two vertices rho is undefined and stays 0."""
+    if method == "ni":
+        formula, target = partial(preprocess_rho, g.n, eps_eff), PRACTICAL_NI_RHO
+    else:
+        formula, target = partial(rho, g.n, eps_eff, cfg.c), PRACTICAL_RHO
+    report = RunReport(
+        n=g.n,
+        m=g.m,
+        w_max=g.max_weight(),
+        epsilon=cfg.epsilon,
+        epsilon_effective=eps_eff,
+        c=cfg.c,
+        seed=seed,
+        rho_scale=cfg.rho_scale,
+        regime=regime,
+        method=method,
+    )
+    if g.n >= 2:
+        if cfg.mode == "practical":
+            # formula(target / formula()) can land an ulp under target
+            report.rho_scale = target / formula()
+            report.rho = target
+        else:
+            report.rho = formula(cfg.rho_scale)
+    return report
 
 
 def early_out_threshold(n: int, m: int, epsilon: float, rho_val: float) -> float:
-    """Edge-count bound under which the run returns its input unchanged.
+    """Edge-count bound under which the run returns its input unchanged; 0
+    when there is nothing to sample (no edges, or fewer than two vertices).
 
     The log factor is base 2 and clamped below at 1 (the ratio can drop
     under 1 at desk scale, where the bound still must stay positive).
     """
     if n < 2 or m == 0:
-        return float("inf")
+        return 0.0
     ratio = m / (n * math.log2(n) / epsilon**2)
     return 4.0 * rho_val * n * max(1.0, math.log2(ratio))
 
@@ -192,28 +204,12 @@ def _algorithm_one(
     capture_levels: bool = False,
 ) -> tuple[SparseGraph, RunReport]:
     n, m = g.n, g.m
-    report = RunReport(
-        n=n,
-        m=m,
-        w_max=g.max_weight(),
-        epsilon=cfg.epsilon,
-        epsilon_effective=eps_eff,
-        c=cfg.c,
-        seed=cfg.seed,
-        rho_scale=cfg.rho_scale,
-        regime="unbounded" if windowed else "polynomial",
-        level_sets=[] if capture_levels else None,
-    )
+    regime = "unbounded" if windowed else "polynomial"
+    report = _round_report(g, cfg, eps_eff, cfg.seed, regime, "msf")
+    report.level_sets = [] if capture_levels else None
     t_start = time.perf_counter()
 
-    if n >= 2 and m > 0:
-        if cfg.mode == "practical":
-            # rho(n, eps, c, 8 / rho(n, eps, c)) can land an ulp under 8
-            report.rho_scale = PRACTICAL_RHO / rho(n, eps_eff, cfg.c)
-            report.rho = PRACTICAL_RHO
-        else:
-            report.rho = rho(n, eps_eff, cfg.c, report.rho_scale)
-        report.threshold = early_out_threshold(n, m, eps_eff, report.rho)
+    report.threshold = early_out_threshold(n, m, eps_eff, report.rho)
     if n < 2 or m <= report.threshold:
         report.early_out = True
         report.early_out_reason = f"m={m} <= threshold {report.threshold:g}"
@@ -235,10 +231,8 @@ def _algorithm_one(
     aside_ids: np.ndarray | None = None
     if windowed:
         t0 = time.perf_counter()
-        d_all = bottleneck_weights(g).tolist()
-        aside_mask = np.fromiter(
-            (n * w <= d for w, d in zip(edge_w, d_all)), dtype=bool, count=m
-        )
+        d = bottleneck_weights(g)
+        aside_mask = g.edge_w <= d // n  # n * w <= d, exactly, in int64
         aside_ids = np.flatnonzero(aside_mask)
         report.set_aside_count = len(aside_ids)
         x_ids = np.flatnonzero(~aside_mask)
@@ -309,7 +303,7 @@ def _algorithm_one(
         kept, weights = compress(
             aside,
             (edge_w[e] for e in aside),
-            (min(1.0, COMPRESSION_CONSTANT / d_all[e]) for e in aside),
+            (min(1.0, COMPRESSION_CONSTANT / x) for x in d[aside_ids].tolist()),
             rng.child("set-aside"),
         )
         comp_ids += kept
@@ -366,7 +360,7 @@ def sparsify_unbounded_with_report(
     standard levels with windowed index estimates."""
     cfg.validate()
     # Looser per-level heaviness of the windowed estimate costs a factor
-    # sqrt(2) in precision; equivalently, the doubled rho numerator.
+    # sqrt(2) in precision, which doubles rho at the same epsilon.
     eps_eff = cfg.epsilon / math.sqrt(2.0)
     return _algorithm_one(
         g,
@@ -423,30 +417,9 @@ def _ni_round(
 ) -> tuple[SparseGraph, RunReport]:
     """One pass of the forest-index preprocessing sampler, with its report."""
     t_start = time.perf_counter()
-    scale = cfg.rho_scale
-    if g.n < 2:
-        rho_val = float("inf")
-    elif cfg.mode == "practical":
-        # preprocess_rho(n, eps, 25 / preprocess_rho(n, eps)) can land an ulp under 25
-        scale = PRACTICAL_NI_RHO / preprocess_rho(g.n, epsilon)
-        rho_val = PRACTICAL_NI_RHO
-    else:
-        rho_val = preprocess_rho(g.n, epsilon, scale)
-    h, kept_all = ni_preprocess(g, rho_val, seed)
-    report = RunReport(
-        n=g.n,
-        m=g.m,
-        w_max=g.max_weight(),
-        epsilon=cfg.epsilon,
-        epsilon_effective=epsilon,
-        c=cfg.c,
-        seed=seed,
-        rho_scale=scale,
-        regime=regime,
-        rho=rho_val if g.n >= 2 else 0.0,
-        method="ni",
-        output_size=h.m,
-    )
+    report = _round_report(g, cfg, epsilon, seed, regime, "ni")
+    h, kept_all = ni_preprocess(g, report.rho, seed)
+    report.output_size = h.m
     if kept_all:
         report.early_out = True
         report.threshold = report.rho

@@ -133,7 +133,7 @@ def topology_gallery() -> list[tuple[str, WeightedGraph]]:
 
 
 @st.composite
-def multigraphs(draw, max_n: int = 12, max_edges: int = 30) -> WeightedGraph:
+def multigraphs(draw, max_n: int = 12, max_edges: int = 30, min_edges: int = 0) -> WeightedGraph:
     """Multigraphs on n >= 2 vertices whose edges use only the first k of
     them (vertices past k stay isolated), with weight ties at the extremes
     and repeated edges."""
@@ -145,7 +145,7 @@ def multigraphs(draw, max_n: int = 12, max_edges: int = 30) -> WeightedGraph:
     weight = st.one_of(
         st.sampled_from([1, 2, MAX_WEIGHT - 1, MAX_WEIGHT]), st.integers(1, MAX_WEIGHT)
     )
-    edges = draw(st.lists(st.tuples(pair, weight), max_size=max_edges))
+    edges = draw(st.lists(st.tuples(pair, weight), min_size=min_edges, max_size=max_edges))
     if edges:
         edges += draw(st.lists(st.sampled_from(edges), max_size=max_edges // 3))
     return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in edges])

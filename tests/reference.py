@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the library's fast paths: the
 packing oracle repeats standalone Kruskal passes over its own descending
-sort, edge connectivity enumerates cuts or runs a max-flow, and the packing
+sort, the windowed oracle scans every edge per window with Python ints,
+edge connectivity enumerates cuts or runs a max-flow, and the packing
 validators re-check forests edge by edge.  `rho_scale_for` pins a single
 round at a rho other than practical mode's.
 """
@@ -15,7 +16,15 @@ from collections import deque
 import numpy as np
 
 from cutsparse import SparseGraph, WeightedGraph
-from cutsparse.msf import OVER, MsfPacking
+from cutsparse.msf import (
+    OVER,
+    EstimatedMsfPacking,
+    MsfPacking,
+    _descending_order,
+    _round_half_up,
+    bottleneck_weights,
+    msf_packing_bounded,
+)
 from cutsparse.oracles import ENUMERATION_LIMIT, _all_cut_weights
 from cutsparse.sparsify import rho
 
@@ -66,6 +75,50 @@ def oracle_msf_packing(g: WeightedGraph, M: int) -> MsfPacking:
                 if singleton[x] <= lev:
                     singleton[x] = lev + 1
     return MsfPacking(M=M, levels=levels, singleton_level=singleton)
+
+
+def windowed_loop_msf_packing(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
+    """The windowed estimator as a per-edge loop: pending edges in descending
+    d order, a batch per window, and a scan of all m edges per window."""
+    if M < 1:
+        raise ValueError(f"forest count must be >= 1, got {M}")
+    n, m = g.n, g.m
+    levels = np.zeros(m, dtype=np.int64)
+    covered = np.zeros(m, dtype=bool)
+    if m == 0:
+        return EstimatedMsfPacking(M=M, levels=levels, covered=covered)
+
+    ws = g.edge_w.tolist()
+    d = bottleneck_weights(g)
+    ds = d.tolist()
+    cap = n**3 + 1  # sorts above every rescaled in-window weight, stays < n**4
+
+    pending = [e for e in _descending_order(d) if n * ws[e] > ds[e]]
+
+    pos = 0
+    while pos < len(pending):
+        D = ds[pending[pos]]
+        batch = []
+        while pos < len(pending) and n * ds[pending[pos]] > D:
+            batch.append(pending[pos])
+            pos += 1
+
+        window_ids = [e for e in range(m) if n * n * ws[e] > D]
+        idx = np.array(window_ids, dtype=np.int64)
+        window_graph = WeightedGraph.from_arrays(
+            g.n,
+            g.edge_u[idx],
+            g.edge_v[idx],
+            [cap if ws[e] > D else _round_half_up(n**3 * ws[e], D) for e in window_ids],
+        )
+        packing = msf_packing_bounded(window_graph, M)
+        local = {e: i for i, e in enumerate(window_ids)}
+        for e in batch:
+            assert e in local, "covered edge must survive into its window"
+            levels[e] = packing.levels[local[e]]
+            covered[e] = True
+
+    return EstimatedMsfPacking(M=M, levels=levels, covered=covered)
 
 
 # --- edge connectivity --------------------------------------------------------

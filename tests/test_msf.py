@@ -2,7 +2,8 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cutsparse import (
     MAX_WEIGHT,
@@ -19,6 +20,7 @@ from reference import (
     oracle_msf_packing,
     validate_msf_packing_forests,
     validate_msf_packing_heaviness,
+    windowed_loop_msf_packing,
 )
 
 PACKERS = [msf_packing_bounded, oracle_msf_packing]
@@ -285,6 +287,55 @@ class TestWindowedPacking:
         in_domain = [g.n * w > d for (_, _, w), d in
                      zip(g.edges(), bottleneck_weights(g).tolist())]
         assert est.covered.tolist() == in_domain
+
+
+@st.composite
+def window_graphs(draw) -> WeightedGraph:
+    """`multigraphs` shapes reweighted from a small pool, so that weights tie,
+    at values where the window tests turn: the extremes, four consecutive
+    powers of n plus or minus one (weight ratios near n, n^2 and n^3), and
+    spreads over 2^0..2^62."""
+    g = draw(multigraphs(max_n=8, max_edges=40, min_edges=10))
+    n = g.n
+    top = 1
+    while n ** (top + 1) < MAX_WEIGHT:
+        top += 1
+    k = draw(st.integers(0, top - 3))
+    near_power = st.builds(
+        lambda j, s: max(1, n ** (k + j) + s), st.integers(0, 3), st.sampled_from([-1, 0, 1])
+    )
+    other = st.one_of(
+        st.sampled_from([1, 2, MAX_WEIGHT - 1, MAX_WEIGHT]),
+        st.integers(0, 62).flatmap(lambda e: st.integers(1 << e, (2 << e) - 1)),
+    )
+    pool = draw(st.lists(near_power, min_size=3, max_size=8))
+    pool += draw(st.lists(other, max_size=2))
+    w = draw(st.lists(st.sampled_from(pool), min_size=g.m, max_size=g.m))
+    return WeightedGraph.from_arrays(n, g.edge_u, g.edge_v, w)
+
+
+class TestWindowedOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(g=window_graphs())
+    # a pending d exactly D/n belongs to a later window, not to D's batch
+    @example(g=WeightedGraph.from_edges(3, [(0, 1, 243), (0, 2, 26), (0, 2, 28), (0, 2, 81)]))
+    # a weight exactly D/n^2 stays out of window D
+    @example(
+        g=WeightedGraph.from_edges(
+            4, [(3, 2, 16384), (3, 1, 262144), (3, 2, 16385), (2, 1, 65537)]
+        )
+    )
+    @example(
+        g=WeightedGraph.from_edges(
+            4, [(2, 0, 1024), (0, 3, 16385), (1, 2, 1025), (1, 2, 4096), (0, 1, 1025), (1, 0, 4097)]
+        )
+    )
+    def test_matches_windowed_loop(self, g):
+        for M in (1, 2, max(1, g.m), g.m + 5):
+            fast = msf_packing_windowed(g, M)
+            loop = windowed_loop_msf_packing(g, M)
+            assert fast.levels.tolist() == loop.levels.tolist()
+            assert fast.covered.tolist() == loop.covered.tolist()
 
 
 class TestRegimeGate:

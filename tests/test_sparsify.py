@@ -62,12 +62,9 @@ class TestRho:
         assert rho(100, 0.5, 1.0, 2.0) == pytest.approx(2 * base)
 
     def test_unbounded_constant_matches_sqrt2_epsilon(self):
-        # 2704-numerator rho at eps equals 1352-numerator rho at eps/sqrt(2)
-        from cutsparse.sparsify import RHO_NUMERATOR_UNBOUNDED
-
-        a = rho(50, 0.3, 1.0, 1.0, numerator=RHO_NUMERATOR_UNBOUNDED)
-        b = rho(50, 0.3 / math.sqrt(2), 1.0, 1.0)
-        assert a == pytest.approx(b)
+        # the unbounded regime's doubled (2704) numerator is the standard
+        # formula at eps/sqrt(2)
+        assert rho(50, 0.3 / math.sqrt(2)) == pytest.approx(2 * rho(50, 0.3))
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
@@ -115,6 +112,77 @@ class TestEarlyOut:
         big_m = 10 * int(math.log2(10) / 0.25) * 8
         assert early_out_threshold(10, big_m, 0.5, 2.0) > 80.0
 
+
+
+# Seeds of the pipeline's NI pass and of its msf round at SparsifyConfig(seed=3).
+_NI3 = 7599756012831973393
+_MSF3 = 33146477519560592
+_MSF_OUT = "m=0 <= threshold 0"
+
+
+class TestDegenerateRounds:
+    """Every round's report on a graph with nothing to sample, one vertex or
+    five isolated ones, locked field by field (less timings_ms).  Every round
+    reports its rho once n >= 2; threshold stays 0 on an msf round without
+    edges, so no report writes Infinity."""
+
+    # (n, method, mode) -> per round: method, epsilon, epsilon_effective,
+    # seed, rho_scale, rho, threshold, early_out_reason
+    EXPECTED = {
+        (1, "msf", "theory"): [("msf", 0.5, 0.125, 3, 1.0, 0.0, 0.0, _MSF_OUT)],
+        (1, "msf", "practical"): [("msf", 0.5, 0.125, 3, 1.0, 0.0, 0.0, _MSF_OUT)],
+        (1, "ni", "theory"): [("ni", 0.5, 0.5, 3, 1.0, 0.0, 0.0, "every NI index <= rho 0")],
+        (1, "ni", "practical"): [("ni", 0.5, 0.5, 3, 1.0, 0.0, 0.0, "every NI index <= rho 0")],
+        (1, "pipeline", "theory"): [
+            ("ni", 0.5, 1 / 6, _NI3, 1.0, 0.0, 0.0, "every NI index <= rho 0"),
+            ("msf", 1 / 6, 1 / 24, _MSF3, 1.0, 0.0, 0.0, _MSF_OUT),
+        ],
+        (1, "pipeline", "practical"): [
+            ("ni", 0.5, 1 / 6, _NI3, 1.0, 0.0, 0.0, "every NI index <= rho 0"),
+            ("msf", 1 / 6, 1 / 24, _MSF3, 1.0, 0.0, 0.0, _MSF_OUT),
+        ],
+        (5, "msf", "theory"): [("msf", 0.5, 0.125, 3, 1.0, 2931819.8670967966, 0.0, _MSF_OUT)],
+        (5, "msf", "practical"): [
+            ("msf", 0.5, 0.125, 3, 2.728680602032319e-06, 8.0, 0.0, _MSF_OUT)
+        ],
+        (5, "ni", "theory"): [
+            ("ni", 0.5, 0.5, 3, 1.0, 3794.8851830025105, 3794.8851830025105,
+             "every NI index <= rho 3794.89")
+        ],
+        (5, "ni", "practical"): [
+            ("ni", 0.5, 0.5, 3, 0.00658781459633517, 25.0, 25.0, "every NI index <= rho 25")
+        ],
+        (5, "pipeline", "theory"): [
+            ("ni", 0.5, 1 / 6, _NI3, 1.0, 34153.9666470226, 34153.9666470226,
+             "every NI index <= rho 34154"),
+            ("msf", 1 / 6, 1 / 24, _MSF3, 1.0, 26386378.80387117, 0.0, _MSF_OUT),
+        ],
+        (5, "pipeline", "practical"): [
+            ("ni", 0.5, 1 / 6, _NI3, 0.0007319793995927965, 25.0, 25.0,
+             "every NI index <= rho 25"),
+            ("msf", 1 / 6, 1 / 24, _MSF3, 3.031867335591465e-07, 8.0, 0.0, _MSF_OUT),
+        ],
+    }
+
+    @pytest.mark.parametrize("n, method, mode", sorted(EXPECTED))
+    def test_reports_locked(self, n, method, mode):
+        cfg = SparsifyConfig(epsilon=0.5, seed=3, method=method, mode=mode)
+        h, reports = sparsify(WeightedGraph.from_edges(n, []), cfg)
+        assert (h.n, h.m) == (n, 0)
+        expected = [
+            {
+                "n": n, "m": 0, "w_max": 0, "epsilon": eps, "epsilon_effective": eps_eff,
+                "c": 1.0, "seed": seed, "rho_scale": scale, "regime": "polynomial",
+                "rho": rho_val, "early_out": True, "early_out_reason": reason,
+                "set_aside_count": 0, "method": kind, "threshold": threshold,
+                "levels": [], "gamma": 0, "output_size": 0,
+            }
+            for kind, eps, eps_eff, seed, scale, rho_val, threshold, reason
+            in self.EXPECTED[n, method, mode]
+        ]
+        got = [r.to_dict() for r in reports]
+        assert all(set(d.pop("timings_ms")) == {"total"} for d in got)
+        assert got == expected
 
 class TestSparsifyOnce:
     def test_practical_rho_is_exactly_8(self):
