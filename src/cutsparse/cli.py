@@ -2,8 +2,10 @@
 
 `sparsify`, `mincut` and `bench` turn their flags into one SparsifyConfig and
 call `sparsify`: practical mode is rho = 8 in every msf round and rho = 25 in
-every NI pass, and an explicit --rho-scale selects theory mode instead.
-`sparsify` warns on stderr when every round took the early out.
+every NI pass, and an explicit --rho-scale selects theory mode instead.  The
+input settles the rest: the loader tells edge-list from DIMACS text, and
+`sparsify` picks the weight regime from W and n.  Output files are edge
+lists.  `sparsify` warns on stderr when every round took the early out.
 
 Every subcommand is deterministic for fixed flags including --seed; the only
 non-reproducible fields are wall-clock entries in reports and bench tables.
@@ -48,7 +50,6 @@ EXIT_GUARD = 3
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, required=True, help="precision in (0,1)")
-    p.add_argument("--c", type=float, default=1.0, help="confidence exponent (>= 1)")
     p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     p.add_argument(
         "--mode",
@@ -64,12 +65,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         help="explicit multiplier on rho (overrides --mode)",
     )
-    p.add_argument(
-        "--regime",
-        choices=("auto", "polynomial", "unbounded"),
-        default="auto",
-        help="weight regime selector",
-    )
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -82,9 +77,7 @@ def _build_config(args: argparse.Namespace, method: str = "msf") -> SparsifyConf
     cfg = SparsifyConfig(
         epsilon=args.epsilon,
         seed=args.seed,
-        c=args.c,
         rho_scale=args.rho_scale if theory else 1.0,
-        regime=args.regime,
         method=method,
         mode="theory" if theory else args.mode,
     )
@@ -106,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("msf", "ni", "pipeline"), default="msf"
     )
     p_sparsify.add_argument("--report", default=None, help="write a JSON run report")
-    p_sparsify.add_argument("--format", choices=("auto", "edgelist", "dimacs"), default="auto")
     _add_config_flags(p_sparsify)
 
     p_verify = sub.add_parser("verify", help="exhaustively compare two graphs")
@@ -116,13 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mincut = sub.add_parser("mincut", help="approximate minimum cut")
     p_mincut.add_argument("--input", required=True)
-    p_mincut.add_argument("--format", choices=("auto", "edgelist", "dimacs"), default="auto")
     _add_config_flags(p_mincut)
 
     p_msf = sub.add_parser("msf", help="dump forest indices per edge")
     p_msf.add_argument("--input", required=True)
     p_msf.add_argument("--levels", type=int, required=True, help="forest count M")
-    p_msf.add_argument("--format", choices=("auto", "edgelist", "dimacs"), default="auto")
 
     p_bench = sub.add_parser("bench", help="run a corpus and emit a CSV table")
     p_bench.add_argument("--corpus", required=True, help="directory of graph files")
@@ -138,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sparsify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     try:
-        g = load_graph(args.input, args.format)
+        g = load_graph(args.input)
     except (GraphFormatError, OSError) as exc:
         return _fail(exc, EXIT_FILE)
     timings_ms = {"load": (time.perf_counter() - t0) * 1e3}
@@ -196,7 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_mincut(args: argparse.Namespace) -> int:
     try:
-        g = load_graph(args.input, args.format)
+        g = load_graph(args.input)
     except (GraphFormatError, OSError) as exc:
         return _fail(exc, EXIT_FILE)
     try:
@@ -214,7 +204,7 @@ def _cmd_mincut(args: argparse.Namespace) -> int:
 
 def _cmd_msf(args: argparse.Namespace) -> int:
     try:
-        g = load_graph(args.input, args.format)
+        g = load_graph(args.input)
     except (GraphFormatError, OSError) as exc:
         return _fail(exc, EXIT_FILE)
     if args.levels < 1:

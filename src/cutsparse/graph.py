@@ -67,6 +67,9 @@ class _Graph:
     def _validate_weights(self) -> None:
         raise NotImplementedError
 
+    def max_weight(self) -> int | float:
+        return self.edge_w.max().item() if self.m else 0
+
     def edges(self) -> list[tuple]:
         return list(zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()))
 
@@ -114,9 +117,6 @@ class WeightedGraph(_Graph):
             _frozen(self.edge_v[idx]),
             _frozen(self.edge_w[idx]),
         )
-
-    def max_weight(self) -> int:
-        return int(self.edge_w.max()) if self.m else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,14 +202,7 @@ def cut_weight(g: WeightedGraph | SparseGraph, cut: CutSpec) -> int | float:
 #
 # Edge-list text: first line "n m", then m lines "u v w" with 0-indexed
 # endpoints.  DIMACS .gr: "c" comments, one "p <tag> n m" line, then "a"/"e"
-# lines with 1-indexed endpoints.
-
-
-def _detect_format(first_line: str) -> str:
-    head = first_line.strip().split()
-    if head and head[0] in ("c", "p", "a", "e"):
-        return "dimacs"
-    return "edgelist"
+# lines with 1-indexed endpoints.  Both are read; edge lists are written.
 
 
 def _parse_weight_int(token: str, lineno: int) -> int:
@@ -238,21 +231,17 @@ def _read_lines(source: str | Path) -> list[str]:
         raise GraphFormatError(f"{source}: {exc}") from None
 
 
-def load_graph(source: str | Path, fmt: str = "auto") -> WeightedGraph:
-    """Read an integer-weighted graph from an edge-list or DIMACS file."""
-    if fmt in ("auto", "edgelist"):
-        g = _load_edgelist_arrays(source, Path(source).read_bytes())
-        if g is not None:
-            return g
+def load_graph(source: str | Path) -> WeightedGraph:
+    """Read an integer-weighted graph from an edge-list or DIMACS file; a
+    first non-blank line that starts with c, p, a or e marks DIMACS."""
+    g = _load_edgelist_arrays(source, Path(source).read_bytes())
+    if g is not None:
+        return g
     lines = _read_lines(source)
-    if fmt == "auto":
-        non_blank = next((ln for ln in lines if ln.strip()), "")
-        fmt = _detect_format(non_blank)
-    if fmt == "edgelist":
-        return _load_edgelist(lines, float_weights=False)
-    if fmt == "dimacs":
+    head = next((ln.split()[0] for ln in lines if ln.strip()), "")
+    if head in ("c", "p", "a", "e"):
         return _load_dimacs(lines)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return _load_edgelist(lines, float_weights=False)
 
 
 # numpy and str.splitlines() agree on where lines and tokens end only for
@@ -405,17 +394,7 @@ def _weight_column(w: np.ndarray) -> list[str]:
     return text
 
 
-def save_graph(g: WeightedGraph | SparseGraph, sink: str | Path, fmt: str = "edgelist") -> None:
-    """Write a graph; edge order is preserved as given."""
-    if fmt == "edgelist":
-        head, line, shift = f"{g.n} {g.m}", "{} {} {}", 0
-    elif fmt == "dimacs":
-        if isinstance(g, SparseGraph):
-            raise ValueError("DIMACS output supports integer graphs only")
-        head, line, shift = f"p sp {g.n} {g.m}", "a {} {} {}", 1
-    else:
-        raise ValueError(f"unknown graph format {fmt!r}")
-    body = map(
-        line.format, (g.edge_u + shift).tolist(), (g.edge_v + shift).tolist(), _weight_column(g.edge_w)
-    )
-    Path(sink).write_text("\n".join([head, *body]) + "\n")
+def save_graph(g: WeightedGraph | SparseGraph, sink: str | Path) -> None:
+    """Write a graph as an edge list; edge order is preserved as given."""
+    body = map("{} {} {}".format, g.edge_u.tolist(), g.edge_v.tolist(), _weight_column(g.edge_w))
+    Path(sink).write_text("\n".join([f"{g.n} {g.m}", *body]) + "\n")

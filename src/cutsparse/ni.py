@@ -63,11 +63,7 @@ def preprocess_rho(n: int, epsilon: float, rho_scale: float = 1.0) -> float:
 def ni_preprocess(g: WeightedGraph, rho: float, seed: int) -> tuple[SparseGraph, bool]:
     """Compress every edge with p_e = min(1, rho / l_e); also return whether
     it kept every edge (every l_e <= rho, so every p_e = 1 and the output is
-    the input).
-
-    The sampler's fixed constant already carries its confidence margin, so
-    unlike the main sparsifier its rho takes no confidence exponent c.
-    """
+    the input)."""
     indices = ni_indices(g)
     kept, weights = compress(
         range(g.m),

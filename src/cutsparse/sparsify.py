@@ -39,7 +39,7 @@ from .sampling import RngStream, compress
 
 RHO_NUMERATOR = 1352.0
 COMPRESSION_CONSTANT = 384.0 / 169.0
-# The auto regime runs exact packings while W <= n**4 (the polynomial weight
+# sparsify runs exact packings while W <= n**4 (the polynomial weight
 # regime) and windowed estimates above it.
 POLY_WEIGHT_EXPONENT = 4
 # Practical mode: the rho every main round and every NI pass runs at.  The
@@ -54,11 +54,15 @@ class LevelOverflowError(RuntimeError):
     operation."""
 
 
-def rho(n: int, epsilon: float, c: float = 1.0, rho_scale: float = 1.0) -> float:
-    """Sampling intensity rho = rho_scale * (7+c) * 1352 * ln(n) / (0.38 eps^2)."""
+class WeightRangeError(ValueError):
+    """reduce_real_weights cannot fit the weights into 63 bits at this precision."""
+
+
+def rho(n: int, epsilon: float, rho_scale: float = 1.0) -> float:
+    """Sampling intensity rho = rho_scale * 8 * 1352 * ln(n) / (0.38 eps^2)."""
     if n < 2:
         raise ValueError(f"rho needs n >= 2, got {n}")
-    return rho_scale * (7.0 + c) * RHO_NUMERATOR * math.log(n) / (0.38 * epsilon**2)
+    return rho_scale * 8.0 * RHO_NUMERATOR * math.log(n) / (0.38 * epsilon**2)
 
 
 def log_star2(x: float) -> int:
@@ -69,7 +73,6 @@ def log_star2(x: float) -> int:
     return count
 
 
-_REGIMES = ("auto", "polynomial", "unbounded")
 _METHODS = ("msf", "ni", "pipeline")
 _MODES = ("theory", "practical")
 
@@ -84,9 +87,7 @@ class SparsifyConfig:
 
     epsilon: float
     seed: int = 0
-    c: float = 1.0
     rho_scale: float = 1.0
-    regime: str = "auto"
     method: str = "msf"
     mode: str = "theory"
 
@@ -95,9 +96,7 @@ class SparsifyConfig:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.rho_scale <= 0.0:
             raise ValueError(f"rho_scale must be positive, got {self.rho_scale}")
-        if self.c < 1.0:
-            raise ValueError(f"c must be >= 1, got {self.c}")
-        for name, allowed in (("regime", _REGIMES), ("method", _METHODS), ("mode", _MODES)):
+        for name, allowed in (("method", _METHODS), ("mode", _MODES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.mode == "practical" and self.rho_scale != 1.0:
@@ -116,10 +115,9 @@ class LevelStats:
 class RunReport:
     n: int
     m: int
-    w_max: int
+    w_max: int | float
     epsilon: float
     epsilon_effective: float
-    c: float
     seed: int
     rho_scale: float
     regime: str
@@ -149,7 +147,7 @@ def _round_report(
     cfg: SparsifyConfig,
     eps_eff: float,
     seed: int,
-    regime: str,
+    windowed: bool,
     method: str,
 ) -> RunReport:
     """A round's report and rho: in practical mode exactly the method's target,
@@ -158,17 +156,16 @@ def _round_report(
     if method == "ni":
         formula, target = partial(preprocess_rho, g.n, eps_eff), PRACTICAL_NI_RHO
     else:
-        formula, target = partial(rho, g.n, eps_eff, cfg.c), PRACTICAL_RHO
+        formula, target = partial(rho, g.n, eps_eff), PRACTICAL_RHO
     report = RunReport(
         n=g.n,
         m=g.m,
         w_max=g.max_weight(),
         epsilon=cfg.epsilon,
         epsilon_effective=eps_eff,
-        c=cfg.c,
         seed=seed,
         rho_scale=cfg.rho_scale,
-        regime=regime,
+        regime="unbounded" if windowed else "polynomial",
         method=method,
     )
     if g.n >= 2:
@@ -178,6 +175,18 @@ def _round_report(
             report.rho = target
         else:
             report.rho = formula(cfg.rho_scale)
+    return report
+
+
+def _refused_round(
+    g: SparseGraph, cfg: SparsifyConfig, eps_eff: float, windowed: bool, exc: WeightRangeError
+) -> RunReport:
+    """The report of an msf round that returns its input unchanged because
+    reduce_real_weights refused it.  A skipped round adds no error."""
+    report = _round_report(g, cfg, eps_eff, cfg.seed, windowed, "msf")
+    report.early_out = True
+    report.early_out_reason = str(exc)
+    report.output_size = g.m
     return report
 
 
@@ -204,8 +213,7 @@ def _algorithm_one(
     capture_levels: bool = False,
 ) -> tuple[SparseGraph, RunReport]:
     n, m = g.n, g.m
-    regime = "unbounded" if windowed else "polynomial"
-    report = _round_report(g, cfg, eps_eff, cfg.seed, regime, "msf")
+    report = _round_report(g, cfg, eps_eff, cfg.seed, windowed, "msf")
     report.level_sets = [] if capture_levels else None
     t_start = time.perf_counter()
 
@@ -389,19 +397,23 @@ def _iterate(
 
     reports: list[RunReport] = []
     scale_exp = 0
-    work = g
+    current = work = g
     for i in range(1, k + 1):
         eps_i = cfg.epsilon / 2.0 ** (k - i + 2)
-        if i > 1:
-            # Chaining bridge: half the round budget pays for re-rounding the
-            # previous round's rational weights, half for the round itself.
-            work, r_i = reduce_real_weights(current, eps_i)
-            scale_exp += r_i
-            run_eps = eps_i / 2.0
-        else:
-            run_eps = eps_i
+        # Chaining bridge: after round 1, half the round budget pays for
+        # re-rounding the previous round's rational weights, half for the
+        # round itself.
+        run_eps = eps_i if i == 1 else eps_i / 2.0
         if windowed:
             run_eps /= math.sqrt(2.0)
+        if i > 1:
+            try:
+                work, r_i = reduce_real_weights(current, eps_i)
+            except WeightRangeError as exc:
+                # the later rounds, at a looser eps_i, try again
+                reports.append(_refused_round(current, cfg, run_eps, windowed, exc))
+                continue
+            scale_exp += r_i
         current, rep = _algorithm_one(
             work, cfg, run_eps, root.child(f"round:{i}"), windowed=windowed
         )
@@ -413,11 +425,11 @@ def _iterate(
 
 
 def _ni_round(
-    g: WeightedGraph, cfg: SparsifyConfig, epsilon: float, seed: int, regime: str
+    g: WeightedGraph, cfg: SparsifyConfig, epsilon: float, seed: int, windowed: bool
 ) -> tuple[SparseGraph, RunReport]:
     """One pass of the forest-index preprocessing sampler, with its report."""
     t_start = time.perf_counter()
-    report = _round_report(g, cfg, epsilon, seed, regime, "ni")
+    report = _round_report(g, cfg, epsilon, seed, windowed, "ni")
     h, kept_all = ni_preprocess(g, report.rho, seed)
     report.output_size = h.m
     if kept_all:
@@ -439,20 +451,21 @@ def sparsify(
     splitting the budget eps/3 + eps/3 + eps/3.
     """
     cfg.validate()
-    windowed = cfg.regime == "unbounded" or (
-        cfg.regime == "auto" and g.m > 0 and g.max_weight() > g.n**POLY_WEIGHT_EXPONENT
-    )
+    windowed = g.m > 0 and g.max_weight() > g.n**POLY_WEIGHT_EXPONENT
     if cfg.method == "msf":
         return _iterate(g, cfg, windowed)
-    regime = "unbounded" if windowed else "polynomial"
     if cfg.method == "ni":
-        h, rep = _ni_round(g, cfg, cfg.epsilon, cfg.seed, regime)
+        h, rep = _ni_round(g, cfg, cfg.epsilon, cfg.seed, windowed)
         return h, [rep]
     eps3 = cfg.epsilon / 3.0
     root = RngStream(cfg.seed)
-    pre, rep = _ni_round(g, cfg, eps3, root.child("pipeline-preprocess").seed, regime)
-    g_int, r = reduce_real_weights(pre, eps3)
+    pre, rep = _ni_round(g, cfg, eps3, root.child("pipeline-preprocess").seed, windowed)
     cfg_main = replace(cfg, epsilon=eps3, seed=root.child("pipeline-main").seed)
+    try:
+        g_int, r = reduce_real_weights(pre, eps3)
+    except WeightRangeError as exc:
+        # the NI output is already a (1 +/- eps/3)-sparsifier
+        return pre, [rep, _refused_round(pre, cfg_main, eps3, windowed, exc)]
     h, reports = _iterate(g_int, cfg_main, windowed)
     return scale_back(h, r), [rep] + reports
 
@@ -472,8 +485,8 @@ def reduce_real_weights(
     r = -floor(log2((eps/2) * W_min)) with W_min = min(1, smallest weight),
     lowered to the largest r that keeps the heaviest weight within 63 bits
     (r may go negative).  The per-edge additive error 2^-r must not exceed
-    (eps/2) times the smallest weight; a weight range too wide for that is
-    refused.  A (1 +/- eps/3)-sparsifier of the scaled graph, scaled back by
+    (eps/2) times the smallest weight; a weight range too wide for that
+    raises WeightRangeError.  A (1 +/- eps/3)-sparsifier of the scaled graph, scaled back by
     2^-r, is a (1 +/- eps)-sparsifier of the input.
     """
     if not (0.0 < epsilon < 1.0):
@@ -490,7 +503,7 @@ def reduce_real_weights(
     # max * 2^r < 2^63 iff its binary exponent (frexp's) is at most 63
     r = min(r, MAX_WEIGHT.bit_length() - math.frexp(float(w.max()))[1])
     if math.ldexp(1.0, -r) > 0.5 * epsilon * w_min:
-        raise ValueError("weight range too wide to round into 63 bits at this epsilon")
+        raise WeightRangeError("weight range too wide to round into 63 bits at this epsilon")
     scaled = np.floor(np.ldexp(w, r) + 0.5).astype(np.int64)
     return WeightedGraph.from_arrays(g_real.n, g_real.edge_u, g_real.edge_v, scaled), r
 

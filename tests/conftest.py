@@ -70,6 +70,13 @@ def dumbbell_graph(clique: int, bridge_weight: int = 1, copies: int = 1) -> Weig
     return WeightedGraph.from_edges(2 * clique, edges)
 
 
+def wide_range_graph() -> WeightedGraph:
+    """Weights 1 and 2^63 - 1 on a triangle's two edges, with 40 unit
+    parallels: once a round has run, its output no longer rounds into 63
+    bits at the next round's precision."""
+    return WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, (1 << 63) - 1)] + [(0, 1, 1)] * 40)
+
+
 def topology_gallery() -> list[tuple[str, WeightedGraph]]:
     """Ten fixed 12-vertex multigraph topologies, all dense enough to clear
     the practical-mode (rho = 8) early-out threshold."""

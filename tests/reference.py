@@ -29,10 +29,10 @@ from cutsparse.oracles import ENUMERATION_LIMIT, _all_cut_weights
 from cutsparse.sparsify import rho
 
 
-def rho_scale_for(n: int, epsilon: float, target: float, c: float = 1.0) -> float:
+def rho_scale_for(n: int, epsilon: float, target: float) -> float:
     """Theory-mode rho_scale that puts a round run at precision `epsilon` at
     rho = target (practical mode computes its scale the same way, at 8)."""
-    return target / rho(n, epsilon, c)
+    return target / rho(n, epsilon)
 
 
 def oracle_msf_packing(g: WeightedGraph, M: int) -> MsfPacking:

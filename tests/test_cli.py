@@ -21,6 +21,7 @@ from conftest import (
     multigraphs,
     random_graph,
     topology_gallery,
+    wide_range_graph,
 )
 from reference import oracle_msf_packing
 
@@ -215,18 +216,44 @@ class TestSparsifyCommand:
             assert rounds, method  # every method reports its rounds
             assert (rounds[0]["method"] == "ni") == (method != "msf")
 
-    @pytest.mark.parametrize("regime", ["auto", "polynomial"])
-    def test_rescale_overflow_exit_2(self, heavy_graph_file, tmp_path, capsys, regime):
+    def test_rescale_overflow_exit_2(self, heavy_graph_file, tmp_path, capsys):
         out = tmp_path / "h.txt"
         rc = main(
             ["sparsify", "--input", str(heavy_graph_file), "--output", str(out),
-             "--epsilon", "0.5", "--rho-scale", "1e-7", "--regime", regime]
+             "--epsilon", "0.5", "--rho-scale", "1e-7"]
         )
         assert rc == 0
         assert capsys.readouterr().err == ""
         h = load_sparse(out)
         assert h.m < load_graph(heavy_graph_file).m
         assert len(set(_components(h))) == 1
+
+    @pytest.mark.parametrize("mode", ["theory", "practical"])
+    @pytest.mark.parametrize("method", ["msf", "pipeline"])
+    def test_weight_range_refusal_skips_the_round(self, tmp_path, capsys, method, mode):
+        g = wide_range_graph()
+        path, out, report = tmp_path / "g.txt", tmp_path / "h.txt", tmp_path / "r.json"
+        save_graph(g, path)
+        rc = main(
+            ["sparsify", "--input", str(path), "--output", str(out), "--report", str(report),
+             "--epsilon", "0.5", "--method", method, "--mode", mode]
+        )
+        assert rc == 0
+        assert check_sparsifier(g, load_sparse(out)).max_rel_error < 0.5
+        reasons = [r["early_out_reason"] for r in json.loads(report.read_text())["rounds"]]
+        assert reasons[-1] == "weight range too wide to round into 63 bits at this epsilon"
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--c", "2"], ["--regime", "unbounded"], ["--format", "dimacs"]], ids=["c", "regime", "format"]
+    )
+    def test_removed_override_flags_exit_2(self, tiny_graph_file, tmp_path, capsys, flag):
+        # the weight regime and the file format are settled on the input
+        with pytest.raises(SystemExit) as exc:
+            main(["sparsify", "--input", str(tiny_graph_file), "--output", str(tmp_path / "h.txt"),
+                  "--epsilon", "0.5", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_level_guard_overflow_exit_3(self, tmp_path, capsys, levels_never_shrink):
         path = tmp_path / "pair.txt"
@@ -255,11 +282,10 @@ class TestSparsifyProperties:
     @given(
         g=cli_inputs(),
         method=st.sampled_from(["msf", "ni", "pipeline"]),
-        regime=st.sampled_from(["auto", "polynomial", "unbounded"]),
         mode=st.sampled_from([["--mode", "theory"], ["--mode", "practical"], ["--rho-scale", "1e-6"]]),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_writes_a_sparsifier_or_exits_with_an_error(self, g, method, regime, mode, seed):
+    def test_writes_a_sparsifier_or_exits_with_an_error(self, g, method, mode, seed):
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "g.txt", Path(tmp) / "h.txt"
             save_graph(g, path)
@@ -267,8 +293,7 @@ class TestSparsifyProperties:
             with contextlib.redirect_stderr(err):
                 rc = main(
                     ["sparsify", "--input", str(path), "--output", str(out),
-                     "--epsilon", "0.5", "--seed", str(seed), "--method", method,
-                     "--regime", regime, *mode]
+                     "--epsilon", "0.5", "--seed", str(seed), "--method", method, *mode]
                 )
             if rc == 0:
                 h = load_sparse(out)

@@ -52,7 +52,7 @@ PRACTICAL = ["--epsilon", "0.5", "--seed", "7", "--mode", "practical"]
 CASES = {
     "sparsify-msf-polynomial": (
         "multi",
-        ["sparsify", "--method", "msf", "--regime", "polynomial", *PRACTICAL],
+        ["sparsify", "--method", "msf", *PRACTICAL],
         "447b609aeb80d9502719679779f36e1e734f9eb3c92a600881a42b0f95e91cae",
     ),
     "sparsify-msf-unbounded": (
@@ -96,6 +96,9 @@ def test_cli_output_digest(case, tmp_path, capsys):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     written = out.read_bytes() if argv[0] == "sparsify" else stdout.encode()
+    if case == "sparsify-msf-polynomial":
+        # W <= n^4, so the input settles on exact packings
+        assert json.loads(report.read_text())["rounds"][0]["regime"] == "polynomial"
     if case == "sparsify-msf-unbounded":
         rnd = json.loads(report.read_text())["rounds"][0]
         assert rnd["regime"] == "unbounded"

@@ -7,9 +7,11 @@ lookup is checked here, where the default test run sees it.
 
 import importlib.util
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import cutsparse
+from cutsparse import SparsifyConfig
 
 PUBLIC_NAMES = [
     "MAX_WEIGHT",
@@ -42,6 +44,11 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 def test_all_is_the_locked_list():
     assert cutsparse.__all__ == PUBLIC_NAMES
+
+
+def test_config_fields_are_the_locked_list():
+    # the weight regime and the file format are settled on the input
+    assert [f.name for f in fields(SparsifyConfig)] == ["epsilon", "seed", "rho_scale", "method", "mode"]
 
 
 def test_every_public_name_resolves():

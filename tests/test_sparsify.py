@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,7 @@ from conftest import (
     multi_complete_graph,
     random_graph,
     topology_gallery,
+    wide_range_graph,
 )
 from reference import edge_connectivity, rho_scale_for
 
@@ -43,7 +45,7 @@ def practical_cfg(g, epsilon=0.5, seed=0, target_rho=None, **kw):
     """Practical mode (rho = 8), or a theory config pinned at target_rho."""
     if target_rho is None:
         return SparsifyConfig(epsilon=epsilon, seed=seed, mode="practical", **kw)
-    scale = rho_scale_for(g.n, epsilon, target_rho, kw.get("c", 1.0))
+    scale = rho_scale_for(g.n, epsilon, target_rho)
     return SparsifyConfig(epsilon=epsilon, seed=seed, rho_scale=scale, **kw)
 
 
@@ -53,13 +55,13 @@ def as_float_edges(g):
 
 class TestRho:
     def test_formula_value(self):
-        # ln(n) = 1 at n = e: (7+1) * 1352 / 0.38
-        assert rho(math.e, 1.0, c=1.0) == pytest.approx(8 * 1352 / 0.38)
-        assert rho(math.e, 1.0, c=1.0) == pytest.approx(28463.157894736843)
+        # ln(n) = 1 at n = e: 8 * 1352 / 0.38
+        assert rho(math.e, 1.0) == pytest.approx(8 * 1352 / 0.38)
+        assert rho(math.e, 1.0) == pytest.approx(28463.157894736843)
 
     def test_scale_linearity(self):
-        base = rho(100, 0.5, 1.0, 1.0)
-        assert rho(100, 0.5, 1.0, 2.0) == pytest.approx(2 * base)
+        base = rho(100, 0.5, 1.0)
+        assert rho(100, 0.5, 2.0) == pytest.approx(2 * base)
 
     def test_unbounded_constant_matches_sqrt2_epsilon(self):
         # the unbounded regime's doubled (2704) numerator is the standard
@@ -78,10 +80,6 @@ class TestConfig:
             SparsifyConfig(epsilon=1.5).validate()
         with pytest.raises(ValueError):
             SparsifyConfig(epsilon=0.5, rho_scale=0.0).validate()
-        with pytest.raises(ValueError):
-            SparsifyConfig(epsilon=0.5, c=0.5).validate()
-        with pytest.raises(ValueError):
-            SparsifyConfig(epsilon=0.5, regime="weird").validate()
         with pytest.raises(ValueError):
             SparsifyConfig(epsilon=0.5, method="weird").validate()
         with pytest.raises(ValueError):
@@ -172,7 +170,7 @@ class TestDegenerateRounds:
         expected = [
             {
                 "n": n, "m": 0, "w_max": 0, "epsilon": eps, "epsilon_effective": eps_eff,
-                "c": 1.0, "seed": seed, "rho_scale": scale, "regime": "polynomial",
+                "seed": seed, "rho_scale": scale, "regime": "polynomial",
                 "rho": rho_val, "early_out": True, "early_out_reason": reason,
                 "set_aside_count": 0, "method": kind, "threshold": threshold,
                 "levels": [], "gamma": 0, "output_size": 0,
@@ -414,10 +412,10 @@ class TestUnbounded:
         g = multi_complete_graph(8, 15, 1, seed=13)  # uniform weights, m = 420
         eps = 0.5
         scale = rho_scale_for(g.n, eps / math.sqrt(2), 1.5)
-        cfg = SparsifyConfig(epsilon=eps, seed=23, rho_scale=scale, regime="unbounded")
+        cfg = SparsifyConfig(epsilon=eps, seed=23, rho_scale=scale)
         h_unbounded, rep = sparsify_unbounded_with_report(g, cfg)
         assert rep.set_aside_count == 0
-        cfg_poly = replace(cfg, epsilon=eps / math.sqrt(2), regime="polynomial")
+        cfg_poly = replace(cfg, epsilon=eps / math.sqrt(2))
         h_once, _ = sparsify_once_with_report(g, cfg_poly)
         assert h_unbounded.edges() == h_once.edges()
 
@@ -425,7 +423,7 @@ class TestUnbounded:
         # bridge is a forest edge: d = w, and w <= w/n never holds
         g = dumbbell_graph(6)
         scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 0.4)
-        cfg = SparsifyConfig(epsilon=0.5, seed=1, rho_scale=scale, regime="unbounded")
+        cfg = SparsifyConfig(epsilon=0.5, seed=1, rho_scale=scale)
         _, rep = sparsify_unbounded_with_report(g, cfg)
         assert rep.set_aside_count == 0
 
@@ -437,7 +435,7 @@ class TestUnbounded:
         edges.append((0, 1, 1))  # light chord, d = 2^60
         g = WeightedGraph.from_edges(8, edges)
         scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 0.8)
-        cfg = SparsifyConfig(epsilon=0.5, seed=2, rho_scale=scale, regime="unbounded")
+        cfg = SparsifyConfig(epsilon=0.5, seed=2, rho_scale=scale)
         h, rep = sparsify_unbounded_with_report(g, cfg)
         assert not rep.early_out
         assert rep.set_aside_count == 1
@@ -447,7 +445,7 @@ class TestUnbounded:
     def test_deterministic(self):
         g = multi_complete_graph(8, 12, 1 << 40, seed=14)
         scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 1.0)
-        cfg = SparsifyConfig(epsilon=0.5, seed=31, rho_scale=scale, regime="unbounded")
+        cfg = SparsifyConfig(epsilon=0.5, seed=31, rho_scale=scale)
         first = sparsify_unbounded_with_report(g, cfg)[0].edges()
         assert sparsify_unbounded_with_report(g, cfg)[0].edges() == first
 
@@ -491,6 +489,33 @@ class TestPipeline:
             err = float(np.abs(_all_cut_weights(h)[1:] / base - 1.0).max())
             within += err <= eps
         assert within >= 0.95 * 200, within
+
+
+class TestWeightRangeRefusal:
+    """A round whose input does not round into 63 bits returns that input
+    unchanged with an early-out report; a skipped round adds no error."""
+
+    @pytest.mark.parametrize("mode", ["theory", "practical"])
+    @pytest.mark.parametrize("method", ["msf", "pipeline"])
+    def test_refused_round_is_skipped(self, method, mode):
+        g = wide_range_graph()
+        h, reports = sparsify(g, SparsifyConfig(epsilon=0.5, method=method, mode=mode))
+        assert check_sparsifier(g, h).max_rel_error < 0.5
+        first, refused = reports
+        assert first.method == ("msf" if method == "msf" else "ni")
+        assert refused.method == "msf" and refused.early_out
+        assert refused.early_out_reason == "weight range too wide to round into 63 bits at this epsilon"
+        assert refused.m == refused.output_size == first.output_size
+
+    def test_only_the_refusal_is_caught(self, monkeypatch):
+        def broken(g_real, epsilon):
+            raise ValueError("not a weight-range refusal")
+
+        # the package attribute `cutsparse.sparsify` is the function
+        monkeypatch.setattr(sys.modules["cutsparse.sparsify"], "reduce_real_weights", broken)
+        for method in ("msf", "pipeline"):
+            with pytest.raises(ValueError, match="not a weight-range refusal"):
+                sparsify(wide_range_graph(), SparsifyConfig(epsilon=0.5, method=method))
 
 
 class TestApproxMinCut:
