@@ -10,8 +10,10 @@ lists.  `sparsify` warns on stderr when every round took the early out.
 Every subcommand is deterministic for fixed flags including --seed; the only
 non-reproducible fields are wall-clock entries in reports and bench tables.
 
-Exit codes: 0 success, 1 file error (input unreadable or unparsable, output
-unwritable), 2 configuration violation, 3 internal level-guard overflow.
+Subcommands raise; `main` maps each error type to its exit code and prints
+one `error:` line: 0 success, 1 file error (input unreadable or unparsable,
+output unwritable), 2 configuration violation, 3 internal level-guard
+overflow.
 """
 
 from __future__ import annotations
@@ -67,11 +69,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _fail(exc: Exception, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
-
-
 def _build_config(args: argparse.Namespace, method: str = "msf") -> SparsifyConfig:
     theory = args.rho_scale is not None
     cfg = SparsifyConfig(
@@ -104,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="exhaustively compare two graphs")
     p_verify.add_argument("--graph", required=True, help="base graph file")
     p_verify.add_argument("--sparsifier", required=True, help="candidate graph file")
-    p_verify.add_argument("--n-limit", type=int, default=ENUMERATION_LIMIT)
 
     p_mincut = sub.add_parser("mincut", help="approximate minimum cut")
     p_mincut.add_argument("--input", required=True)
@@ -119,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seeds", default="0", help="comma-separated seed list")
     p_bench.add_argument("--methods", default="msf,ni", help="comma-separated methods")
     p_bench.add_argument("--output", default=None, help="CSV path (default stdout)")
-    p_bench.add_argument("--n-limit", type=int, default=ENUMERATION_LIMIT)
     _add_config_flags(p_bench)
 
     return parser
@@ -127,33 +122,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sparsify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    try:
-        g = load_graph(args.input)
-    except (GraphFormatError, OSError) as exc:
-        return _fail(exc, EXIT_FILE)
+    g = load_graph(args.input)
     timings_ms = {"load": (time.perf_counter() - t0) * 1e3}
-    try:
-        cfg = _build_config(args, args.method)
-        h, reports = sparsify(g, cfg)
-    except LevelOverflowError as exc:
-        return _fail(exc, EXIT_GUARD)
-    except ValueError as exc:
-        return _fail(exc, EXIT_CONFIG)
-    try:
-        t0 = time.perf_counter()
-        save_graph(h, args.output)
-        timings_ms["save"] = (time.perf_counter() - t0) * 1e3
-        if args.report:
-            payload = {
-                "input": {"n": g.n, "m": g.m, "w_max": g.max_weight()},
-                "config": asdict(cfg),
-                "output_size": h.m,
-                "rounds": [r.to_dict() for r in reports],
-                "timings_ms": timings_ms,
-            }
-            Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        return _fail(exc, EXIT_FILE)
+    cfg = _build_config(args, args.method)
+    h, reports = sparsify(g, cfg)
+    t0 = time.perf_counter()
+    save_graph(h, args.output)
+    timings_ms["save"] = (time.perf_counter() - t0) * 1e3
+    if args.report:
+        payload = {
+            "input": {"n": g.n, "m": g.m, "w_max": g.max_weight()},
+            "config": asdict(cfg),
+            "output_size": h.m,
+            "rounds": [r.to_dict() for r in reports],
+            "timings_ms": timings_ms,
+        }
+        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if all(r.early_out for r in reports):
         print(
             f"warning: every round took the early out ({reports[-1].early_out_reason}); "
@@ -171,66 +155,38 @@ def _load_for_verify(path: str):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = _load_for_verify(args.graph)
-        h = _load_for_verify(args.sparsifier)
-    except (GraphFormatError, OSError) as exc:
-        return _fail(exc, EXIT_FILE)
-    try:
-        report = check_sparsifier(g, h, args.n_limit)
-    except ValueError as exc:
-        return _fail(exc, EXIT_CONFIG)
-    print(json.dumps(report.to_dict(), sort_keys=True))
+    g = _load_for_verify(args.graph)
+    h = _load_for_verify(args.sparsifier)
+    print(json.dumps(check_sparsifier(g, h).to_dict(), sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_mincut(args: argparse.Namespace) -> int:
-    try:
-        g = load_graph(args.input)
-    except (GraphFormatError, OSError) as exc:
-        return _fail(exc, EXIT_FILE)
-    try:
-        cfg = _build_config(args)
-        cut, value = approx_min_cut(g, cfg)
-    except LevelOverflowError as exc:
-        return _fail(exc, EXIT_GUARD)
-    except ValueError as exc:
-        return _fail(exc, EXIT_CONFIG)
-    side = cut.vertices(g.n)
+    g = load_graph(args.input)
+    cut, value = approx_min_cut(g, _build_config(args))
     print(f"value {value}")
-    print("side " + " ".join(str(v) for v in side))
+    print("side " + " ".join(str(v) for v in cut.vertices(g.n)))
     return EXIT_OK
 
 
 def _cmd_msf(args: argparse.Namespace) -> int:
-    try:
-        g = load_graph(args.input)
-    except (GraphFormatError, OSError) as exc:
-        return _fail(exc, EXIT_FILE)
-    if args.levels < 1:
-        print("error: --levels must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+    g = load_graph(args.input)
     levels = msf_packing_bounded(g, args.levels).levels.tolist()
-    for eid, (u, v, w) in enumerate(g.edges()):
-        level = levels[eid]
-        label = "OVER" if level == OVER else str(level)
-        print(f"{eid} {u} {v} {w} {label}")
+    for eid, ((u, v, w), level) in enumerate(zip(g.edges(), levels)):
+        print(f"{eid} {u} {v} {w} {'OVER' if level == OVER else level}")
     return EXIT_OK
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    corpus = sorted(Path(args.corpus).glob("*"))
-    corpus = [p for p in corpus if p.is_file()]
+    corpus = [p for p in sorted(Path(args.corpus).glob("*")) if p.is_file()]
     if not corpus:
-        print(f"error: no graph files in {args.corpus}", file=sys.stderr)
-        return EXIT_FILE
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        configs = [
-            _build_config(args, m.strip()) for m in args.methods.split(",") if m.strip()
-        ]
-    except ValueError as exc:
-        return _fail(exc, EXIT_CONFIG)
+        raise FileNotFoundError(f"no graph files in {args.corpus}")
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    if not seeds:
+        raise ValueError("--seeds lists no seed")
+    configs = [_build_config(args, m.strip()) for m in args.methods.split(",") if m.strip()]
+    if not configs:
+        raise ValueError("--methods lists no method")
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -238,38 +194,30 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for path in corpus:
         try:
             g = load_graph(path)
-        except (GraphFormatError, OSError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_FILE
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"{path}: {exc}") from exc
         for cfg in configs:
             sizes = []
             errors = []
             times = []
             for seed in seeds:
                 t0 = time.perf_counter()
-                try:
-                    h, _ = sparsify(g, replace(cfg, seed=seed))
-                except ValueError as exc:
-                    return _fail(exc, EXIT_CONFIG)
+                h, _ = sparsify(g, replace(cfg, seed=seed))
                 times.append((time.perf_counter() - t0) * 1e3)
                 sizes.append(h.m)
-                if 2 <= g.n <= args.n_limit:
-                    errors.append(check_sparsifier(g, h, args.n_limit).max_rel_error)
-            row = [
+                if 2 <= g.n <= ENUMERATION_LIMIT:
+                    errors.append(check_sparsifier(g, h).max_rel_error)
+            writer.writerow([
                 path.name,
                 cfg.method,
                 cfg.mode,
                 f"{sum(sizes) / len(sizes):.1f}",
                 f"{sum(errors) / len(errors):.6f}" if errors else "",
                 f"{sum(times) / len(times):.3f}",
-            ]
-            writer.writerow(row)
+            ])
     text = buf.getvalue()
     if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            return _fail(exc, EXIT_FILE)
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -285,9 +233,18 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    args = build_parser().parse_args(argv)
+    # GraphFormatError is a ValueError, so the file errors go first
+    try:
+        return _COMMANDS[args.command](args)
+    except (GraphFormatError, OSError) as exc:
+        error, code = exc, EXIT_FILE
+    except LevelOverflowError as exc:
+        error, code = exc, EXIT_GUARD
+    except ValueError as exc:
+        error, code = exc, EXIT_CONFIG
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -57,16 +57,13 @@ def _all_cut_weights(g: WeightedGraph | SparseGraph) -> np.ndarray:
     return weights
 
 
-def check_sparsifier(
-    g: WeightedGraph | SparseGraph,
-    h: WeightedGraph | SparseGraph,
-    n_limit: int = ENUMERATION_LIMIT,
-) -> CutReport:
-    """Enumerate all 2**(n-1) - 1 cuts and report max |w_H(C)/w_G(C) - 1|."""
+def check_sparsifier(g: WeightedGraph | SparseGraph, h: WeightedGraph | SparseGraph) -> CutReport:
+    """Enumerate all 2**(n-1) - 1 cuts and report max |w_H(C)/w_G(C) - 1|;
+    n is at most ENUMERATION_LIMIT."""
     if g.n != h.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
-    if g.n > n_limit:
-        raise ValueError(f"n={g.n} exceeds enumeration limit {n_limit}")
+    if g.n > ENUMERATION_LIMIT:
+        raise ValueError(f"n={g.n} exceeds enumeration limit {ENUMERATION_LIMIT}")
     if g.n < 2:
         raise ValueError("graphs on a single vertex have no cuts")
     wg = _all_cut_weights(g)[1:]

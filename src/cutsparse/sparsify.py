@@ -94,8 +94,8 @@ class SparsifyConfig:
     def validate(self) -> None:
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.rho_scale <= 0.0:
-            raise ValueError(f"rho_scale must be positive, got {self.rho_scale}")
+        if not (0.0 < self.rho_scale < math.inf):
+            raise ValueError(f"rho_scale must be positive and finite, got {self.rho_scale}")
         for name, allowed in (("method", _METHODS), ("mode", _MODES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")

@@ -429,3 +429,60 @@ class TestBenchCommand:
         assert captured.err == ""
         row = captured.out.strip().splitlines()[1].split(",")
         assert float(row[3]) < load_graph(heavy_graph_file).m
+
+
+_ARGV = {
+    "sparsify": "sparsify --input {g} --output {out} --epsilon 0.5",
+    "verify": "verify --graph {g} --sparsifier {g}",
+    "mincut": "mincut --input {g} --epsilon 0.5",
+    "msf": "msf --input {g} --levels 2",
+    "bench": "bench --corpus {corpus} --methods msf --epsilon 0.5",
+}
+
+# (subcommands, input, extra flags, exit code, start of the error line)
+_EXIT_CASES = [
+    (["sparsify", "verify", "mincut", "msf"], "missing", [], 1, "[Errno 2] "),
+    (["sparsify", "verify", "mincut", "msf"], "malformed", [], 1, "line 2: "),
+    (["sparsify", "mincut", "bench"], "graph", ["--epsilon", "1.5"], 2, "epsilon must be in (0, 1)"),
+    (["sparsify", "mincut", "bench"], "graph", ["--rho-scale", "nan"], 2, "rho_scale must be positive and finite"),
+    (["sparsify", "mincut", "bench"], "graph", ["--rho-scale", "inf"], 2, "rho_scale must be positive and finite"),
+    (["sparsify", "mincut", "bench"], "pair", ["--mode", "practical"], 3, "level count exceeded guard"),
+    (["msf"], "graph", ["--levels", "0"], 2, "forest count must be >= 1"),
+    (["bench"], "missing", [], 1, "no graph files in {corpus}"),
+    (["bench"], "empty", [], 1, "no graph files in {corpus}"),
+    (["bench"], "malformed", [], 1, "{g}: line 2: "),
+    (["bench"], "graph", ["--seeds", ","], 2, "--seeds lists no seed"),
+    (["bench"], "graph", ["--methods", ","], 2, "--methods lists no method"),
+]
+
+
+class TestExitCodes:
+    """Every subcommand maps an error to one exit code and one `error:` line."""
+
+    @pytest.mark.parametrize(
+        "command,kind,flags,code,message",
+        [
+            pytest.param(cmd, kind, flags, *rest, id="-".join([cmd, kind, *(f.lstrip("-") for f in flags)]))
+            for cmds, kind, flags, *rest in _EXIT_CASES
+            for cmd in cmds
+        ],
+    )
+    def test_exit_code(self, tmp_path, capsys, request, command, kind, flags, code, message):
+        if code == 3:
+            request.getfixturevalue("levels_never_shrink")
+        corpus = tmp_path / ("missing" if kind == "missing" else "corpus")
+        g = corpus / "g.txt"
+        if kind != "missing":
+            corpus.mkdir()
+        if kind == "malformed":
+            g.write_text("2 1\n0 1 0\n")
+        elif kind == "graph":
+            save_graph(random_graph(8, 20, 9, seed=1), g)
+        elif kind == "pair":
+            save_graph(WeightedGraph.from_edges(2, [(0, 1, 1)] * 1000), g)
+        fields = {"g": g, "corpus": corpus, "out": tmp_path / "h.txt"}
+        argv = [token.format(**fields) for token in _ARGV[command].split()] + flags
+        assert main(argv) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: " + message.format(**fields))

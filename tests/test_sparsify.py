@@ -80,6 +80,9 @@ class TestConfig:
             SparsifyConfig(epsilon=1.5).validate()
         with pytest.raises(ValueError):
             SparsifyConfig(epsilon=0.5, rho_scale=0.0).validate()
+        for scale in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SparsifyConfig(epsilon=0.5, rho_scale=scale).validate()
         with pytest.raises(ValueError):
             SparsifyConfig(epsilon=0.5, method="weird").validate()
         with pytest.raises(ValueError):
