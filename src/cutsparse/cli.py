@@ -3,9 +3,10 @@
 `sparsify`, `mincut` and `bench` turn their flags into one SparsifyConfig and
 call `sparsify`: practical mode is rho = 8 in every msf round and rho = 25 in
 every NI pass, and an explicit --rho-scale selects theory mode instead.  The
-input settles the rest: the loader tells edge-list from DIMACS text, and
-`sparsify` picks the weight regime from W and n.  Output files are edge
-lists.  `sparsify` warns on stderr when every round took the early out.
+input settles the rest: the loaders tell edge-list from DIMACS text, and
+`sparsify` picks the weight regime from W and n.  `verify` reads both files
+with real weights.  Output files are edge lists.  `sparsify` warns on stderr
+when every round took the early out.
 
 Every subcommand is deterministic for fixed flags including --seed; the only
 non-reproducible fields are wall-clock entries in reports and bench tables.
@@ -147,16 +148,9 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_for_verify(path: str):
-    try:
-        return load_graph(path)
-    except GraphFormatError:
-        return load_sparse(path)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g = _load_for_verify(args.graph)
-    h = _load_for_verify(args.sparsifier)
+    g = load_sparse(args.graph)
+    h = load_sparse(args.sparsifier)
     print(json.dumps(check_sparsifier(g, h).to_dict(), sort_keys=True))
     return EXIT_OK
 

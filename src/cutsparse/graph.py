@@ -201,47 +201,83 @@ def cut_weight(g: WeightedGraph | SparseGraph, cut: CutSpec) -> int | float:
 # --- file formats -----------------------------------------------------------
 #
 # Edge-list text: first line "n m", then m lines "u v w" with 0-indexed
-# endpoints.  DIMACS .gr: "c" comments, one "p <tag> n m" line, then "a"/"e"
-# lines with 1-indexed endpoints.  Both are read; edge lists are written.
+# endpoints.  DIMACS .gr is the same layout behind line tags: "p <tag> n m",
+# then "a u v w" or "e u v w" lines with 1-indexed endpoints, and "c" comment
+# lines anywhere.  A first non-blank token c, p, a or e marks DIMACS.  Both
+# readers take both formats: load_graph wants weights in [1, 2^63-1],
+# load_sparse positive finite reals.  Edge lists are written.
 
 
-def _parse_weight_int(token: str, lineno: int) -> int:
+def _read_lines(source: str | Path, data: bytes | None = None) -> list[str]:
+    """The file's lines; `data` is its bytes when already read."""
     try:
-        w = int(token)
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: weight {token!r} is not an integer") from None
-    if w < 1:
-        raise GraphFormatError(f"line {lineno}: weight must be >= 1, got {w}")
-    if w > MAX_WEIGHT:
-        raise GraphFormatError(f"line {lineno}: weight exceeds 2^63-1")
-    return w
-
-
-def _check_endpoints(u: int, v: int, n: int, lineno: int) -> None:
-    if u == v:
-        raise GraphFormatError(f"line {lineno}: self-loop on vertex {u}")
-    if not (0 <= u < n and 0 <= v < n):
-        raise GraphFormatError(f"line {lineno}: endpoint out of range for n={n}")
-
-
-def _read_lines(source: str | Path) -> list[str]:
-    try:
-        return Path(source).read_text().splitlines()
+        return (Path(source).read_bytes() if data is None else data).decode().splitlines()
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{source}: {exc}") from None
 
 
+def _parse_lines(lines: list[str], real: bool) -> WeightedGraph | SparseGraph:
+    """Either file format with real or integer weights; every error names
+    its line."""
+    rows = [(i + 1, ln.split()) for i, ln in enumerate(lines)]
+    rows = [(lineno, parts) for lineno, parts in rows if parts]
+    dimacs = bool(rows) and rows[0][1][0] in ("c", "p", "a", "e")
+    if dimacs:
+        rows = [(lineno, parts) for lineno, parts in rows if parts[0] != "c"]
+    head, edge, base = ("p <tag> n m", "a u v w", 1) if dimacs else ("n m", "u v w", 0)
+    if not rows:
+        raise GraphFormatError(f"line 1: missing '{head}' header")
+    (lineno, parts), body = rows[0], rows[1:]
+    if len(parts) != len(head.split()) or (dimacs and parts[0] != "p"):
+        raise GraphFormatError(f"line {lineno}: header must be '{head}'")
+    try:
+        n, m = int(parts[-2]), int(parts[-1])
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: header must be two integers") from None
+    if n < 1 or m < 0:
+        raise GraphFormatError(f"line {lineno}: invalid header values n={n} m={m}")
+
+    edges: list[tuple[int, int, int | float]] = []
+    for lineno, parts in body:
+        if len(parts) != len(edge.split()) or (dimacs and parts[0] not in ("a", "e")):
+            raise GraphFormatError(f"line {lineno}: expected '{edge}'")
+        try:
+            u, v = int(parts[-3]) - base, int(parts[-2]) - base
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: endpoints must be integers") from None
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: self-loop on vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"line {lineno}: endpoint out of range for n={n}")
+        try:
+            w = float(parts[-1]) if real else int(parts[-1])
+        except ValueError:
+            kind = "a number" if real else "an integer"
+            raise GraphFormatError(f"line {lineno}: weight {parts[-1]!r} is not {kind}") from None
+        if real and not 0 < w < math.inf:
+            raise GraphFormatError(f"line {lineno}: weight must be positive and finite")
+        if not real and w < 1:
+            raise GraphFormatError(f"line {lineno}: weight must be >= 1, got {w}")
+        if not real and w > MAX_WEIGHT:
+            raise GraphFormatError(f"line {lineno}: weight exceeds 2^63-1")
+        edges.append((u, v, w))
+    if len(edges) != m:
+        raise GraphFormatError(f"header announced {m} edges but file has {len(edges)}")
+    return (SparseGraph if real else WeightedGraph).from_edges(n, edges)
+
+
 def load_graph(source: str | Path) -> WeightedGraph:
-    """Read an integer-weighted graph from an edge-list or DIMACS file; a
-    first non-blank line that starts with c, p, a or e marks DIMACS."""
-    g = _load_edgelist_arrays(source, Path(source).read_bytes())
+    """Read an integer-weighted graph from an edge-list or DIMACS file."""
+    data = Path(source).read_bytes()
+    g = _load_edgelist_arrays(source, data)
     if g is not None:
         return g
-    lines = _read_lines(source)
-    head = next((ln.split()[0] for ln in lines if ln.strip()), "")
-    if head in ("c", "p", "a", "e"):
-        return _load_dimacs(lines)
-    return _load_edgelist(lines, float_weights=False)
+    return _parse_lines(_read_lines(source, data), real=False)
+
+
+def load_sparse(source: str | Path) -> SparseGraph:
+    """Read a real-weighted graph from an edge-list or DIMACS file."""
+    return _parse_lines(_read_lines(source), real=True)
 
 
 # numpy and str.splitlines() agree on where lines and tokens end only for
@@ -290,97 +326,6 @@ def _load_edgelist_arrays(source: str | Path, data: bytes) -> WeightedGraph | No
         return WeightedGraph.from_arrays(n, *cols.T)
     except ValueError:
         return None
-
-
-def load_sparse(source: str | Path) -> SparseGraph:
-    """Read a real-weighted graph in edge-list format."""
-    return _load_edgelist(_read_lines(source), float_weights=True)
-
-
-def _load_edgelist(lines: list[str], float_weights: bool) -> WeightedGraph | SparseGraph:
-    it = ((i + 1, ln) for i, ln in enumerate(lines))
-    header = None
-    for lineno, ln in it:
-        if ln.strip():
-            header = (lineno, ln.split())
-            break
-    if header is None:
-        raise GraphFormatError("line 1: missing 'n m' header")
-    lineno, parts = header
-    if len(parts) != 2:
-        raise GraphFormatError(f"line {lineno}: header must be 'n m'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: header must be two integers") from None
-    if n < 1 or m < 0:
-        raise GraphFormatError(f"line {lineno}: invalid header values n={n} m={m}")
-
-    edges: list[tuple[int, int, int | float]] = []
-    for lineno, ln in it:
-        if not ln.strip():
-            continue
-        parts = ln.split()
-        if len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: expected 'u v w'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: endpoints must be integers") from None
-        _check_endpoints(u, v, n, lineno)
-        if float_weights:
-            try:
-                w: int | float = float(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: weight {parts[2]!r} is not a number") from None
-            if not math.isfinite(w) or w <= 0:
-                raise GraphFormatError(f"line {lineno}: weight must be positive and finite")
-        else:
-            w = _parse_weight_int(parts[2], lineno)
-        edges.append((u, v, w))
-    if len(edges) != m:
-        raise GraphFormatError(f"header announced {m} edges but file has {len(edges)}")
-    if float_weights:
-        return SparseGraph.from_edges(n, edges)
-    return WeightedGraph.from_edges(n, edges)
-
-
-def _load_dimacs(lines: list[str]) -> WeightedGraph:
-    n = None
-    m = None
-    edges: list[tuple[int, int, int]] = []
-    for i, ln in enumerate(lines):
-        lineno = i + 1
-        parts = ln.split()
-        if not parts or parts[0] == "c":
-            continue
-        if parts[0] == "p":
-            if n is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate 'p' line")
-            if len(parts) < 4:
-                raise GraphFormatError(f"line {lineno}: 'p' line needs '<tag> n m'")
-            try:
-                n, m = int(parts[-2]), int(parts[-1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: 'p' line needs integer n m") from None
-        elif parts[0] in ("a", "e"):
-            if n is None:
-                raise GraphFormatError(f"line {lineno}: edge before 'p' line")
-            if len(parts) != 4:
-                raise GraphFormatError(f"line {lineno}: expected '{parts[0]} u v w'")
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: endpoints must be integers") from None
-            _check_endpoints(u, v, n, lineno)
-            edges.append((u, v, _parse_weight_int(parts[3], lineno)))
-        else:
-            raise GraphFormatError(f"line {lineno}: unknown line type {parts[0]!r}")
-    if n is None:
-        raise GraphFormatError("missing 'p' line")
-    if m is not None and len(edges) != m:
-        raise GraphFormatError(f"'p' line announced {m} edges but file has {len(edges)}")
-    return WeightedGraph.from_edges(n, edges)
 
 
 def _weight_column(w: np.ndarray) -> list[str]:

@@ -130,21 +130,15 @@ def exact_min_cut(g: WeightedGraph | SparseGraph) -> tuple[CutSpec, int | float]
     best_side: list[int] = []
 
     while len(active) > 1:
-        a = active[0]
-        in_a = {a}
-        key = {x: weight[a][x] for x in active[1:]}
-        order = [a]
+        s = t = active[0]
+        # in ascending vertex order, so max() breaks ties to the smallest id
+        key = {x: weight[t][x] for x in active[1:]}
         while key:
-            # deterministic: max key, ties to the smallest vertex id
-            z = max(key, key=lambda x: (key[x], -x))
-            order.append(z)
-            in_a.add(z)
-            del key[z]
-            wz = weight[z]
+            s, t = t, max(key, key=key.__getitem__)
+            del key[t]
+            wt = weight[t]
             for x in key:
-                key[x] += wz[x]
-        t = order[-1]
-        s = order[-2]
+                key[x] += wt[x]
         cut_of_phase = sum(weight[t][x] for x in active if x != t)
         if best_value is None or cut_of_phase < best_value:
             best_value = cut_of_phase

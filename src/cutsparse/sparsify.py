@@ -179,14 +179,21 @@ def _round_report(
 
 
 def _refused_round(
-    g: SparseGraph, cfg: SparsifyConfig, eps_eff: float, windowed: bool, exc: WeightRangeError
+    g: SparseGraph,
+    cfg: SparsifyConfig,
+    eps_eff: float,
+    windowed: bool,
+    exc: WeightRangeError,
+    t_start: float,
 ) -> RunReport:
     """The report of an msf round that returns its input unchanged because
-    reduce_real_weights refused it.  A skipped round adds no error."""
+    the reduce_real_weights call begun at t_start refused it.  A skipped
+    round adds no error."""
     report = _round_report(g, cfg, eps_eff, cfg.seed, windowed, "msf")
     report.early_out = True
     report.early_out_reason = str(exc)
     report.output_size = g.m
+    report.timings_ms["total"] = (time.perf_counter() - t_start) * 1e3
     return report
 
 
@@ -407,11 +414,12 @@ def _iterate(
         if windowed:
             run_eps /= math.sqrt(2.0)
         if i > 1:
+            t_start = time.perf_counter()
             try:
                 work, r_i = reduce_real_weights(current, eps_i)
             except WeightRangeError as exc:
                 # the later rounds, at a looser eps_i, try again
-                reports.append(_refused_round(current, cfg, run_eps, windowed, exc))
+                reports.append(_refused_round(current, cfg, run_eps, windowed, exc, t_start))
                 continue
             scale_exp += r_i
         current, rep = _algorithm_one(
@@ -461,11 +469,12 @@ def sparsify(
     root = RngStream(cfg.seed)
     pre, rep = _ni_round(g, cfg, eps3, root.child("pipeline-preprocess").seed, windowed)
     cfg_main = replace(cfg, epsilon=eps3, seed=root.child("pipeline-main").seed)
+    t_start = time.perf_counter()
     try:
         g_int, r = reduce_real_weights(pre, eps3)
     except WeightRangeError as exc:
         # the NI output is already a (1 +/- eps/3)-sparsifier
-        return pre, [rep, _refused_round(pre, cfg_main, eps3, windowed, exc)]
+        return pre, [rep, _refused_round(pre, cfg_main, eps3, windowed, exc, t_start)]
     h, reports = _iterate(g_int, cfg_main, windowed)
     return scale_back(h, r), [rep] + reports
 

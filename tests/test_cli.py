@@ -451,6 +451,10 @@ _EXIT_CASES = [
     (["bench"], "missing", [], 1, "no graph files in {corpus}"),
     (["bench"], "empty", [], 1, "no graph files in {corpus}"),
     (["bench"], "malformed", [], 1, "{g}: line 2: "),
+    (["sparsify", "verify", "mincut", "msf"], "dimacs-empty", [], 1, "line 1: invalid header values"),
+    (["bench"], "dimacs-empty", [], 1, "{g}: line 1: invalid header values"),
+    (["sparsify", "verify", "mincut", "msf"], "dimacs-malformed", [], 1, "line 3: endpoint out of range"),
+    (["bench"], "dimacs-malformed", [], 1, "{g}: line 3: endpoint out of range"),
     (["bench"], "graph", ["--seeds", ","], 2, "--seeds lists no seed"),
     (["bench"], "graph", ["--methods", ","], 2, "--methods lists no method"),
 ]
@@ -476,6 +480,10 @@ class TestExitCodes:
             corpus.mkdir()
         if kind == "malformed":
             g.write_text("2 1\n0 1 0\n")
+        elif kind == "dimacs-empty":
+            g.write_text("p sp 0 0\n")
+        elif kind == "dimacs-malformed":
+            g.write_text("p sp 3 2\na 1 2 5\na 2 9 1\n")
         elif kind == "graph":
             save_graph(random_graph(8, 20, 9, seed=1), g)
         elif kind == "pair":

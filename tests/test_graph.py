@@ -19,12 +19,12 @@ from cutsparse import (
 )
 from cutsparse.graph import (
     _EDGELIST_BYTES,
-    _load_edgelist,
     _load_edgelist_arrays,
+    _parse_lines,
     _read_lines,
 )
 
-from conftest import random_graph
+from conftest import multigraphs, random_graph
 
 
 def triangle():
@@ -154,6 +154,18 @@ class TestFileFormats:
         p.write_text("c a comment\np sp 3 2\ne 1 2 5\na 2 3 7\n")
         g = load_graph(p)
         assert g.edges() == [(0, 1, 5), (1, 2, 7)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=multigraphs())
+    def test_both_formats_load_alike(self, g, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("formats")
+        edgelist, dimacs = folder / "g.txt", folder / "g.gr"
+        save_graph(g, edgelist)
+        arcs = "".join(f"a {u + 1} {v + 1} {w}\n" for u, v, w in g.edges())
+        dimacs.write_text(f"c one graph, two formats\np sp {g.n} {g.m}\n{arcs}")
+        assert load_graph(edgelist) == load_graph(dimacs) == g
+        real = SparseGraph.from_arrays(g.n, g.edge_u, g.edge_v, g.edge_w)
+        assert load_sparse(edgelist) == load_sparse(dimacs) == real
 
     def test_sparse_round_trip(self, tmp_path):
         h = SparseGraph.from_edges(3, [(0, 1, 2.5), (1, 2, 7.0)])
@@ -286,7 +298,7 @@ class TestEdgeListFastPath:
     def test_same_arrays_or_same_error_as_the_line_parser(self, data, tmp_path_factory):
         path = tmp_path_factory.mktemp("edgelist") / "g.txt"
         path.write_bytes(data)
-        expected = _outcome(lambda p: _load_edgelist(_read_lines(p), float_weights=False), path)
+        expected = _outcome(lambda p: _parse_lines(_read_lines(p), real=False), path)
         assert _outcome(load_graph, path) == expected
         if not isinstance(expected, str) and not data.translate(None, _EDGELIST_BYTES):
             # a valid file of the guarded bytes never needs the line parser

@@ -100,6 +100,12 @@ class TestExactMinCut:
         assert value == 4
         assert len(cut.vertices(5)) in (1, 4)
 
+    def test_unit_k4_tie_goes_to_the_last_vertex(self):
+        # every singleton cut weighs 3; the first phase already finds one,
+        # and ties in the maximum-adjacency order go to the smallest id
+        cut, value = exact_min_cut(complete_graph(4))
+        assert (cut.vertices(4), value) == ([3], 3)
+
     def test_dumbbell_bridge(self):
         g = dumbbell_graph(6)
         cut, value = exact_min_cut(g)

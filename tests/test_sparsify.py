@@ -509,6 +509,7 @@ class TestWeightRangeRefusal:
         assert refused.method == "msf" and refused.early_out
         assert refused.early_out_reason == "weight range too wide to round into 63 bits at this epsilon"
         assert refused.m == refused.output_size == first.output_size
+        assert set(refused.timings_ms) == {"total"}
 
     def test_only_the_refusal_is_caught(self, monkeypatch):
         def broken(g_real, epsilon):
