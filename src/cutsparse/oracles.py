@@ -7,8 +7,9 @@ judge its output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,10 +105,16 @@ def _components(g: WeightedGraph | SparseGraph) -> list[int]:
     return comp
 
 
-def exact_min_cut(g: WeightedGraph | SparseGraph) -> tuple[CutSpec, int | float]:
-    """Stoer-Wagner global minimum cut; exact arithmetic on integer graphs.
+def exact_min_cut(g: WeightedGraph | SparseGraph) -> tuple[CutSpec, float]:
+    """Stoer-Wagner global minimum cut over a dense float64 weight matrix.
 
-    Disconnected input returns a zero-weight cut isolating one component.
+    The arithmetic is float64 throughout, so the value is exact while the
+    total weight is below 2^53; `oracle_min_cut` in tests/reference.py is
+    the integer-exact version, and on float graphs it makes the same
+    additions in the same order.  Each phase grows a maximum-adjacency order
+    (ties to the smallest vertex id) and merges its last two vertices.
+    Disconnected input returns a zero-weight cut isolating vertex 0's
+    component.
     """
     n = g.n
     if n < 2:
@@ -116,39 +123,43 @@ def exact_min_cut(g: WeightedGraph | SparseGraph) -> tuple[CutSpec, int | float]
     comp = _components(g)
     if len(set(comp)) > 1:
         side = [x for x in range(n) if comp[x] == comp[0]]
-        zero = 0.0 if isinstance(g, SparseGraph) else 0
-        return CutSpec.from_vertices(side), zero
+        return CutSpec.from_vertices(side), 0.0
 
-    weight: list[list] = [[0] * n for _ in range(n)]
-    for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
-        weight[u][v] += w
-        weight[v][u] += w
+    # each pair sums its edges in id order in the upper triangle; adding the
+    # zero lower triangle mirrors it exactly
+    weight = np.zeros((n, n), dtype=np.float64)
+    np.add.at(
+        weight,
+        (np.minimum(g.edge_u, g.edge_v), np.maximum(g.edge_u, g.edge_v)),
+        g.edge_w.astype(np.float64),
+    )
+    weight += weight.T
 
     groups: list[list[int]] = [[x] for x in range(n)]
-    active = list(range(n))
-    best_value = None
+    active = np.arange(n)
+    best_value = math.inf
     best_side: list[int] = []
 
     while len(active) > 1:
-        s = t = active[0]
-        # in ascending vertex order, so max() breaks ties to the smallest id
-        key = {x: weight[t][x] for x in active[1:]}
-        while key:
-            s, t = t, max(key, key=key.__getitem__)
-            del key[t]
-            wt = weight[t]
-            for x in key:
-                key[x] += wt[x]
-        cut_of_phase = sum(weight[t][x] for x in active if x != t)
-        if best_value is None or cut_of_phase < best_value:
+        # vertices already added, or merged away, keep key -inf; a merged
+        # vertex's matrix entries go stale but stay finite
+        key = np.full(n, -np.inf)
+        key[active[1:]] = weight[active[0], active[1:]]
+        s = t = int(active[0])
+        for _ in range(len(active) - 1):
+            s, t = t, int(np.argmax(key))
+            key[t] = -np.inf
+            key += weight[t]
+        # left to right; the zero diagonal entry adds nothing
+        cut_of_phase = sum(weight[t, active].tolist())
+        if cut_of_phase < best_value:
             best_value = cut_of_phase
             best_side = list(groups[t])
-        # merge t into s
-        for x in active:
-            if x != s and x != t:
-                weight[s][x] += weight[t][x]
-                weight[x][s] = weight[s][x]
+        # merge t into s; the diagonal stays zero
+        weight[s] += weight[t]
+        weight[s, s] = 0.0
+        weight[:, s] = weight[s]
         groups[s].extend(groups[t])
-        active.remove(t)
+        active = active[active != t]
 
     return CutSpec.from_vertices(best_side), best_value

@@ -438,7 +438,7 @@ def _ni_round(
     """One pass of the forest-index preprocessing sampler, with its report."""
     t_start = time.perf_counter()
     report = _round_report(g, cfg, epsilon, seed, windowed, "ni")
-    h, kept_all = ni_preprocess(g, report.rho, seed)
+    h, kept_all = ni_preprocess(g, report.rho, seed, timings_ms=report.timings_ms)
     report.output_size = h.m
     if kept_all:
         report.early_out = True

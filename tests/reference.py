@@ -3,19 +3,22 @@
 Everything here is deliberately independent of the library's fast paths: the
 packing oracle repeats standalone Kruskal passes over its own descending
 sort, the windowed oracle scans every edge per window with Python ints,
-edge connectivity enumerates cuts or runs a max-flow, and the packing
-validators re-check forests edge by edge.  `rho_scale_for` pins a single
-round at a rho other than practical mode's.
+edge connectivity enumerates cuts or runs a max-flow, the NI oracle scans
+every edge with its own heap push, the min-cut oracle runs Stoer-Wagner on
+Python numbers (exact on integer graphs), and the packing validators
+re-check forests edge by edge.  `rho_scale_for` pins a single round at a rho
+other than practical mode's.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 
 import numpy as np
 
-from cutsparse import SparseGraph, WeightedGraph
+from cutsparse import CutSpec, SparseGraph, WeightedGraph
 from cutsparse.msf import (
     OVER,
     EstimatedMsfPacking,
@@ -25,7 +28,7 @@ from cutsparse.msf import (
     bottleneck_weights,
     msf_packing_bounded,
 )
-from cutsparse.oracles import ENUMERATION_LIMIT, _all_cut_weights
+from cutsparse.oracles import ENUMERATION_LIMIT, _all_cut_weights, _components
 from cutsparse.sparsify import rho
 
 
@@ -217,6 +220,79 @@ def _dinic_max_flow(g: WeightedGraph | SparseGraph, source: int, sink: int):
             if not pushed:
                 break
             flow += pushed
+
+
+def oracle_ni_indices(g: WeightedGraph) -> list[int]:
+    """NI indices edge by edge: scanning x gives each edge to a still-queued
+    neighbor y, in edge-id order, l_e = r(y) + w(e), raises r(y) by w(e) and
+    pushes y again."""
+    n, m = g.n, g.m
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v, w) in enumerate(
+        zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist())
+    ):
+        adj[u].append((v, w, eid))
+        adj[v].append((u, w, eid))
+
+    levels = [0] * m
+    r = [0] * n
+    visited = [False] * n
+    heap: list[tuple[int, int]] = [(0, x) for x in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        neg_r, x = heapq.heappop(heap)
+        if visited[x] or -neg_r != r[x]:
+            continue
+        visited[x] = True
+        for y, w, eid in adj[x]:
+            if not visited[y]:
+                levels[eid] = r[y] + w
+                r[y] += w
+                heapq.heappush(heap, (-r[y], y))
+    return levels
+
+
+def oracle_min_cut(g: WeightedGraph | SparseGraph) -> tuple[CutSpec, int | float]:
+    """Stoer-Wagner on nested lists of Python numbers: exact on integer
+    graphs, and on float graphs the same additions in the same order as the
+    library's matrix version.  Ties in the maximum-adjacency order go to the
+    smallest vertex id; disconnected input isolates vertex 0's component."""
+    n = g.n
+    comp = _components(g)
+    if len(set(comp)) > 1:
+        side = [x for x in range(n) if comp[x] == comp[0]]
+        return CutSpec.from_vertices(side), 0.0 if isinstance(g, SparseGraph) else 0
+
+    weight: list[list] = [[0] * n for _ in range(n)]
+    for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
+        weight[u][v] += w
+        weight[v][u] += w
+
+    groups: list[list[int]] = [[x] for x in range(n)]
+    active = list(range(n))
+    best_value = None
+    best_side: list[int] = []
+    while len(active) > 1:
+        s = t = active[0]
+        # in ascending vertex order, so max() breaks ties to the smallest id
+        key = {x: weight[t][x] for x in active[1:]}
+        while key:
+            s, t = t, max(key, key=key.__getitem__)
+            del key[t]
+            wt = weight[t]
+            for x in key:
+                key[x] += wt[x]
+        cut_of_phase = sum(weight[t][x] for x in active if x != t)
+        if best_value is None or cut_of_phase < best_value:
+            best_value = cut_of_phase
+            best_side = list(groups[t])
+        for x in active:
+            if x != s and x != t:
+                weight[s][x] += weight[t][x]
+                weight[x][s] = weight[s][x]
+        groups[s].extend(groups[t])
+        active.remove(t)
+    return CutSpec.from_vertices(best_side), best_value
 
 
 def binomial_pmf(n: int, p: float, k: int) -> float:

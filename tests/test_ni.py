@@ -3,12 +3,41 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cutsparse import CutSpec, SparsifyConfig, WeightedGraph, cut_weight, sparsify
+from cutsparse import MAX_WEIGHT, CutSpec, SparsifyConfig, WeightedGraph, cut_weight, sparsify
 from cutsparse.ni import ni_indices, preprocess_rho
 
 from conftest import complete_graph, multi_complete_graph, random_graph
-from reference import validate_ni_indices
+from reference import oracle_ni_indices, validate_ni_indices
+
+
+@st.composite
+def ni_graphs(draw) -> WeightedGraph:
+    """Multigraphs on 1..10 vertices, optionally split into two parts with no
+    edge between them (isolated vertices come free), with extreme weights
+    and a flood of parallel edges on one pair written in both orientations."""
+    n = draw(st.integers(1, 10))
+    cut = draw(st.integers(1, n))  # edges stay within [0, cut) or [cut, n)
+    parts = [(lo, hi) for lo, hi in ((0, cut), (cut, n)) if hi - lo >= 2]
+    if not parts:
+        return WeightedGraph.from_edges(n, [])
+    weight = st.one_of(
+        st.sampled_from([1, 2, MAX_WEIGHT - 1, MAX_WEIGHT]), st.integers(1, MAX_WEIGHT)
+    )
+
+    def pair():
+        lo, hi = draw(st.sampled_from(parts))
+        a = draw(st.integers(lo, hi - 1))
+        b = draw(st.integers(lo, hi - 2))
+        return a, b + (b >= a)
+
+    edges = [(*pair(), draw(weight)) for _ in range(draw(st.integers(0, 25)))]
+    a, b = pair()
+    for forward in draw(st.lists(st.booleans(), max_size=40)):
+        edges.append((a, b, draw(weight)) if forward else (b, a, draw(weight)))
+    return WeightedGraph.from_edges(n, draw(st.permutations(edges)))
 
 
 def repeated_bfs_forest_levels(g: WeightedGraph) -> list[int]:
@@ -84,6 +113,18 @@ class TestNiIndices:
     def test_empty_and_isolated(self):
         g = WeightedGraph.from_edges(4, [])
         assert ni_indices(g) == []
+
+    def test_parallel_sums_pass_64_bits(self):
+        # vertex 0 is scanned first and hands every parallel edge to vertex 1
+        g = WeightedGraph.from_edges(2, [(0, 1, MAX_WEIGHT), (1, 0, MAX_WEIGHT), (0, 1, 5)])
+        assert ni_indices(g) == [MAX_WEIGHT, 2 * MAX_WEIGHT, 2 * MAX_WEIGHT + 5]
+
+    @settings(max_examples=400, deadline=None)
+    @given(g=ni_graphs())
+    @example(g=WeightedGraph.from_edges(1, []))
+    @example(g=WeightedGraph.from_edges(3, [(2, 1, MAX_WEIGHT)] * 3 + [(1, 2, 7), (0, 1, 1)]))
+    def test_matches_per_edge_scan(self, g):
+        assert ni_indices(g) == oracle_ni_indices(g)
 
 
 def ni_sparsify(g, epsilon, seed=0, rho_scale=1.0):

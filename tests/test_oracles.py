@@ -3,21 +3,26 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutsparse import (
     CutSpec,
     SparseGraph,
+    SparsifyConfig,
     WeightedGraph,
     check_sparsifier,
     cut_weight,
     exact_min_cut,
+    sparsify,
 )
 from cutsparse.msf import OVER
 
-from conftest import complete_graph, dumbbell_graph, random_graph
+from conftest import complete_graph, dumbbell_graph, multi_complete_graph, random_graph
 from reference import (
     binomial_pmf,
     edge_connectivity,
+    oracle_min_cut,
     oracle_msf_packing,
     validate_msf_packing_forests,
     validate_msf_packing_heaviness,
@@ -133,6 +138,66 @@ class TestExactMinCut:
         h = SparseGraph.from_edges(3, [(0, 1, 1.5), (1, 2, 2.5), (0, 2, 0.25)])
         cut, value = exact_min_cut(h)
         assert value == pytest.approx(1.75)
+
+
+@st.composite
+def min_cut_graphs(draw, graph_type, weight) -> WeightedGraph | SparseGraph:
+    """Multigraphs on 2..9 vertices with edges over all of them, so mostly
+    connected, parallel edges in both orientations, and often one weight on
+    every edge, which gives several minimum cuts."""
+    n = draw(st.integers(2, 9))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)).map(
+        lambda p: (p[0], p[1] + (p[1] >= p[0]))
+    )
+    if draw(st.booleans()):
+        weight = st.just(draw(weight))
+    edges = draw(st.lists(st.tuples(pair, weight), max_size=30))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    return graph_type.from_edges(n, [(u, v, w) for (u, v), w in edges])
+
+
+# small values that repeat, so the maximum-adjacency order has ties
+FLOAT_WEIGHTS = st.one_of(
+    st.sampled_from([0.1, 0.25, 1.0, 3.0]),
+    st.floats(1e-9, 1e9, allow_nan=False, allow_infinity=False),
+)
+# at most 40 edges below 2^46 each: the total stays below 2^53
+INT_WEIGHTS = st.one_of(st.integers(1, 3), st.integers(1, 1 << 46))
+
+
+class TestExactMinCutMatchesOracle:
+    @staticmethod
+    def assert_bit_identical(h):
+        cut, value = exact_min_cut(h)
+        want_cut, want_value = oracle_min_cut(h)
+        assert cut == want_cut
+        assert value.hex() == float(want_value).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=min_cut_graphs(SparseGraph, FLOAT_WEIGHTS))
+    def test_float_graphs_bit_identical(self, h):
+        self.assert_bit_identical(h)
+
+    @pytest.mark.parametrize("n, copies", [(12, 30), (40, 6)])
+    def test_sparsifier_outputs_bit_identical(self, n, copies):
+        g = multi_complete_graph(n, copies, 8, seed=n)
+        h, _ = sparsify(g, SparsifyConfig(epsilon=0.5, seed=n, mode="practical"))
+        assert h.m < g.m
+        self.assert_bit_identical(h)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_random_float_graphs(self, seed):
+        # a phase over more than 8 vertices tells a left-to-right cut sum
+        # from numpy's pairwise one
+        rng = random.Random(seed)
+        edges = [(u, v, rng.uniform(0.01, 100.0)) for u in range(40) for v in range(u + 1, 40)]
+        self.assert_bit_identical(SparseGraph.from_edges(40, edges))
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=min_cut_graphs(WeightedGraph, INT_WEIGHTS))
+    def test_integer_graphs_below_2_53(self, g):
+        cut, value = exact_min_cut(g)
+        assert (cut, value) == oracle_min_cut(g)
 
 
 class TestEdgeConnectivity:

@@ -182,7 +182,8 @@ class TestDegenerateRounds:
             in self.EXPECTED[n, method, mode]
         ]
         got = [r.to_dict() for r in reports]
-        assert all(set(d.pop("timings_ms")) == {"total"} for d in got)
+        stages = {"msf": {"total"}, "ni": {"indices", "compression", "total"}}
+        assert [set(d.pop("timings_ms")) for d in got] == [stages[d["method"]] for d in got]
         assert got == expected
 
 class TestSparsifyOnce:
@@ -205,6 +206,16 @@ class TestSparsifyOnce:
                 "packing", "sampling", "compression", "bottleneck", "assembly", "total"
             }
             assert (rep.timings_ms["bottleneck"] > 0) == (run is sparsify_unbounded_with_report)
+
+    @pytest.mark.parametrize("method", ["ni", "pipeline"])
+    def test_ni_round_timings_add_up(self, method):
+        g = multi_complete_graph(12, 30, 8, seed=3)
+        _, reports = sparsify(g, SparsifyConfig(epsilon=0.5, seed=1, method=method))
+        rep = reports[0]
+        assert rep.method == "ni"
+        t = rep.timings_ms
+        assert set(t) == {"indices", "compression", "total"}
+        assert 0 < t["indices"] + t["compression"] <= t["total"]
 
     def test_exercised_run_shrinks_and_preserves_cuts(self):
         g = multi_complete_graph(12, 30, 8, seed=3)  # m = 1980
