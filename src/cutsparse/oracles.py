@@ -8,7 +8,6 @@ judge its output.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,24 +84,28 @@ def check_sparsifier(g: WeightedGraph | SparseGraph, h: WeightedGraph | SparseGr
 # --- exact minimum cut --------------------------------------------------------
 
 
-def _components(g: WeightedGraph | SparseGraph) -> list[int]:
-    comp = [-1] * g.n
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
-        adj[u].append(v)
-        adj[v].append(u)
-    for start in range(g.n):
-        if comp[start] != -1:
-            continue
-        comp[start] = start
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if comp[y] == -1:
-                    comp[y] = start
-                    queue.append(y)
-    return comp
+def _components(g: WeightedGraph | SparseGraph) -> np.ndarray:
+    """Component label per vertex: the smallest vertex id in its component.
+
+    Min-label hooking with pointer jumping: each round hooks the larger
+    label of every edge whose endpoints still differ onto the smaller one,
+    then jumps every pointer to its root.  Labels only fall, and a label
+    is always a vertex id no larger than the vertex, so the roots are the
+    components' smallest ids.
+    """
+    label = np.arange(g.n, dtype=np.int64)
+    u, v = g.edge_u, g.edge_v
+    while True:
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
+            return label
+        np.minimum.at(label, np.maximum(lu[split], lv[split]), np.minimum(lu[split], lv[split]))
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
 
 
 def exact_min_cut(g: WeightedGraph | SparseGraph) -> tuple[CutSpec, float]:
@@ -121,9 +124,8 @@ def exact_min_cut(g: WeightedGraph | SparseGraph) -> tuple[CutSpec, float]:
         raise ValueError("minimum cut needs at least two vertices")
 
     comp = _components(g)
-    if len(set(comp)) > 1:
-        side = [x for x in range(n) if comp[x] == comp[0]]
-        return CutSpec.from_vertices(side), 0.0
+    if comp.any():  # vertex 0's label is 0
+        return CutSpec.from_vertices(np.flatnonzero(comp == 0).tolist()), 0.0
 
     # each pair sums its edges in id order in the upper triangle; adding the
     # zero lower triangle mirrors it exactly

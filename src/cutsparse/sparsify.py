@@ -237,7 +237,6 @@ def _algorithm_one(
     # reaching level L needs an edge that survived L fair coins, which has
     # probability at most m * 2^-L
     guard = m.bit_length() + 64
-    edge_w = g.edge_w.tolist()
 
     t_pack = 0.0
     t_sample = 0.0
@@ -299,30 +298,27 @@ def _algorithm_one(
 
     # Compressed edges, by id, in level order and then the set-aside edges.
     t0 = time.perf_counter()
-    comp_ids: list[int] = []
-    comp_w: list[float] = []
+    comp_ids: list[np.ndarray] = []
+    comp_w: list[np.ndarray] = []
     for j in range(1, gamma + 1):
-        four_j = 4**j
-        level = f_levels[j].tolist()
+        level = f_levels[j]
+        w = g.edge_w[level].astype(np.float64)
         kept, weights = compress(
-            level,
-            ((1 << j) * edge_w[e] for e in level),
-            (min(1.0, COMPRESSION_CONSTANT / (four_j * edge_w[e])) for e in level),
+            np.ldexp(w, j),
+            np.minimum(1.0, COMPRESSION_CONSTANT / np.ldexp(w, 2 * j)),
             rng.child(f"compress:{j}"),
         )
-        comp_ids += kept
-        comp_w += weights
+        comp_ids.append(level[kept])
+        comp_w.append(weights)
 
     if aside_ids is not None and len(aside_ids):
-        aside = aside_ids.tolist()
         kept, weights = compress(
-            aside,
-            (edge_w[e] for e in aside),
-            (min(1.0, COMPRESSION_CONSTANT / x) for x in d[aside_ids].tolist()),
+            g.edge_w[aside_ids].astype(np.float64),
+            np.minimum(1.0, COMPRESSION_CONSTANT / d[aside_ids].astype(np.float64)),
             rng.child("set-aside"),
         )
-        comp_ids += kept
-        comp_w += weights
+        comp_ids.append(aside_ids[kept])
+        comp_w.append(weights)
     t_compress = time.perf_counter() - t0
 
     # F_0 is kept verbatim.  The final leftover is kept, scaled up by the
@@ -331,12 +327,12 @@ def _algorithm_one(
     # bias every cut.)  Then the compressed edges.
     t0 = time.perf_counter()
     f0 = f_levels[0]
-    ids = np.concatenate([f0, y_ids, np.array(comp_ids, dtype=np.int64)])
+    ids = np.concatenate([f0, y_ids, *comp_ids])
     out_w = np.concatenate(
         [
             g.edge_w[f0].astype(np.float64),
             np.ldexp(g.edge_w[y_ids].astype(np.float64), gamma),
-            np.array(comp_w, dtype=np.float64),
+            *comp_w,
         ]
     )
     result = SparseGraph.from_arrays(n, g.edge_u[ids], g.edge_v[ids], out_w)
@@ -533,9 +529,8 @@ def approx_min_cut(
     if g.n < 2:
         raise ValueError("minimum cut needs at least two vertices")
     comp = _components(g)
-    if len(set(comp)) > 1:
-        side = [x for x in range(g.n) if comp[x] == comp[0]]
-        return CutSpec.from_vertices(side), 0.0
+    if comp.any():  # vertex 0's label is 0
+        return CutSpec.from_vertices(np.flatnonzero(comp == 0).tolist()), 0.0
     h, _ = sparsify(g, cfg)
     cut, _ = exact_min_cut(h)
     return cut, float(cut_weight(g, cut))

@@ -4,17 +4,22 @@ Everything here is deliberately independent of the library's fast paths: the
 packing oracle repeats standalone Kruskal passes over its own descending
 sort, the windowed oracle scans every edge per window with Python ints,
 edge connectivity enumerates cuts or runs a max-flow, the NI oracle scans
-every edge with its own heap push, the min-cut oracle runs Stoer-Wagner on
-Python numbers (exact on integer graphs), and the packing validators
-re-check forests edge by edge.  `rho_scale_for` pins a single round at a rho
+every edge with its own heap push, the components oracle searches adjacency
+lists breadth first, the min-cut oracle runs Stoer-Wagner on Python numbers
+(exact on integer graphs), the binomial oracle inverts each uniform with
+exact rational pmfs, and the packing validators re-check forests edge by
+edge.  `rho_scale_for` pins a single round at a rho
 other than practical mode's.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 from collections import deque
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from cutsparse.msf import (
     bottleneck_weights,
     msf_packing_bounded,
 )
-from cutsparse.oracles import ENUMERATION_LIMIT, _all_cut_weights, _components
+from cutsparse.oracles import ENUMERATION_LIMIT, _all_cut_weights
 from cutsparse.sparsify import rho
 
 
@@ -252,13 +257,36 @@ def oracle_ni_indices(g: WeightedGraph) -> list[int]:
     return levels
 
 
+def oracle_components(g: WeightedGraph | SparseGraph) -> list[int]:
+    """Component label per vertex by breadth-first search over adjacency
+    lists: the smallest vertex id in its component, since the searches start
+    at each still unlabelled vertex in id order."""
+    comp = [-1] * g.n
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    for start in range(g.n):
+        if comp[start] != -1:
+            continue
+        comp[start] = start
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if comp[y] == -1:
+                    comp[y] = start
+                    queue.append(y)
+    return comp
+
+
 def oracle_min_cut(g: WeightedGraph | SparseGraph) -> tuple[CutSpec, int | float]:
     """Stoer-Wagner on nested lists of Python numbers: exact on integer
     graphs, and on float graphs the same additions in the same order as the
     library's matrix version.  Ties in the maximum-adjacency order go to the
     smallest vertex id; disconnected input isolates vertex 0's component."""
     n = g.n
-    comp = _components(g)
+    comp = oracle_components(g)
     if len(set(comp)) > 1:
         side = [x for x in range(n) if comp[x] == comp[0]]
         return CutSpec.from_vertices(side), 0.0 if isinstance(g, SparseGraph) else 0
@@ -313,6 +341,42 @@ def binomial_pmf(n: int, p: float, k: int) -> float:
         + (n - k) * math.log1p(-p)
     )
     return math.exp(log_pmf)
+
+
+@lru_cache(maxsize=None)
+def _exact_inversion_table(n: int, p: float) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """The support of Binomial(n, p), 0 < p < 1, in the order mode, mode + 1,
+    mode - 1, mode + 2, ... (the mode as floats give it, floor((n + 1.0) * p),
+    like the library), with the exact running sums of its pmf."""
+    mode = min(math.floor((n + 1.0) * p), n)
+    order = [mode]
+    for step in range(1, n + 1):
+        order += [k for k in (mode + step, mode - step) if 0 <= k <= n]
+    pf = Fraction(p)
+    total = Fraction(0)
+    sums = []
+    for k in order:
+        total += math.comb(n, k) * pf**k * (1 - pf) ** (n - k)
+        sums.append(total)
+    return tuple(order), tuple(sums)
+
+
+def oracle_binomial_draws(trials: list[int], probs: list[float], seed: int) -> list[int]:
+    """Binomial(trials[i], probs[i]) draws by exact inversion, one uniform per
+    entry in order: uniform i is ((x >> 12) + 1/2) / 2^52, x the i-th
+    little-endian 64-bit word of SHAKE-128 over the seed's 8 little-endian
+    bytes.  p = 1 gives n and p = 0 gives 0, each still taking its uniform."""
+    raw = hashlib.shake_128(seed.to_bytes(8, "little")).digest(8 * len(trials))
+    out = []
+    for i, (n, p) in enumerate(zip(trials, probs)):
+        x = int.from_bytes(raw[8 * i : 8 * i + 8], "little")
+        u = Fraction(2 * (x >> 12) + 1, 1 << 53)
+        if p == 1.0 or n == 0 or p == 0.0:
+            out.append(n if p == 1.0 else 0)
+            continue
+        order, sums = _exact_inversion_table(n, p)
+        out.append(next(k for k, s in zip(order, sums) if s >= u))
+    return out
 
 
 # --- packing validators (used by invariant tests) ------------------------------

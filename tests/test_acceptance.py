@@ -21,7 +21,13 @@ from conftest import (
     random_graph,
     topology_gallery,
 )
-from reference import binomial_pmf, edge_connectivity, oracle_msf_packing, rho_scale_for
+from reference import (
+    binomial_pmf,
+    edge_connectivity,
+    oracle_binomial_draws,
+    oracle_msf_packing,
+    rho_scale_for,
+)
 from cutsparse import (
     CutSpec,
     SparseGraph,
@@ -40,7 +46,7 @@ from cutsparse import (
 from cutsparse.cli import main as cli_main
 from cutsparse.msf import OVER
 from cutsparse.oracles import _all_cut_weights
-from cutsparse.sampling import RngStream, binom_sample
+from cutsparse.sampling import RngStream, _binomial
 from cutsparse.sparsify import PRACTICAL_RHO, sparsify_once_with_report
 
 EPS = cal.PRACTICAL_EPSILON
@@ -114,29 +120,21 @@ def test_criterion_02_leftover_heaviness():
     _pass(2, "leftover-heaviness", f"{checked} edges across {runs} practical runs, zero violations")
 
 
-class _CountingStream:
-    def __init__(self, seed):
-        self._inner = RngStream(seed)
-        self.draws = 0
-
-    def uniform_open(self):
-        self.draws += 1
-        return self._inner.uniform_open()
-
-
 def test_criterion_03_binomial_sampler():
     draws = 100_000
+    checked = 1_000
     cells = 0
     worst_p = 1.0
     for n in (5, 10, 50, 64):
         for p in (0.05, 0.3, 0.5, 0.9):
-            rng = _CountingStream(910_000 + n * 100 + int(p * 100))
-            counts = [0] * (n + 1)
-            for _ in range(draws):
-                rng.draws = 0
-                k = binom_sample(n, p, rng)
-                assert rng.draws == k + 1
-                counts[k] += 1
+            rng = RngStream(910_000 + n * 100 + int(p * 100))
+            sample = _binomial(np.full(draws, float(n)), np.full(draws, p), rng)
+            # one uniform per edge: draw i is the exact inversion of the
+            # stream's i-th word
+            head = oracle_binomial_draws([n] * checked, [p] * checked, rng.seed)
+            assert sample[:checked].tolist() == head, (n, p)
+            counts = np.bincount(sample.astype(np.int64), minlength=n + 1).tolist()
+            assert len(counts) == n + 1
             expected = [draws * binomial_pmf(n, p, k) for k in range(n + 1)]
             obs, exp = [], []
             acc_o = acc_e = 0.0
@@ -154,7 +152,7 @@ def test_criterion_03_binomial_sampler():
             worst_p = min(worst_p, p_value)
             assert p_value > 1e-3, f"n={n} p={p}: chi-square p={p_value:.2e}"
             cells += 1
-    _pass(3, "binomial-sampler", f"{cells} grid cells, worst chi-square p={worst_p:.3g}, iterations always k+1")
+    _pass(3, "binomial-sampler", f"{cells} grid cells, worst chi-square p={worst_p:.3g}, one uniform per edge")
 
 
 def test_criterion_04_cut_preservation():

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -275,6 +277,44 @@ def cli_inputs(draw):
     if edges:
         edges += [edges[0]] * draw(st.sampled_from([0, 40, 400]))
     return WeightedGraph.from_edges(g.n, edges)
+
+
+# Imports the CLI, then sparsifies a graph by msf, ni and pipeline in one
+# process; prints the numpy.random modules loaded after the import and at the
+# end, and the output edge counts (below the input's 1305 when edges were
+# compressed).
+_IMPORT_PROBE = """
+import random, sys
+import cutsparse.cli as cli
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+from cutsparse import WeightedGraph, save_graph
+rng = random.Random(1)
+edges = [(u, v, rng.randint(1, 50)) for u in range(30) for v in range(u + 1, 30) for _ in range(3)]
+save_graph(WeightedGraph.from_edges(30, edges), sys.argv[1])
+for method, rho_scale in (("msf", "1e-7"), ("ni", "1e-4"), ("pipeline", "1e-4")):
+    argv = ["sparsify", "--input", sys.argv[1], "--output", sys.argv[2], "--method", method]
+    assert cli.main(argv + ["--epsilon", "0.5", "--rho-scale", rho_scale, "--seed", "1"]) == 0
+    with open(sys.argv[2]) as f:
+        print(method, f.readline().split()[1])
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+
+
+def test_numpy_random_is_never_loaded(tmp_path):
+    # importing numpy.random costs the process about 15 ms and 3 MB of
+    # resident memory; the compression stream needs only hashlib
+    src = Path(sys.modules["cutsparse"].__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "g.txt"), str(tmp_path / "h.txt")],
+        env={"PYTHONPATH": str(src), "PATH": ""},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out[0] == out[-1] == "[]"
+    kept = {line.split()[0]: int(line.split()[1]) for line in out[1:-1]}
+    assert set(kept) == {"msf", "ni", "pipeline"}
+    assert all(0 < m < 1305 for m in kept.values()), kept
 
 
 class TestSparsifyProperties:

@@ -53,22 +53,22 @@ CASES = {
     "sparsify-msf-polynomial": (
         "multi",
         ["sparsify", "--method", "msf", *PRACTICAL],
-        "447b609aeb80d9502719679779f36e1e734f9eb3c92a600881a42b0f95e91cae",
+        "1f3246b88abd6d02d311f2dd0217fe2491257e04feacff362fa9bf3f9e95dadb",
     ),
     "sparsify-msf-unbounded": (
         "layered",
         ["sparsify", "--method", "msf", *PRACTICAL],
-        "ae2cb029362574d77f714eecdbf6bdb40485da56a23a050d42dcbb03162cac6f",
+        "584095a467880949bca90f9b37a71b4aef0e01b42e39369e2f68e632047b5ce8",
     ),
     "sparsify-ni": (
         "multi",
         ["sparsify", "--method", "ni", *PRACTICAL],
-        "65d5acacc20be6fc3e540fd5e9621888a0a309f84247b339a54579baa429eb44",
+        "784400e5b687efaeda3d466063cf2448f9114f39e50933e1a3b1dc32a26fac52",
     ),
     "sparsify-pipeline": (
         "multi",
         ["sparsify", "--method", "pipeline", *PRACTICAL],
-        "f483b1e8c69ae0c0793e4c23cb6ecc311f218b3be7cd37dddce40bd64a978c98",
+        "82ad160d45b30f4934eeabc68455f184907b403d9765d00c4668cced8a59ec53",
     ),
     "mincut": (
         "dumbbell",

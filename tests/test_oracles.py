@@ -17,11 +17,13 @@ from cutsparse import (
     sparsify,
 )
 from cutsparse.msf import OVER
+from cutsparse.oracles import _components
 
 from conftest import complete_graph, dumbbell_graph, multi_complete_graph, random_graph
 from reference import (
     binomial_pmf,
     edge_connectivity,
+    oracle_components,
     oracle_min_cut,
     oracle_msf_packing,
     validate_msf_packing_forests,
@@ -198,6 +200,43 @@ class TestExactMinCutMatchesOracle:
     def test_integer_graphs_below_2_53(self, g):
         cut, value = exact_min_cut(g)
         assert (cut, value) == oracle_min_cut(g)
+
+
+@st.composite
+def scattered_multigraphs(draw) -> WeightedGraph:
+    """Multigraphs on 1..30 vertices with edges between any ids, repeated
+    pairs in both orientations, and isolated vertices anywhere."""
+    n = draw(st.integers(1, 30))
+    if n == 1:
+        return WeightedGraph.from_edges(1, [])
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)).map(
+        lambda p: (p[0], p[1] + (p[1] >= p[0]))
+    )
+    pairs = draw(st.lists(pair, max_size=3 * n))
+    pairs += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs), max_size=n))] if pairs else []
+    return WeightedGraph.from_edges(n, [(u, v, 1) for u, v in pairs])
+
+
+class TestComponents:
+    @settings(max_examples=400, deadline=None)
+    @given(g=scattered_multigraphs())
+    def test_matches_breadth_first_search(self, g):
+        assert _components(g).tolist() == oracle_components(g)
+
+    @pytest.mark.parametrize(
+        "n, edges, labels",
+        [
+            (1, [], [0]),
+            (2, [], [0, 1]),
+            (2, [(1, 0, 3)], [0, 0]),
+            (5, [], [0, 1, 2, 3, 4]),
+            # a path whose ids climb and fall needs more than one hooking round
+            (6, [(5, 1, 1), (1, 4, 1), (4, 0, 1), (3, 2, 1)], [0, 0, 2, 2, 0, 0]),
+        ],
+    )
+    def test_small_cases(self, n, edges, labels):
+        g = WeightedGraph.from_edges(n, edges)
+        assert _components(g).tolist() == labels == oracle_components(g)
 
 
 class TestEdgeConnectivity:

@@ -116,8 +116,8 @@ class TestEarlyOut:
 
 
 # Seeds of the pipeline's NI pass and of its msf round at SparsifyConfig(seed=3).
-_NI3 = 7599756012831973393
-_MSF3 = 33146477519560592
+_NI3 = 4247072778820483831
+_MSF3 = 2812530301099909221
 _MSF_OUT = "m=0 <= threshold 0"
 
 
