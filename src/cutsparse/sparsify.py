@@ -1,14 +1,17 @@
 """The sparsifier: level sampling with forest packings, edge compression,
-the iterated wrapper, the unbounded-weight adaptation, the real-weight
-reduction, the preprocess pipeline, and approximate min-cut.  `sparsify` is
-the one entry point; `SparsifyConfig.method` picks the sampler.
+the unbounded-weight adaptation, the real-weight reduction, and approximate
+min-cut.  `sparsify` is the one entry point.
 
-One run proceeds in two phases.  Phase one peels the edge set into levels:
-F_0 is the union of a floor(2*rho)-partial packing, and while the leftover
-set stays above 2*rho*n edges it is halved by fair coins and re-packed with
-twice as many forests.  Phase two keeps F_0 verbatim, keeps the final
-leftover scaled up by the elapsed halvings, and compresses each F_j edge
-binomially with trial count 2^j * w(e).
+A run is one schedule of rounds (see `sparsify`): a forest-index (NI)
+preprocessing pass, msf rounds of Algorithm 1 at tightening precision, or
+the NI pass followed by the msf rounds.
+
+One msf round proceeds in two phases.  Phase one peels the edge set into
+levels: F_0 is the union of a floor(2*rho)-partial packing, and while the
+leftover set stays above 2*rho*n edges it is halved by fair coins and
+re-packed with twice as many forests.  Phase two keeps F_0 verbatim, keeps
+the final leftover scaled up by the elapsed halvings, and compresses each F_j
+edge binomially with trial count 2^j * w(e).
 """
 
 from __future__ import annotations
@@ -145,24 +148,29 @@ class RunReport:
 def _round_report(
     g: WeightedGraph,
     cfg: SparsifyConfig,
-    eps_eff: float,
+    epsilon: float,
     seed: int,
     windowed: bool,
     method: str,
 ) -> RunReport:
-    """A round's report and rho: in practical mode exactly the method's target,
-    with the scale that gives it; in theory mode the method's formula at
-    cfg.rho_scale.  Below two vertices rho is undefined and stays 0."""
+    """A round at precision epsilon: its report and rho, in practical mode
+    exactly the method's target, with the scale that gives it; in theory mode
+    the method's formula at cfg.rho_scale.  Below two vertices rho is
+    undefined and stays 0."""
     if method == "ni":
-        formula, target = partial(preprocess_rho, g.n, eps_eff), PRACTICAL_NI_RHO
+        formula, target = partial(preprocess_rho, g.n, epsilon), PRACTICAL_NI_RHO
     else:
-        formula, target = partial(rho, g.n, eps_eff), PRACTICAL_RHO
+        if windowed:
+            # Looser per-level heaviness of the windowed estimate costs a
+            # factor sqrt(2) in precision, which doubles rho at the same eps.
+            epsilon /= math.sqrt(2.0)
+        formula, target = partial(rho, g.n, epsilon), PRACTICAL_RHO
     report = RunReport(
         n=g.n,
         m=g.m,
         w_max=g.max_weight(),
         epsilon=cfg.epsilon,
-        epsilon_effective=eps_eff,
+        epsilon_effective=epsilon,
         seed=seed,
         rho_scale=cfg.rho_scale,
         regime="unbounded" if windowed else "polynomial",
@@ -175,25 +183,6 @@ def _round_report(
             report.rho = target
         else:
             report.rho = formula(cfg.rho_scale)
-    return report
-
-
-def _refused_round(
-    g: SparseGraph,
-    cfg: SparsifyConfig,
-    eps_eff: float,
-    windowed: bool,
-    exc: WeightRangeError,
-    t_start: float,
-) -> RunReport:
-    """The report of an msf round that returns its input unchanged because
-    the reduce_real_weights call begun at t_start refused it.  A skipped
-    round adds no error."""
-    report = _round_report(g, cfg, eps_eff, cfg.seed, windowed, "msf")
-    report.early_out = True
-    report.early_out_reason = str(exc)
-    report.output_size = g.m
-    report.timings_ms["total"] = (time.perf_counter() - t_start) * 1e3
     return report
 
 
@@ -213,18 +202,18 @@ def early_out_threshold(n: int, m: int, epsilon: float, rho_val: float) -> float
 def _algorithm_one(
     g: WeightedGraph,
     cfg: SparsifyConfig,
-    eps_eff: float,
+    epsilon: float,
     rng: RngStream,
     *,
     windowed: bool,
     capture_levels: bool = False,
 ) -> tuple[SparseGraph, RunReport]:
     n, m = g.n, g.m
-    report = _round_report(g, cfg, eps_eff, cfg.seed, windowed, "msf")
+    report = _round_report(g, cfg, epsilon, cfg.seed, windowed, "msf")
     report.level_sets = [] if capture_levels else None
     t_start = time.perf_counter()
 
-    report.threshold = early_out_threshold(n, m, eps_eff, report.rho)
+    report.threshold = early_out_threshold(n, m, report.epsilon_effective, report.rho)
     if n < 2 or m <= report.threshold:
         report.early_out = True
         report.early_out_reason = f"m={m} <= threshold {report.threshold:g}"
@@ -370,62 +359,14 @@ def sparsify_unbounded_with_report(
     compressed directly against their bottleneck weight, the rest runs the
     standard levels with windowed index estimates."""
     cfg.validate()
-    # Looser per-level heaviness of the windowed estimate costs a factor
-    # sqrt(2) in precision, which doubles rho at the same epsilon.
-    eps_eff = cfg.epsilon / math.sqrt(2.0)
     return _algorithm_one(
         g,
         cfg,
-        eps_eff,
+        cfg.epsilon,
         RngStream(cfg.seed),
         windowed=True,
         capture_levels=capture_levels,
     )
-
-
-def _iterate(
-    g: WeightedGraph, cfg: SparsifyConfig, windowed: bool
-) -> tuple[SparseGraph, list[RunReport]]:
-    """Iterated sparsification with exponentially tightening precision.
-
-    Runs log*(m / (n log n / eps^2)) rounds, round i at eps / 2^(k-i+2); the
-    error products telescope below 1 +/- eps.
-    """
-    root = RngStream(cfg.seed)
-    n, m = g.n, g.m
-    if n >= 2 and m > 0:
-        k = max(1, log_star2(m / (n * math.log2(n) / cfg.epsilon**2)))
-    else:
-        k = 1
-
-    reports: list[RunReport] = []
-    scale_exp = 0
-    current = work = g
-    for i in range(1, k + 1):
-        eps_i = cfg.epsilon / 2.0 ** (k - i + 2)
-        # Chaining bridge: after round 1, half the round budget pays for
-        # re-rounding the previous round's rational weights, half for the
-        # round itself.
-        run_eps = eps_i if i == 1 else eps_i / 2.0
-        if windowed:
-            run_eps /= math.sqrt(2.0)
-        if i > 1:
-            t_start = time.perf_counter()
-            try:
-                work, r_i = reduce_real_weights(current, eps_i)
-            except WeightRangeError as exc:
-                # the later rounds, at a looser eps_i, try again
-                reports.append(_refused_round(current, cfg, run_eps, windowed, exc, t_start))
-                continue
-            scale_exp += r_i
-        current, rep = _algorithm_one(
-            work, cfg, run_eps, root.child(f"round:{i}"), windowed=windowed
-        )
-        reports.append(rep)
-
-    if scale_exp:
-        current = scale_back(current, scale_exp)
-    return current, reports
 
 
 def _ni_round(
@@ -449,30 +390,63 @@ def sparsify(
 ) -> tuple[SparseGraph, list[RunReport]]:
     """The sparsifier named by cfg.method, with one report per round.
 
-    The weight regime is settled once, on the input.  msf runs the iterated
-    wrapper; ni runs one preprocessing pass at cfg.epsilon; pipeline runs the
-    preprocessing pass, reduces to integers and runs the iterated wrapper,
-    splitting the budget eps/3 + eps/3 + eps/3.
+    The weight regime is settled once, on the input.  `ni` is one NI pass at
+    cfg.epsilon.  `msf` runs k = log*(m / (n log n / eps^2)) rounds, round i
+    at budget eps_i = eps / 2^(k-i+2), so the error products telescope below
+    1 +/- eps; each round after the first rounds its input to integers at
+    eps_i and samples at eps_i / 2.  `pipeline` is an NI pass at eps/3, then
+    `msf` at eps/3 with a seed of its own, whose first round rounds the NI
+    output at eps/3.  A rounding that does not fit 63 bits skips its round
+    with an early-out report; the next round, at a looser eps_i, tries again.
+    One scale-back by 2^-(sum of r) ends the run.
     """
     cfg.validate()
     windowed = g.m > 0 and g.max_weight() > g.n**POLY_WEIGHT_EXPONENT
-    if cfg.method == "msf":
-        return _iterate(g, cfg, windowed)
     if cfg.method == "ni":
         h, rep = _ni_round(g, cfg, cfg.epsilon, cfg.seed, windowed)
         return h, [rep]
-    eps3 = cfg.epsilon / 3.0
+    current, reports = g, []
+    first_rounding = None  # msf's input is integral already
+    if cfg.method == "pipeline":
+        root = RngStream(cfg.seed)
+        first_rounding = cfg.epsilon / 3.0
+        current, rep = _ni_round(
+            g, cfg, first_rounding, root.child("pipeline-preprocess").seed, windowed
+        )
+        reports.append(rep)
+        cfg = replace(cfg, epsilon=first_rounding, seed=root.child("pipeline-main").seed)
+
+    n, m = current.n, current.m
+    k = max(1, log_star2(m / (n * math.log2(n) / cfg.epsilon**2))) if n >= 2 and m > 0 else 1
+    budgets = [cfg.epsilon / 2.0 ** (k - i + 2) for i in range(1, k + 1)]
+    # per round: the precision it samples at, and the one it rounds at (or None)
+    schedule = [(budgets[0], first_rounding)] + [(e / 2.0, e) for e in budgets[1:]]
     root = RngStream(cfg.seed)
-    pre, rep = _ni_round(g, cfg, eps3, root.child("pipeline-preprocess").seed, windowed)
-    cfg_main = replace(cfg, epsilon=eps3, seed=root.child("pipeline-main").seed)
-    t_start = time.perf_counter()
-    try:
-        g_int, r = reduce_real_weights(pre, eps3)
-    except WeightRangeError as exc:
-        # the NI output is already a (1 +/- eps/3)-sparsifier
-        return pre, [rep, _refused_round(pre, cfg_main, eps3, windowed, exc, t_start)]
-    h, reports = _iterate(g_int, cfg_main, windowed)
-    return scale_back(h, r), [rep] + reports
+    scale_exp = 0
+    for i, (run_eps, round_eps) in enumerate(schedule, 1):
+        work = current
+        if round_eps is not None:
+            t_start = time.perf_counter()
+            try:
+                work, r = reduce_real_weights(current, round_eps)
+            except WeightRangeError as exc:
+                rep = _round_report(current, cfg, run_eps, cfg.seed, windowed, "msf")
+                rep.early_out, rep.early_out_reason = True, str(exc)
+                rep.output_size = current.m
+                rep.timings_ms["total"] = (time.perf_counter() - t_start) * 1e3
+                reports.append(rep)
+                continue
+            scale_exp += r
+            reduce_ms = (time.perf_counter() - t_start) * 1e3
+        rng = root.child(f"round:{i}")
+        current, rep = _algorithm_one(work, cfg, run_eps, rng, windowed=windowed)
+        if round_eps is not None:
+            rep.timings_ms["reduce"] = reduce_ms
+            rep.timings_ms["total"] += reduce_ms
+        reports.append(rep)
+    if scale_exp:
+        current = scale_back(current, scale_exp)
+    return current, reports
 
 
 # The benchmark's tracer hooks this name and reads result[1], the reports.

@@ -201,7 +201,26 @@ class TestSparsifyCommand:
         for rnd in exercised:
             assert len(rnd["levels"]) == rnd["gamma"] + 1
             assert rnd["early_out_reason"] is None
-        assert set(payload["timings_ms"]) == {"load", "save"}
+        assert set(payload["timings_ms"]) == {"load", "save", "total"}
+
+    @pytest.mark.parametrize("method", ["msf", "ni", "pipeline"])
+    def test_report_timings_add_up(self, multigraph_file, tmp_path, method):
+        report = tmp_path / "report.json"
+        rc = main(
+            ["sparsify", "--input", str(multigraph_file),
+             "--output", str(tmp_path / "h.txt"), "--epsilon", "0.5", "--seed", "3",
+             "--rho-scale", "1e-6", "--method", method, "--report", str(report)]
+        )
+        assert rc == 0
+        payload = json.loads(report.read_text())
+        round_totals = 0.0
+        for rnd in payload["rounds"]:
+            stages = dict(rnd["timings_ms"])
+            total = stages.pop("total")
+            assert sum(stages.values()) <= total
+            round_totals += total
+        top = payload["timings_ms"]
+        assert top["total"] >= top["load"] + top["save"] + round_totals
 
     def test_methods_run(self, multigraph_file, tmp_path):
         for method in ("msf", "ni", "pipeline"):

@@ -22,6 +22,7 @@ from cutsparse import (
     sparsify,
 )
 from cutsparse.msf import OVER
+from cutsparse.sampling import RngStream
 from cutsparse.sparsify import (
     early_out_threshold,
     log_star2,
@@ -182,7 +183,9 @@ class TestDegenerateRounds:
             in self.EXPECTED[n, method, mode]
         ]
         got = [r.to_dict() for r in reports]
-        stages = {"msf": {"total"}, "ni": {"indices", "compression", "total"}}
+        # the pipeline's msf round rounds the NI output first
+        msf_stages = {"reduce", "total"} if method == "pipeline" else {"total"}
+        stages = {"msf": msf_stages, "ni": {"indices", "compression", "total"}}
         assert [set(d.pop("timings_ms")) for d in got] == [stages[d["method"]] for d in got]
         assert got == expected
 
@@ -338,6 +341,13 @@ class TestSparsifyWrapper:
                 assert len(reports) > 1, name
                 assert [r.regime for r in reports] == ["polynomial"] * len(reports), (name, seed)
 
+    def test_every_rounding_is_timed(self):
+        g = multi_complete_graph(12, 30, 8, seed=101)
+        _, reports = sparsify(g, SparsifyConfig(epsilon=0.5, seed=1, mode="practical"))
+        assert len(reports) == 3
+        # round 1 takes the integer input as it is; the others round theirs
+        assert ["reduce" in r.timings_ms for r in reports] == [False, True, True]
+
     def test_practical_mode_runs_every_round_at_rho_8(self):
         g = multi_complete_graph(12, 30, 8, seed=101)
         _, reports = sparsify(g, SparsifyConfig(epsilon=0.5, seed=1, mode="practical"))
@@ -489,6 +499,31 @@ class TestPipeline:
         cfg = SparsifyConfig(epsilon=0.5, seed=6, method="pipeline", mode="practical")
         assert sparsify(g, cfg)[0].edges() == sparsify(g, cfg)[0].edges()
 
+    def test_one_scale_back_undoes_every_rounding(self):
+        # NI samples at this rho_scale, so its output weights are not dyadic,
+        # and every msf round takes the early out: the output is the NI
+        # output rounded at each round's precision, then scaled back once
+        g = multi_complete_graph(6, 80, 5, seed=1)
+        cfg = SparsifyConfig(epsilon=0.9, seed=1, rho_scale=0.01, method="pipeline")
+        h, reports = sparsify(g, cfg)
+        eps3 = cfg.epsilon / 3
+        ni_seed = RngStream(cfg.seed).child("pipeline-preprocess").seed
+        pre, _ = sparsify(g, replace(cfg, epsilon=eps3, seed=ni_seed, method="ni"))
+        k = max(1, log_star2(pre.m / (pre.n * math.log2(pre.n) / eps3**2)))
+        assert k >= 2
+        assert [r.method for r in reports] == ["ni"] + ["msf"] * k
+        assert all(r.early_out and "reduce" in r.timings_ms for r in reports[1:])
+        current, exponents = pre, []
+        for eps in [eps3] + [eps3 / 2 ** (k - i + 2) for i in range(2, k + 1)]:
+            g_int, r = reduce_real_weights(current, eps)
+            current = SparseGraph.from_arrays(g_int.n, g_int.edge_u, g_int.edge_v, g_int.edge_w)
+            exponents.append(r)
+        assert len(set(exponents)) > 1
+        expected = scale_back(current, sum(exponents))
+        assert not np.array_equal(expected.edge_w, pre.edge_w)  # the rounding shows
+        assert np.array_equal(h.edge_u, pre.edge_u) and np.array_equal(h.edge_v, pre.edge_v)
+        assert h.edge_w.tobytes() == expected.edge_w.tobytes()
+
     def test_cut_preservation_practical_mode(self):
         # n=12: all cuts within the calibrated tolerance on >= 95% of seeds
         from cutsparse.oracles import _all_cut_weights
@@ -521,6 +556,30 @@ class TestWeightRangeRefusal:
         assert refused.early_out_reason == "weight range too wide to round into 63 bits at this epsilon"
         assert refused.m == refused.output_size == first.output_size
         assert set(refused.timings_ms) == {"total"}
+
+    def test_each_skipped_round_reports_its_own_precision(self):
+        # 1,200 unit parallels leave the pipeline's NI output dense enough
+        # for several msf rounds, each of which the 63-bit rounding refuses
+        g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, (1 << 63) - 1)] + [(0, 1, 1)] * 1200)
+        cfg = SparsifyConfig(epsilon=0.5, method="pipeline")
+        h, reports = sparsify(g, cfg)
+        eps3 = cfg.epsilon / 3
+        ni_seed = RngStream(cfg.seed).child("pipeline-preprocess").seed
+        pre, _ = sparsify(g, replace(cfg, epsilon=eps3, seed=ni_seed, method="ni"))
+        assert h.edges() == pre.edges()
+        assert h.edge_w.tobytes() == pre.edge_w.tobytes()
+
+        k = max(1, log_star2(pre.m / (3 * math.log2(3) / eps3**2)))
+        assert k >= 2
+        assert [r.method for r in reports] == ["ni"] + ["msf"] * k
+        budgets = [eps3 / 2 ** (k - i + 2) for i in range(1, k + 1)]
+        for rep, eps in zip(reports[1:], [budgets[0]] + [b / 2 for b in budgets[1:]]):
+            eps_eff = eps / math.sqrt(2.0)  # W > n^4: the windowed regime
+            assert rep.early_out and rep.regime == "unbounded"
+            assert rep.early_out_reason == "weight range too wide to round into 63 bits at this epsilon"
+            assert rep.epsilon_effective == pytest.approx(eps_eff, rel=1e-12)
+            assert rep.rho == pytest.approx(rho(3, eps_eff), rel=1e-12)
+            assert rep.m == rep.output_size == pre.m
 
     def test_only_the_refusal_is_caught(self, monkeypatch):
         def broken(g_real, epsilon):
