@@ -11,20 +11,13 @@ from .graph import (
     load_sparse,
     save_graph,
 )
-from .msf import (
-    OVER,
-    bottleneck_weights,
-    msf_packing_bounded,
-    msf_packing_windowed,
-)
+from .msf import OVER, msf_packing_bounded
 from .oracles import CutReport, check_sparsifier, exact_min_cut
 from .sparsify import (
     LevelOverflowError,
     RunReport,
     SparsifyConfig,
     approx_min_cut,
-    reduce_real_weights,
-    scale_back,
     sparsify,
 )
 
@@ -42,16 +35,12 @@ __all__ = [
     "SparsifyConfig",
     "WeightedGraph",
     "approx_min_cut",
-    "bottleneck_weights",
     "check_sparsifier",
     "cut_weight",
     "exact_min_cut",
     "load_graph",
     "load_sparse",
     "msf_packing_bounded",
-    "msf_packing_windowed",
-    "reduce_real_weights",
     "save_graph",
-    "scale_back",
     "sparsify",
 ]

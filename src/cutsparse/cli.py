@@ -72,15 +72,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _build_config(args: argparse.Namespace, method: str = "msf") -> SparsifyConfig:
     theory = args.rho_scale is not None
-    cfg = SparsifyConfig(
+    return SparsifyConfig(
         epsilon=args.epsilon,
         seed=args.seed,
         rho_scale=args.rho_scale if theory else 1.0,
         method=method,
         mode="theory" if theory else args.mode,
     )
-    cfg.validate()
-    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,13 +28,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _column(values, dtype, overflow: str) -> np.ndarray:
-    """A read-only copy of one edge column; `overflow` is the message for
-    integers beyond int64."""
+def _column(values, dtype, message: str) -> np.ndarray:
+    """A read-only copy of one edge column; `message` is the error for a
+    value the cast would change in an int64 column (a fraction, a NaN, or a
+    value beyond int64) or cannot hold in a float64 one."""
+    src = np.asarray(values)
     try:
-        return _frozen(np.array(values, dtype=dtype))
+        if dtype is np.float64 or src.dtype == dtype:
+            return _frozen(src.astype(dtype))
+        with np.errstate(invalid="ignore"):  # a float beyond int64 casts to garbage
+            column = src.astype(dtype)
     except OverflowError:
-        raise ValueError(overflow) from None
+        raise ValueError(message) from None
+    # any other dtype into int64 (float, uint64, object): compare every value exactly
+    if not np.array_equal(column.astype(object), src.astype(object)):
+        raise ValueError(message)
+    return _frozen(column)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 """The sparsifier: level sampling with forest packings, edge compression,
 the unbounded-weight adaptation, the real-weight reduction, and approximate
-min-cut.  `sparsify` is the one entry point.
+min-cut.  `sparsify(g, SparsifyConfig)` is the one entry point, and a
+`SparsifyConfig` checks its values when it is built (`replace` included).
 
 A run is one schedule of rounds (see `sparsify`): a forest-index (NI)
 preprocessing pass, msf rounds of Algorithm 1 at tightening precision, or
@@ -93,6 +94,9 @@ class SparsifyConfig:
     rho_scale: float = 1.0
     method: str = "msf"
     mode: str = "theory"
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not (0.0 < self.epsilon < 1.0):
@@ -337,28 +341,14 @@ def _algorithm_one(
     return result, report
 
 
-def sparsify_once_with_report(
-    g: WeightedGraph, cfg: SparsifyConfig, capture_levels: bool = False
-) -> tuple[SparseGraph, RunReport]:
-    """One run of Algorithm 1, the level-sampling sparsifier, at cfg.epsilon."""
-    cfg.validate()
-    return _algorithm_one(
-        g,
-        cfg,
-        cfg.epsilon,
-        RngStream(cfg.seed),
-        windowed=False,
-        capture_levels=capture_levels,
-    )
-
-
 def sparsify_unbounded_with_report(
     g: WeightedGraph, cfg: SparsifyConfig, capture_levels: bool = False
 ) -> tuple[SparseGraph, RunReport]:
-    """Unbounded-weight Algorithm 1: edges no heavier than d(e)/n are
-    compressed directly against their bottleneck weight, the rest runs the
-    standard levels with windowed index estimates."""
-    cfg.validate()
+    """One unbounded-weight round of Algorithm 1 at cfg.epsilon: edges no
+    heavier than d(e)/n are compressed directly against their bottleneck
+    weight, the rest runs the standard levels with windowed index estimates.
+    `sparsify` is the library's entry point; this single round is kept only
+    because perfbench/test_perfbench.py imports it."""
     return _algorithm_one(
         g,
         cfg,
@@ -400,7 +390,6 @@ def sparsify(
     with an early-out report; the next round, at a looser eps_i, tries again.
     One scale-back by 2^-(sum of r) ends the run.
     """
-    cfg.validate()
     windowed = g.m > 0 and g.max_weight() > g.n**POLY_WEIGHT_EXPONENT
     if cfg.method == "ni":
         h, rep = _ni_round(g, cfg, cfg.epsilon, cfg.seed, windowed)

@@ -1,7 +1,8 @@
 """Calibration driver for the practical-mode cut-preservation tolerances.
 
-Run manually (`python tests/calibrate_criterion4.py [seeds]`); the locked
-results live in tests/calibration.py and the acceptance suite re-checks them.
+Run it from the repository root (`python tests/calibrate_criterion4.py
+[seeds]`; CI runs it at 2 seeds as a smoke check); the locked results live
+in tests/calibration.py and the acceptance suite re-checks them.
 """
 
 import sys
@@ -10,9 +11,9 @@ import time
 sys.path.insert(0, "tests")
 
 from conftest import topology_gallery
+from reference import single_round
 from cutsparse import SparsifyConfig
 from cutsparse.oracles import _all_cut_weights
-from cutsparse.sparsify import sparsify_once_with_report
 
 
 def main() -> None:
@@ -27,7 +28,7 @@ def main() -> None:
         t0 = time.perf_counter()
         for seed in range(seeds):
             cfg = SparsifyConfig(epsilon=eps, seed=seed, mode="practical")
-            h, _ = sparsify_once_with_report(g, cfg)
+            h, _ = single_round(g, cfg)
             out = _all_cut_weights(h)[1:]
             errors.append(float(max(abs(out / base - 1.0))))
         dt = (time.perf_counter() - t0) * 1e3 / seeds

@@ -8,8 +8,10 @@ every edge with its own heap push, the components oracle searches adjacency
 lists breadth first, the min-cut oracle runs Stoer-Wagner on Python numbers
 (exact on integer graphs), the binomial oracle inverts each uniform with
 exact rational pmfs, and the packing validators re-check forests edge by
-edge.  `rho_scale_for` pins a single round at a rho
-other than practical mode's.
+edge.  `single_round` is the exception: it runs the library's own round of
+Algorithm 1 at the config's full epsilon, the harness the single-round tests
+need.  `rho_scale_for` pins such a round at a rho other than practical
+mode's.
 """
 
 from __future__ import annotations
@@ -34,7 +36,18 @@ from cutsparse.msf import (
     msf_packing_bounded,
 )
 from cutsparse.oracles import ENUMERATION_LIMIT, _all_cut_weights
-from cutsparse.sparsify import rho
+from cutsparse.sampling import RngStream
+from cutsparse.sparsify import RunReport, SparsifyConfig, _algorithm_one, rho
+
+
+def single_round(
+    g: WeightedGraph, cfg: SparsifyConfig, *, windowed: bool = False, capture_levels: bool = False
+) -> tuple[SparseGraph, RunReport]:
+    """One round of Algorithm 1 at cfg.epsilon on the stream RngStream(cfg.seed),
+    with exact (polynomial) or windowed (unbounded) packings."""
+    return _algorithm_one(
+        g, cfg, cfg.epsilon, RngStream(cfg.seed), windowed=windowed, capture_levels=capture_levels
+    )
 
 
 def rho_scale_for(n: int, epsilon: float, target: float) -> float:

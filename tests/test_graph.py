@@ -207,6 +207,33 @@ class TestArrayConstructor:
         with pytest.raises(ValueError):
             WeightedGraph.from_edges(2, [(0, 1, 1 << 63)])
 
+    @pytest.mark.parametrize(
+        "w",
+        [np.array([2.5]), [1.5], np.array([1e19]), np.array([1 << 63], dtype=np.uint64), [math.nan]],
+        ids=["fraction", "list-fraction", "float-1e19", "uint64-2^63", "nan"],
+    )
+    def test_weights_the_int64_cast_would_change(self, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the cast must not warn either
+            with pytest.raises(ValueError, match=r"outside \[1, 2\^63-1\]"):
+                WeightedGraph.from_arrays(2, [0], [1], w)
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [([0.5], [1.9]), (np.array([0.0]), np.array([1.5])),
+         (np.array([0], dtype=np.uint64), np.array([1 << 63], dtype=np.uint64))],
+        ids=["list-fraction", "float-fraction", "uint64-2^63"],
+    )
+    @pytest.mark.parametrize("cls", [WeightedGraph, SparseGraph])
+    def test_endpoints_the_int64_cast_would_change(self, cls, u, v):
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            cls.from_arrays(3, u, v, [1])
+
+    def test_integral_columns_of_other_dtypes_are_kept(self):
+        u, v = np.array([0.0, 1.0]), np.array([1, 2], dtype=np.uint64)
+        g = WeightedGraph.from_arrays(3, u, v, np.array([2.0, 2.0**62]))
+        assert g.edges() == [(0, 1, 2), (1, 2, 1 << 62)]
+
     @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, 0.0, -0.5, 10**400])
     def test_sparse_rejects_non_finite_or_non_positive(self, w):
         with pytest.raises(ValueError):

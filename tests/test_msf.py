@@ -5,14 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutsparse import (
-    MAX_WEIGHT,
-    WeightedGraph,
-    bottleneck_weights,
-    msf_packing_bounded,
-    msf_packing_windowed,
-)
-from cutsparse.msf import OVER
+from cutsparse import MAX_WEIGHT, WeightedGraph, msf_packing_bounded
+from cutsparse.msf import OVER, bottleneck_weights, msf_packing_windowed
 
 from conftest import complete_graph, multigraphs, random_graph
 from reference import (

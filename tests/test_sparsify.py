@@ -17,8 +17,6 @@ from cutsparse import (
     cut_weight,
     exact_min_cut,
     msf_packing_bounded,
-    reduce_real_weights,
-    scale_back,
     sparsify,
 )
 from cutsparse.msf import OVER
@@ -26,9 +24,9 @@ from cutsparse.sampling import RngStream
 from cutsparse.sparsify import (
     early_out_threshold,
     log_star2,
+    reduce_real_weights,
     rho,
-    sparsify_once_with_report,
-    sparsify_unbounded_with_report,
+    scale_back,
 )
 
 from conftest import (
@@ -39,7 +37,7 @@ from conftest import (
     topology_gallery,
     wide_range_graph,
 )
-from reference import edge_connectivity, rho_scale_for
+from reference import edge_connectivity, rho_scale_for, single_round
 
 
 def practical_cfg(g, epsilon=0.5, seed=0, target_rho=None, **kw):
@@ -91,6 +89,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             SparsifyConfig(epsilon=0.5, mode="practical", rho_scale=0.5).validate()
 
+    def test_valid_by_construction(self):
+        # no validate() call: building a config, or replacing a field, checks it
+        cfg = SparsifyConfig(epsilon=0.5)
+        with pytest.raises(ValueError, match="epsilon"):
+            SparsifyConfig(epsilon=1.5)
+        with pytest.raises(ValueError, match="epsilon"):
+            replace(cfg, epsilon=1.5)
+        with pytest.raises(ValueError, match="theory mode"):
+            replace(SparsifyConfig(epsilon=0.5, mode="practical"), rho_scale=0.5)
+
     def test_log_star(self):
         assert log_star2(0.5) == 0
         assert log_star2(2.0) == 1
@@ -103,7 +111,7 @@ class TestEarlyOut:
         for seed in (1, 2):
             g = random_graph(40, 300, 1000, seed=seed)
             cfg = SparsifyConfig(epsilon=0.5, seed=seed)
-            h, rep = sparsify_once_with_report(g, cfg)
+            h, rep = single_round(g, cfg)
             assert h.edges() == as_float_edges(g)
             assert rep.early_out
             assert rep.early_out_reason == f"m=300 <= threshold {rep.threshold:g}"
@@ -194,21 +202,21 @@ class TestSparsifyOnce:
         # rho(12, 0.5, 1, 8 / rho(12, 0.5)) is 7.999999999999999, whose floor(2 rho)
         # would pack 15 forests
         g = multi_complete_graph(12, 30, 8, seed=3)
-        _, rep = sparsify_once_with_report(g, practical_cfg(g, seed=1))
+        _, rep = single_round(g, practical_cfg(g, seed=1))
         assert rep.rho == 8.0
         assert rep.levels[0].forests == 16
         assert rep.levels[1].forests == 32
 
     def test_timings_cover_every_stage(self):
         g = multi_complete_graph(12, 30, 8, seed=3)
-        for run in (sparsify_once_with_report, sparsify_unbounded_with_report):
-            _, rep = run(g, practical_cfg(g, seed=1))
+        for windowed in (False, True):
+            _, rep = single_round(g, practical_cfg(g, seed=1), windowed=windowed)
             assert not rep.early_out
             assert rep.early_out_reason is None
             assert set(rep.timings_ms) == {
                 "packing", "sampling", "compression", "bottleneck", "assembly", "total"
             }
-            assert (rep.timings_ms["bottleneck"] > 0) == (run is sparsify_unbounded_with_report)
+            assert (rep.timings_ms["bottleneck"] > 0) == windowed
 
     @pytest.mark.parametrize("method", ["ni", "pipeline"])
     def test_ni_round_timings_add_up(self, method):
@@ -223,7 +231,7 @@ class TestSparsifyOnce:
     def test_exercised_run_shrinks_and_preserves_cuts(self):
         g = multi_complete_graph(12, 30, 8, seed=3)  # m = 1980
         cfg = practical_cfg(g, seed=11)
-        h, rep = sparsify_once_with_report(g, cfg)
+        h, rep = single_round(g, cfg)
         assert not rep.early_out
         assert rep.gamma >= 1
         assert h.m < g.m
@@ -233,15 +241,15 @@ class TestSparsifyOnce:
     def test_determinism(self):
         g = multi_complete_graph(10, 20, 5, seed=4)
         cfg = practical_cfg(g, seed=21)
-        first = sparsify_once_with_report(g, cfg)[0].edges()
-        assert sparsify_once_with_report(g, cfg)[0].edges() == first
-        assert sparsify_once_with_report(g, replace(cfg, seed=22))[0].edges() != first
+        first = single_round(g, cfg)[0].edges()
+        assert single_round(g, cfg)[0].edges() == first
+        assert single_round(g, replace(cfg, seed=22))[0].edges() != first
 
     def test_larger_graph_shrinks(self):
         # n=64, m=1500 at rho = 4: real sampling, sampled cuts stay sane
         g = random_graph(64, 1500, 100, seed=5)
         cfg = practical_cfg(g, target_rho=4.0, seed=7)
-        h, rep = sparsify_once_with_report(g, cfg)
+        h, rep = single_round(g, cfg)
         assert not rep.early_out
         assert h.m < g.m
         rng = np.random.default_rng(0)
@@ -256,7 +264,7 @@ class TestSparsifyOnce:
     def test_level_structure_invariants(self):
         g = multi_complete_graph(8, 40, 6, seed=6)  # m = 1120
         cfg = practical_cfg(g, target_rho=4.0, seed=13)
-        h, rep = sparsify_once_with_report(g, cfg, capture_levels=True)
+        h, rep = single_round(g, cfg, capture_levels=True)
         assert not rep.early_out
         assert len(rep.level_sets) == rep.gamma + 1
         for i, sets in enumerate(rep.level_sets):
@@ -277,7 +285,7 @@ class TestSparsifyOnce:
         # w(e) * (forest count)-heavy among the at-least-as-heavy X_i edges
         g = multi_complete_graph(8, 20, 4, seed=7)  # m = 560... below threshold?
         cfg = practical_cfg(g, target_rho=2.0, seed=17)
-        h, rep = sparsify_once_with_report(g, cfg, capture_levels=True)
+        h, rep = single_round(g, cfg, capture_levels=True)
         assert not rep.early_out
         checked = 0
         for i, sets in enumerate(rep.level_sets):
@@ -300,7 +308,7 @@ class TestSparsifyOnce:
         g = multi_complete_graph(8, 40, 4, seed=8)
         cfg = practical_cfg(g, target_rho=2.0, seed=19)
         with pytest.raises(LevelOverflowError, match=f"guard {g.m.bit_length() + 64} "):
-            sparsify_once_with_report(g, cfg)
+            single_round(g, cfg)
 
 
 class TestSparsifyWrapper:
@@ -437,10 +445,10 @@ class TestUnbounded:
         eps = 0.5
         scale = rho_scale_for(g.n, eps / math.sqrt(2), 1.5)
         cfg = SparsifyConfig(epsilon=eps, seed=23, rho_scale=scale)
-        h_unbounded, rep = sparsify_unbounded_with_report(g, cfg)
+        h_unbounded, rep = single_round(g, cfg, windowed=True)
         assert rep.set_aside_count == 0
         cfg_poly = replace(cfg, epsilon=eps / math.sqrt(2))
-        h_once, _ = sparsify_once_with_report(g, cfg_poly)
+        h_once, _ = single_round(g, cfg_poly)
         assert h_unbounded.edges() == h_once.edges()
 
     def test_bridge_between_cliques_not_set_aside(self):
@@ -448,7 +456,7 @@ class TestUnbounded:
         g = dumbbell_graph(6)
         scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 0.4)
         cfg = SparsifyConfig(epsilon=0.5, seed=1, rho_scale=scale)
-        _, rep = sparsify_unbounded_with_report(g, cfg)
+        _, rep = single_round(g, cfg, windowed=True)
         assert rep.set_aside_count == 0
 
     def test_heavy_clique_with_light_chord_sets_aside(self):
@@ -460,7 +468,7 @@ class TestUnbounded:
         g = WeightedGraph.from_edges(8, edges)
         scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 0.8)
         cfg = SparsifyConfig(epsilon=0.5, seed=2, rho_scale=scale)
-        h, rep = sparsify_unbounded_with_report(g, cfg)
+        h, rep = single_round(g, cfg, windowed=True)
         assert not rep.early_out
         assert rep.set_aside_count == 1
         # p = (384/169)/2^60 makes the chord vanish for any realistic seed
@@ -470,8 +478,8 @@ class TestUnbounded:
         g = multi_complete_graph(8, 12, 1 << 40, seed=14)
         scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 1.0)
         cfg = SparsifyConfig(epsilon=0.5, seed=31, rho_scale=scale)
-        first = sparsify_unbounded_with_report(g, cfg)[0].edges()
-        assert sparsify_unbounded_with_report(g, cfg)[0].edges() == first
+        first = single_round(g, cfg, windowed=True)[0].edges()
+        assert single_round(g, cfg, windowed=True)[0].edges() == first
 
 
 class TestNiRound:
