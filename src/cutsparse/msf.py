@@ -8,7 +8,8 @@ list-backed union-find forests, allocated as the packing first reaches them.
 The bottleneck weights come from their own descending Kruskal pass over a
 union-by-size forest that keeps the order of its unions.  A windowed
 estimator rescales extreme weight ranges into polynomial bands and reads
-exact packings there.
+exact packings there; its domain, the edges with n*w(e) > d(e), is the one
+place the unbounded regime's set-aside rule lives.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ class MsfPacking:
 
 @dataclass(frozen=True)
 class EstimatedMsfPacking:
-    """Windowed estimate: levels are only meaningful where covered is True."""
+    """Windowed estimate: levels are only meaningful where covered is True.
+    The uncovered edges (n*w(e) <= d(e)) are the ones to set aside."""
 
     M: int
     levels: np.ndarray  # int64 per edge; 1..M or OVER where covered
     covered: np.ndarray  # bool per edge; the estimator's domain
+    d: np.ndarray  # int64 per edge; bottleneck weights in the graph estimated
 
 
 def _descending_order(w: np.ndarray) -> list[int]:
@@ -192,15 +195,20 @@ def _round_half_up(num: int, den: int) -> int:
 
 
 def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
-    """Estimated MSF indices for the edges with w(e) > d(e)/n.
+    """Estimated MSF indices for the covered edges, those with w(e) > d(e)/n.
 
-    Windows are processed from the largest uncovered d(e) downward.  Window D
-    drops edges not heavier than D/n**2, rescales weights in (D/n**2, D] by
-    n**3/D (round half up), caps everything heavier than D at n**3 + 1, and
-    reads the exact packing of that rescaled graph.  Each edge is covered by
-    the first window whose (D/n, D] interval contains its d(e).  d is taken
-    in `g` itself: for the working set of a later level it differs from the
-    whole input's d, so it cannot be computed once and passed down.
+    Coverage is decided once, up front, and windows pack covered edges only.
+    Windows are processed from the largest d(e) not yet reached downward.
+    Window D drops edges not heavier than D/n**2, rescales weights in
+    (D/n**2, D] by n**3/D (round half up), caps everything heavier than D at
+    n**3 + 1, and reads the exact packing of that rescaled graph.  Each
+    covered edge takes its level from the first window whose (D/n, D]
+    interval contains its d(e); at M = 0 no window is packed and every
+    covered edge is OVER.  d is taken in `g` itself: for the working set of
+    a later level it differs from the whole input's d, so it cannot be
+    computed once and passed down.  An uncovered edge is never a Kruskal
+    forest edge (those have d = w), so dropping the uncovered edges changes
+    no other edge's d, level or window.
 
     Capping (rather than contracting) the heavy edges keeps their
     multiplicities honest: the window's forests are genuine subgraphs of the
@@ -209,24 +217,24 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     single heavy edge impersonate arbitrarily many disjoint routes through a
     merged blob and overstate the index.
     """
-    if M < 1:
-        raise ValueError(f"forest count must be >= 1, got {M}")
-    n, m = g.n, g.m
-    levels = np.zeros(m, dtype=np.int64)
-    covered = np.zeros(m, dtype=bool)
+    if M < 0:
+        raise ValueError(f"forest count must be >= 0, got {M}")
+    n = g.n
     w = g.edge_w
     d = bottleneck_weights(g)
     cap = n**3 + 1  # sorts above every rescaled in-window weight, stays < n**4
 
     # For positive integers k*x > y exactly when x > y // k, so the weight
     # tests below stay in int64 without overflow.
-    pending = w > d // n
-    while pending.any():
+    covered = w > d // n
+    levels = np.where(covered, OVER, 0)
+    pending = covered.copy()
+    while M and pending.any():
         D = int(d[pending].max())
         batch = pending & (d > D // n)
         pending &= ~batch
 
-        window = w > D // (n * n)
+        window = covered & (w > D // (n * n))
         assert window[batch].all(), "covered edge must survive into its window"
         idx = np.flatnonzero(window)
         window_graph = WeightedGraph.from_arrays(
@@ -237,6 +245,5 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
         )
         packing = msf_packing_bounded(window_graph, M)
         levels[batch] = packing.levels[np.searchsorted(idx, np.flatnonzero(batch))]
-        covered |= batch
 
-    return EstimatedMsfPacking(M=M, levels=levels, covered=covered)
+    return EstimatedMsfPacking(M=M, levels=levels, covered=covered, d=d)

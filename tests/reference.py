@@ -100,21 +100,26 @@ def oracle_msf_packing(g: WeightedGraph, M: int) -> MsfPacking:
 
 def windowed_loop_msf_packing(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     """The windowed estimator as a per-edge loop: pending edges in descending
-    d order, a batch per window, and a scan of all m edges per window."""
-    if M < 1:
-        raise ValueError(f"forest count must be >= 1, got {M}")
+    d order, a batch per window, and a scan of the covered edges per window
+    (none at M = 0, where every covered edge is OVER)."""
+    if M < 0:
+        raise ValueError(f"forest count must be >= 0, got {M}")
     n, m = g.n, g.m
     levels = np.zeros(m, dtype=np.int64)
     covered = np.zeros(m, dtype=bool)
+    d = bottleneck_weights(g)
     if m == 0:
-        return EstimatedMsfPacking(M=M, levels=levels, covered=covered)
+        return EstimatedMsfPacking(M=M, levels=levels, covered=covered, d=d)
 
     ws = g.edge_w.tolist()
-    d = bottleneck_weights(g)
     ds = d.tolist()
     cap = n**3 + 1  # sorts above every rescaled in-window weight, stays < n**4
 
-    pending = [e for e in _descending_order(d) if n * ws[e] > ds[e]]
+    domain = [e for e in range(m) if n * ws[e] > ds[e]]
+    for e in domain:
+        levels[e] = OVER
+        covered[e] = True
+    pending = [e for e in _descending_order(d) if covered[e]] if M else []
 
     pos = 0
     while pos < len(pending):
@@ -124,7 +129,7 @@ def windowed_loop_msf_packing(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
             batch.append(pending[pos])
             pos += 1
 
-        window_ids = [e for e in range(m) if n * n * ws[e] > D]
+        window_ids = [e for e in domain if n * n * ws[e] > D]
         idx = np.array(window_ids, dtype=np.int64)
         window_graph = WeightedGraph.from_arrays(
             g.n,
@@ -137,9 +142,8 @@ def windowed_loop_msf_packing(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
         for e in batch:
             assert e in local, "covered edge must survive into its window"
             levels[e] = packing.levels[local[e]]
-            covered[e] = True
 
-    return EstimatedMsfPacking(M=M, levels=levels, covered=covered)
+    return EstimatedMsfPacking(M=M, levels=levels, covered=covered, d=d)
 
 
 # --- edge connectivity --------------------------------------------------------

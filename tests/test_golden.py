@@ -60,6 +60,12 @@ CASES = {
         ["sparsify", "--method", "msf", *PRACTICAL],
         "584095a467880949bca90f9b37a71b4aef0e01b42e39369e2f68e632047b5ce8",
     ),
+    # theory mode at rho 0.34 in round 1: floor(2 rho) = 0 forests at level 0
+    "sparsify-msf-unbounded-zero-forests": (
+        "layered",
+        ["sparsify", "--method", "msf", "--epsilon", "0.5", "--seed", "7", "--rho-scale", "1.7e-9"],
+        "161bf40bfa80206dbcfe6a6f7bd4e42b6299de304f6886edd6a8ee8cea5d5139",
+    ),
     "sparsify-ni": (
         "multi",
         ["sparsify", "--method", "ni", *PRACTICAL],
@@ -103,4 +109,9 @@ def test_cli_output_digest(case, tmp_path, capsys):
         rnd = json.loads(report.read_text())["rounds"][0]
         assert rnd["regime"] == "unbounded"
         assert rnd["gamma"] >= 1 and rnd["set_aside_count"] > 0
+    if case == "sparsify-msf-unbounded-zero-forests":
+        rnd = json.loads(report.read_text())["rounds"][0]
+        assert rnd["regime"] == "unbounded" and rnd["set_aside_count"] > 0
+        forests = [level["forests"] for level in rnd["levels"]]
+        assert forests[0] == 0 and len(forests) >= 2 and min(forests[1:]) >= 1
     assert hashlib.sha256(written).hexdigest() == digest

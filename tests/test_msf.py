@@ -325,11 +325,42 @@ class TestWindowedOracle:
         )
     )
     def test_matches_windowed_loop(self, g):
-        for M in (1, 2, max(1, g.m), g.m + 5):
+        for M in (0, 1, 2, max(1, g.m), g.m + 5):
             fast = msf_packing_windowed(g, M)
             loop = windowed_loop_msf_packing(g, M)
             assert fast.levels.tolist() == loop.levels.tolist()
             assert fast.covered.tolist() == loop.covered.tolist()
+            assert fast.d.tolist() == loop.d.tolist()
+
+
+class TestEstimatorDomain:
+    @settings(max_examples=200, deadline=None)
+    @given(g=window_graphs())
+    # windows that also packed the uncovered edges 2, 4 and 5 would give the
+    # covered edges levels [1, 1, -1, 2] instead of [1, 1, 2, 2]
+    @example(
+        g=WeightedGraph.from_edges(
+            3, [(0, 1, 2), (1, 2, 1000), (2, 1, 5), (0, 1, 1), (1, 2, 1), (2, 1, 9), (2, 0, 2)]
+        )
+    )
+    def test_uncovered_edges_change_nothing(self, g):
+        # the set-aside of the unbounded regime: dropping the uncovered edges
+        # leaves every covered level and d as they are
+        for M in (0, 1, 2, g.m):
+            est = msf_packing_windowed(g, M)
+            ids = np.flatnonzero(est.covered)
+            sub = msf_packing_windowed(g.subgraph_edges(ids), M)
+            assert bool(sub.covered.all())
+            assert est.levels[ids].tolist() == sub.levels.tolist()
+            assert est.d[ids].tolist() == sub.d.tolist()
+
+    def test_zero_forests_leave_every_covered_edge_over(self):
+        g = WeightedGraph.from_edges(3, [(0, 1, 1 << 60), (1, 2, 1 << 60), (0, 2, 4)])
+        est = msf_packing_windowed(g, 0)
+        assert est.covered.tolist() == [True, True, False]
+        assert est.levels[est.covered].tolist() == [OVER, OVER]
+        with pytest.raises(ValueError):
+            msf_packing_windowed(g, -1)
 
 
 class TestRegimeGate:
