@@ -133,9 +133,10 @@ def _pack_levels(
 
 def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
     """M-partial packing: first-fit in (weight descending, edge id ascending)
-    order over disjoint-set forests."""
-    if M < 1:
-        raise ValueError(f"forest count must be >= 1, got {M}")
+    order over disjoint-set forests.  M = 0 is the empty set of forests:
+    every edge is OVER and every singleton level is 1."""
+    if M < 0:
+        raise ValueError(f"forest count must be >= 0, got {M}")
     levels, s = _pack_levels(
         g.n, g.edge_u.tolist(), g.edge_v.tolist(), _descending_order(g.edge_w), M
     )

@@ -50,10 +50,9 @@ def _all_cut_weights(g: WeightedGraph | SparseGraph) -> np.ndarray:
     for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
         key = (u, v) if u < v else (v, u)
         agg[key] = agg.get(key, 0.0) + w
+    # every mask is below 2^(n-1), so vertex n-1's bit reads 0
     for (u, v), w in agg.items():
-        bu = (masks >> u) & 1 if u < n - 1 else np.zeros(size, dtype=np.int64)
-        bv = (masks >> v) & 1 if v < n - 1 else np.zeros(size, dtype=np.int64)
-        weights[bu != bv] += w
+        weights[((masks >> u) & 1) != ((masks >> v) & 1)] += w
     return weights
 
 

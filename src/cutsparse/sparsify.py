@@ -12,10 +12,11 @@ levels: F_0 is the union of a floor(2*rho)-partial packing, and while the
 leftover set stays above 2*rho*n edges it is halved by fair coins and
 re-packed with twice as many forests.  Phase two keeps F_0 verbatim, keeps
 the final leftover scaled up by the elapsed halvings, and compresses each F_j
-edge binomially with trial count 2^j * w(e).  In the unbounded regime every
-level packs windowed estimates; level 0 estimates the whole input, and the
-edges that estimate leaves uncovered are set aside and compressed against
-their d(e).
+edge binomially with trial count 2^j * w(e).  Both weight regimes run the
+same levels; only the packer differs.  In the unbounded regime every level
+packs windowed estimates; level 0 estimates the whole input, and the edges
+that estimate leaves uncovered are set aside and compressed against their
+d(e), as the last batch of the same compression loop.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -161,13 +161,13 @@ def _round_report(
     the method's formula at cfg.rho_scale.  Below two vertices rho is
     undefined and stays 0."""
     if method == "ni":
-        formula, target = partial(preprocess_rho, g.n, epsilon), PRACTICAL_NI_RHO
+        formula, target = preprocess_rho, PRACTICAL_NI_RHO
     else:
         if windowed:
             # Looser per-level heaviness of the windowed estimate costs a
             # factor sqrt(2) in precision, which doubles rho at the same eps.
             epsilon /= math.sqrt(2.0)
-        formula, target = partial(rho, g.n, epsilon), PRACTICAL_RHO
+        formula, target = rho, PRACTICAL_RHO
     report = RunReport(
         n=g.n,
         m=g.m,
@@ -181,11 +181,11 @@ def _round_report(
     )
     if g.n >= 2:
         if cfg.mode == "practical":
-            # formula(target / formula()) can land an ulp under target
-            report.rho_scale = target / formula()
+            # formula(..., target / formula(...)) can land an ulp under target
+            report.rho_scale = target / formula(g.n, epsilon)
             report.rho = target
         else:
-            report.rho = formula(cfg.rho_scale)
+            report.rho = formula(g.n, epsilon, cfg.rho_scale)
     return report
 
 
@@ -234,29 +234,29 @@ def _algorithm_one(
     t_sample = 0.0
 
     x_ids = np.arange(m, dtype=np.int64)
-    aside_ids: np.ndarray | None = None
+    # the unbounded regime's set-aside and its d(e), read at level 0; not a
+    # view of x_ids, which would keep the level-0 ids alive all round
+    aside_ids = aside_d = np.empty(0, dtype=np.int64)
     f_levels: list[np.ndarray] = []  # F_i id arrays, i = 0..Gamma
 
     i = 0
     m_i = math.floor(2.0 * rho_val)
     while True:
         t0 = time.perf_counter()
-        if windowed:
-            est = msf_packing_windowed(g.subgraph_edges(x_ids) if i else g, m_i)
-            if i == 0:
-                # Level 0 estimates the whole input: its uncovered edges
-                # (n * w <= d) are set aside and compressed against that d.
-                d = est.d
-                aside_ids = np.flatnonzero(~est.covered)
-                report.set_aside_count = len(aside_ids)
-                x_ids = np.flatnonzero(est.covered)
-            else:
-                assert bool(est.covered.all()), "estimator must cover the working set"
-            levels = est.levels[est.covered]
-        elif m_i < 1:
-            levels = np.full(len(x_ids), OVER, dtype=np.int64)
-        else:
-            levels = msf_packing_bounded(g.subgraph_edges(x_ids), m_i).levels
+        packing = (msf_packing_windowed if windowed else msf_packing_bounded)(
+            g if i == 0 else g.subgraph_edges(x_ids), m_i
+        )
+        levels = packing.levels
+        if windowed and i == 0:
+            # Level 0 estimates the whole input: its uncovered edges
+            # (n * w <= d) are set aside and compressed against that d.
+            aside_ids = np.flatnonzero(~packing.covered)
+            aside_d = packing.d[aside_ids]
+            report.set_aside_count = len(aside_ids)
+            x_ids = np.flatnonzero(packing.covered)
+            levels = levels[packing.covered]
+        elif windowed:
+            assert bool(packing.covered.all()), "estimator must cover the working set"
         t_pack += time.perf_counter() - t0
         f_ids = x_ids[levels != OVER]
         y_ids = x_ids[levels == OVER]
@@ -281,28 +281,19 @@ def _algorithm_one(
     gamma = i
     report.gamma = gamma
 
-    # Compressed edges, by id, in level order and then the set-aside edges.
+    # Compressed edges, by id: F_1 .. F_Gamma, then the set-aside.  F_j draws
+    # Binomial(2^j w, C / (4^j w)); the set-aside draws Binomial(w, C / d).
     t0 = time.perf_counter()
     comp_ids: list[np.ndarray] = []
     comp_w: list[np.ndarray] = []
-    for j in range(1, gamma + 1):
-        level = f_levels[j]
-        w = g.edge_w[level].astype(np.float64)
+    batches = [(f_levels[j], j, f"compress:{j}") for j in range(1, gamma + 1)]
+    for batch, j, label in [*batches, (aside_ids, 0, "set-aside")]:
+        w = g.edge_w[batch].astype(np.float64)
+        bound = np.ldexp(w, 2 * j) if j else aside_d.astype(np.float64)
         kept, weights = compress(
-            np.ldexp(w, j),
-            np.minimum(1.0, COMPRESSION_CONSTANT / np.ldexp(w, 2 * j)),
-            rng.child(f"compress:{j}"),
+            np.ldexp(w, j), np.minimum(1.0, COMPRESSION_CONSTANT / bound), rng.child(label)
         )
-        comp_ids.append(level[kept])
-        comp_w.append(weights)
-
-    if aside_ids is not None and len(aside_ids):
-        kept, weights = compress(
-            g.edge_w[aside_ids].astype(np.float64),
-            np.minimum(1.0, COMPRESSION_CONSTANT / d[aside_ids].astype(np.float64)),
-            rng.child("set-aside"),
-        )
-        comp_ids.append(aside_ids[kept])
+        comp_ids.append(batch[kept])
         comp_w.append(weights)
     t_compress = time.perf_counter() - t0
 

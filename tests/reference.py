@@ -59,8 +59,8 @@ def rho_scale_for(n: int, epsilon: float, target: float) -> float:
 def oracle_msf_packing(g: WeightedGraph, M: int) -> MsfPacking:
     """Literal definition of a packing: M standalone descending-Kruskal
     rounds, each removing its forest before the next round starts."""
-    if M < 1:
-        raise ValueError(f"forest count must be >= 1, got {M}")
+    if M < 0:
+        raise ValueError(f"forest count must be >= 0, got {M}")
     m = g.m
     us = g.edge_u.tolist()
     vs = g.edge_v.tolist()

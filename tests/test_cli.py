@@ -423,6 +423,14 @@ class TestMsfCommand:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[2].endswith(" OVER")
 
+    def test_zero_levels_all_over(self, tmp_path, capsys):
+        # M = 0 is the empty packing, not an error
+        path = tmp_path / "t.txt"
+        path.write_text("3 3\n0 1 5\n1 2 3\n0 2 4\n")
+        assert main(["msf", "--input", str(path), "--levels", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["0 0 1 5 OVER", "1 1 2 3 OVER", "2 0 2 4 OVER"]
+
     def test_algorithms_agree(self, tmp_path, capsys):
         # the printed levels are those of the reference packing
         path = tmp_path / "g.txt"
@@ -506,7 +514,7 @@ _EXIT_CASES = [
     (["sparsify", "mincut", "bench"], "graph", ["--rho-scale", "nan"], 2, "rho_scale must be positive and finite"),
     (["sparsify", "mincut", "bench"], "graph", ["--rho-scale", "inf"], 2, "rho_scale must be positive and finite"),
     (["sparsify", "mincut", "bench"], "pair", ["--mode", "practical"], 3, "level count exceeded guard"),
-    (["msf"], "graph", ["--levels", "0"], 2, "forest count must be >= 1"),
+    (["msf"], "graph", ["--levels", "-1"], 2, "forest count must be >= 0"),
     (["bench"], "missing", [], 1, "no graph files in {corpus}"),
     (["bench"], "empty", [], 1, "no graph files in {corpus}"),
     (["bench"], "malformed", [], 1, "{g}: line 2: "),

@@ -66,6 +66,13 @@ CASES = {
         ["sparsify", "--method", "msf", "--epsilon", "0.5", "--seed", "7", "--rho-scale", "1.7e-9"],
         "161bf40bfa80206dbcfe6a6f7bd4e42b6299de304f6886edd6a8ee8cea5d5139",
     ),
+    # theory mode at rho 0.10 in round 1, at polynomial weights: levels 0-2
+    # pack no forest, level 3 one
+    "sparsify-msf-polynomial-zero-forests": (
+        "random",
+        ["sparsify", "--method", "msf", "--epsilon", "0.5", "--seed", "7", "--rho-scale", "2e-8"],
+        "27e5363ecb8722a7b56d4c08743614bbc64690f5174955458f10a73ace914106",
+    ),
     "sparsify-ni": (
         "multi",
         ["sparsify", "--method", "ni", *PRACTICAL],
@@ -105,6 +112,10 @@ def test_cli_output_digest(case, tmp_path, capsys):
     if case == "sparsify-msf-polynomial":
         # W <= n^4, so the input settles on exact packings
         assert json.loads(report.read_text())["rounds"][0]["regime"] == "polynomial"
+    if case == "sparsify-msf-polynomial-zero-forests":
+        rnd = json.loads(report.read_text())["rounds"][0]
+        forests = [level["forests"] for level in rnd["levels"]]
+        assert rnd["regime"] == "polynomial" and forests[0] == 0 and max(forests) >= 1
     if case == "sparsify-msf-unbounded":
         rnd = json.loads(report.read_text())["rounds"][0]
         assert rnd["regime"] == "unbounded"

@@ -87,15 +87,15 @@ class TestPackingExamples:
 
     @pytest.mark.parametrize("packer", PACKERS)
     def test_rejects_nonpositive_m(self, packer):
-        with pytest.raises(ValueError):
-            packer(triangle(), 0)
+        with pytest.raises(ValueError, match="forest count must be >= 0"):
+            packer(triangle(), -1)
 
 
 class TestPackingAgreement:
     @settings(max_examples=300, deadline=None)
     @given(g=multigraphs())
     def test_matches_oracle_on_random_multigraphs(self, g):
-        for M in (1, 2, max(1, g.m), g.m + 5):
+        for M in (0, 1, 2, max(1, g.m), g.m + 5):
             fast = msf_packing_bounded(g, M)
             oracle = oracle_msf_packing(g, M)
             assert fast.levels.tolist() == oracle.levels.tolist()
