@@ -5,11 +5,14 @@ can join when edges are inserted in descending weight order; edges whose
 endpoints are already connected in every forest up to the requested bound get
 the explicit OVER sentinel.  The exact packing is one first-fit kernel over
 list-backed union-find forests, allocated as the packing first reaches them.
-The bottleneck weights come from their own descending Kruskal pass over a
-union-by-size forest that keeps the order of its unions.  A windowed
-estimator rescales extreme weight ranges into polynomial bands and reads
-exact packings there; its domain, the edges with n*w(e) > d(e), is the one
-place the unbounded regime's set-aside rule lives.
+The kernel stops once its top forest spans the graph: every later edge then
+has its endpoints joined in all M forests, so it is OVER and moves no
+singleton level, and the levels are those of the full pass.  The bottleneck
+weights come from their own descending Kruskal pass over a union-by-size
+forest that keeps the order of its unions.  A windowed estimator rescales
+extreme weight ranges into polynomial bands and reads exact packings there;
+its domain, the edges with n*w(e) > d(e), is the one place the unbounded
+regime's set-aside rule lives.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from .dsu import ForestDsu
 from .graph import WeightedGraph
+from .oracles import _components
 
 # Sentinel for "endpoints connected in every forest up to M"; kept distinct
 # from any valid level so arithmetic on it fails loudly.
@@ -56,14 +60,8 @@ def _descending_order(w: np.ndarray) -> list[int]:
     return np.argsort(-w, kind="stable").tolist()
 
 
-def _pack_levels(
-    n: int,
-    edge_u: list[int],
-    edge_v: list[int],
-    order: list[int],
-    M: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy first-fit packing over a fixed edge order.
+def _pack_levels(g: WeightedGraph, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy first-fit packing of `g` in `_descending_order`.
 
     Forest connectivity is nested (endpoints joined in forest j are joined in
     every forest below it), so each edge first probes its top candidate,
@@ -72,19 +70,32 @@ def _pack_levels(
     OVER beyond M; otherwise a binary search below the top finds the first
     forest that does not join them.  Forest j is allocated when a singleton
     level first reaches it; `find` runs inline on its parent list.
-    """
-    m = len(edge_u)
-    levels = [OVER] * m
-    m_eff = min(M, m)  # a level index can never exceed the edge count
-    parents: list[list[int]] = [[]]  # 1-based
-    s = [1] * n
 
-    for eid in order:
+    The loop stops once the top forest spans, holding n - c(G) edges for the
+    c(G) components of `g`: every later edge then has its endpoints joined
+    in the top forest, hence in all M, so it is OVER and moves no singleton
+    level.  The top forest never holds more edges than forest 1, so c(G) is
+    counted only when its count first catches up with forest 1's, and at
+    most once.
+    """
+    n, m = g.n, g.m
+    edge_u = g.edge_u.tolist()
+    edge_v = g.edge_v.tolist()
+    levels = [OVER] * m
+    s = [1] * n
+    m_eff = min(M, m)  # a level index can never exceed the edge count
+    if not m_eff:
+        return np.array(levels, dtype=np.int64), np.array(s, dtype=np.int64)
+    parents: list[list[int]] = [[]]  # 1-based
+    placed = [0] * (m_eff + 1)  # edges per forest
+    need = -1  # n - c(G), once counted
+
+    for eid in _descending_order(g.edge_w):
         u = edge_u[eid]
         v = edge_v[eid]
         su = s[u]
         sv = s[v]
-        smin = su if su < sv else sv
+        smin = level = su if su < sv else sv
         top = smin - 1 if smin <= m_eff else m_eff
         if top:
             p = parents[top]
@@ -113,9 +124,9 @@ def _pack_levels(
                         hi = mid - 1
                         level, p, ru, rv = mid, q, a, b
                 p[ru] = rv
-                levels[eid] = level
+            elif smin > m_eff:
                 continue
-        if smin <= m_eff:
+        if level == smin:
             if smin == len(parents):
                 parents.append(ForestDsu(n).parent)
             # an endpoint at s == smin is a singleton there: hang it on the other
@@ -126,7 +137,13 @@ def _pack_levels(
                 parents[smin][v] = u
             if sv == smin:
                 s[v] = smin + 1
-            levels[eid] = smin
+        levels[eid] = level
+        placed[level] += 1
+        if level == m_eff and placed[level] == placed[1]:
+            if need < 0:
+                need = n - int(np.count_nonzero(_components(g) == np.arange(n)))
+            if placed[level] == need:
+                break
 
     return np.array(levels, dtype=np.int64), np.array(s, dtype=np.int64)
 
@@ -137,9 +154,7 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
     every edge is OVER and every singleton level is 1."""
     if M < 0:
         raise ValueError(f"forest count must be >= 0, got {M}")
-    levels, s = _pack_levels(
-        g.n, g.edge_u.tolist(), g.edge_v.tolist(), _descending_order(g.edge_w), M
-    )
+    levels, s = _pack_levels(g, M)
     return MsfPacking(M=M, levels=levels, singleton_level=s)
 
 
@@ -191,10 +206,6 @@ def bottleneck_weights(g: WeightedGraph) -> np.ndarray:
 # --- windowed estimation ------------------------------------------------------
 
 
-def _round_half_up(num: int, den: int) -> int:
-    return (2 * num + den) // (2 * den)
-
-
 def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     """Estimated MSF indices for the covered edges, those with w(e) > d(e)/n.
 
@@ -238,11 +249,13 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
         window = covered & (w > D // (n * n))
         assert window[batch].all(), "covered edge must survive into its window"
         idx = np.flatnonzero(window)
+        # n**3 * x / D rounded half up, as (2 n**3 x + D) // 2D in Python ints
+        k, two_D = 2 * n**3, 2 * D
         window_graph = WeightedGraph.from_arrays(
             g.n,
             g.edge_u[idx],
             g.edge_v[idx],
-            [cap if x > D else _round_half_up(n**3 * x, D) for x in w[idx].tolist()],
+            [cap if x > D else (k * x + D) // two_D for x in w[idx].tolist()],
         )
         packing = msf_packing_bounded(window_graph, M)
         levels[batch] = packing.levels[np.searchsorted(idx, np.flatnonzero(batch))]

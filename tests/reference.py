@@ -31,7 +31,6 @@ from cutsparse.msf import (
     EstimatedMsfPacking,
     MsfPacking,
     _descending_order,
-    _round_half_up,
     bottleneck_weights,
     msf_packing_bounded,
 )
@@ -96,6 +95,10 @@ def oracle_msf_packing(g: WeightedGraph, M: int) -> MsfPacking:
                 if singleton[x] <= lev:
                     singleton[x] = lev + 1
     return MsfPacking(M=M, levels=levels, singleton_level=singleton)
+
+
+def _round_half_up(num: int, den: int) -> int:
+    return (2 * num + den) // (2 * den)
 
 
 def windowed_loop_msf_packing(g: WeightedGraph, M: int) -> EstimatedMsfPacking:

@@ -20,6 +20,19 @@ from reference import (
 PACKERS = [msf_packing_bounded, oracle_msf_packing]
 
 
+@st.composite
+def disjoint_unions(draw) -> WeightedGraph:
+    """Two or three multigraphs side by side plus up to two isolated vertices:
+    the top forest of a small packing often spans them partway through the
+    order, which ends the kernel's loop early."""
+    parts = draw(st.lists(multigraphs(max_n=6, max_edges=20), min_size=2, max_size=3))
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset, w) for u, v, w in part.edges()]
+        offset += part.n
+    return WeightedGraph.from_edges(offset + draw(st.integers(0, 2)), edges)
+
+
 def triangle():
     return WeightedGraph.from_edges(3, [(0, 1, 5), (1, 2, 3), (0, 2, 4)])
 
@@ -100,6 +113,23 @@ class TestPackingAgreement:
             oracle = oracle_msf_packing(g, M)
             assert fast.levels.tolist() == oracle.levels.tolist()
             assert fast.singleton_level.tolist() == oracle.singleton_level.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=disjoint_unions(), M=st.sampled_from([1, 2, 3]))
+    def test_matches_oracle_when_top_forest_spans_early(self, g, M):
+        fast = msf_packing_bounded(g, M)
+        oracle = oracle_msf_packing(g, M)
+        assert fast.levels.tolist() == oracle.levels.tolist()
+        assert fast.singleton_level.tolist() == oracle.singleton_level.tolist()
+
+    def test_heavy_component_spanned_first_does_not_stop_the_packing(self):
+        # {0, 1} is spanned in both forests, as often as forest 1 is, before
+        # the first edge of the lighter {2, 3} arrives; vertex 4 is isolated
+        g = WeightedGraph.from_edges(5, [(0, 1, 9)] * 3 + [(2, 3, 1)] * 2)
+        for packer in PACKERS:
+            packing = packer(g, 2)
+            assert packing.levels.tolist() == [1, 2, OVER, 1, 2]
+            assert packing.singleton_level.tolist() == [3, 3, 3, 3, 1]
 
     def test_bounded_oracle_identical(self):
         rng = random.Random(42)

@@ -238,6 +238,23 @@ class TestComponents:
         g = WeightedGraph.from_edges(n, edges)
         assert _components(g).tolist() == labels == oracle_components(g)
 
+    def test_edges_span_several_blocks(self):
+        # a shuffled path over shuffled ids, cut into three pieces, each edge
+        # listed in both orientations: 60k edges, so hooks cross blocks
+        rng = np.random.default_rng(5)
+        n = 30_000
+        ids = rng.permutation(n)
+        keep = np.ones(n - 1, dtype=bool)
+        keep[[9_999, 19_999]] = False
+        u, v = ids[:-1][keep], ids[1:][keep]
+        order = rng.permutation(2 * len(u))
+        tails, heads = np.concatenate([u, v])[order], np.concatenate([v, u])[order]
+        g = WeightedGraph(n, tails, heads, np.ones(len(order), dtype=np.int64))
+        assert g.m > 1 << 15
+        labels = _components(g)
+        assert labels.tolist() == oracle_components(g)
+        assert len(np.unique(labels)) == 3
+
 
 class TestEdgeConnectivity:
     def test_single_edge(self):
