@@ -3,24 +3,26 @@ the linear-time preprocessing sparsifier built on them.
 
 A weight-w edge occupies w contiguous forests of the packing; the stored
 index l_e is the last of them.  Indices come from one maximum-adjacency scan
-over vertex pairs: vertices leave a max-heap keyed by their attachment r(v),
-and scanning x gives each pair (x, y) to a still-queued y the base r(y), then
-raises r(y) by the pair's total weight.  An edge's index is its pair's base
-plus the prefix sum of the pair's weights up to it, in edge-id order, so
-parallel edges fill consecutive forests without materializing Theta(sum of
-weights) forests.  Bases and prefix sums are Python ints: they can pass 2^64.
+over vertex pairs: the next vertex x is the unscanned one of largest
+attachment r(v), ties to the smallest id, and scanning x gives each pair
+(x, y) to an unscanned y the base r(y), then raises r(y) by the pair's total
+weight.  An edge's index is its pair's base plus the prefix sum of the pair's
+weights up to it, in edge-id order, so parallel edges fill consecutive
+forests without materializing Theta(sum of weights) forests.
+
+Every attachment, base and index is at most the total weight, so all of them
+are int64 when that total fits in 63 bits, and Python ints in object arrays
+when it does not: sums past 2^64 stay exact.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
-from itertools import accumulate
 
 import numpy as np
 
-from .graph import SparseGraph, WeightedGraph
+from .graph import MAX_WEIGHT, SparseGraph, WeightedGraph
 from .sampling import RngStream, compress
 
 # Fixed constant of the preprocessing sampler; scaled only by the shared
@@ -28,55 +30,77 @@ from .sampling import RngStream, compress
 PREPROCESS_RHO_CONSTANT = 224.0 / 0.38
 
 
-def ni_indices(g: WeightedGraph) -> list[int]:
+def ni_indices(g: WeightedGraph) -> np.ndarray:
     """Last occupied forest index per edge, from a maximum-adjacency scan
-    over vertex pairs (Python ints: sums of weights may exceed 64 bits).
+    over vertex pairs; int64 when the total weight fits in 63 bits, else an
+    object array of Python ints.
 
-    Vertices leave a max-heap keyed by their attachment r(v), ties to the
-    smallest id; scanning vertex x gives each pair (x, y) to a still-queued
-    neighbor y the range (r(y), r(y) + W], W the pair's total weight, then
-    raises r(y) by W.  Within the range the pair's edges follow in id order,
-    each ending at r(y) plus the weights of its pair up to and including it.
+    The attachments r(v) sit in one array cut into ceil(sqrt(n)) blocks with
+    one maximum per block: the next vertex x is the first maximum of the
+    first maximal block, which is the smallest id of largest r.  Scanning x
+    gives each pair (x, y) to an unscanned neighbor y the range
+    (r(y), r(y) + W], W the pair's total weight, raises r(y) by W, marks x
+    scanned with r(x) = -1 and refreshes the maxima of the blocks it touched.
+    Within the range the pair's edges follow in id order, each ending at r(y)
+    plus the weights of its pair up to and including it.
     """
     n, m = g.n, g.m
+    w = g.edge_w
+    # exact total weight from the 32-bit halves, whose sums cannot overflow
+    total_weight = (int((w >> 32).sum()) << 32) + int((w & 0xFFFFFFFF).sum())
+    dtype = np.int64 if total_weight <= MAX_WEIGHT else object
     if m == 0:
-        return []
+        return np.zeros(0, dtype=dtype)
+
     lo = np.minimum(g.edge_u, g.edge_v)
     hi = np.maximum(g.edge_u, g.edge_v)
-    order = np.lexsort((np.arange(m), hi, lo))
-    lo, hi = lo[order], hi[order]
-    starts = np.flatnonzero(np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])])
-    prefix = list(accumulate(g.edge_w[order].tolist()))
+    # by pair, then by edge id; numpy's stable sort is a radix sort on keys of
+    # up to 16 bits, which the narrowest dtype gives for n <= 256
+    key = (lo * n + hi).astype(np.min_scalar_type(n * n))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sizes = np.diff(np.r_[starts, m])
+    ws = w[order].astype(dtype, copy=False)
+    prefix = np.cumsum(ws)
     # per pair: the prefix sum before its first edge, and its total weight
-    before = [0] + [prefix[i - 1] for i in starts[1:].tolist()]
-    total = [b - a for a, b in zip(before, before[1:] + [prefix[-1]])]
+    before = prefix[starts] - ws[starts]
+    total = prefix[starts + sizes - 1] - before
 
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for p, (a, b) in enumerate(zip(lo[starts].tolist(), hi[starts].tolist())):
-        adj[a].append((b, p))
-        adj[b].append((a, p))
+    # both orientations of every pair, grouped by their first vertex
+    pairs = len(starts)
+    first = order[starts]
+    a, b = lo[first], hi[first]
+    src = np.r_[a, b]
+    by_src = np.argsort(src, kind="stable")
+    nbr = np.r_[b, a][by_src]
+    pid = np.tile(np.arange(pairs), 2)[by_src]
+    indptr = np.r_[0, np.cumsum(np.bincount(src, minlength=n))].tolist()
 
-    base = [0] * len(before)
-    r = [0] * n
-    visited = [False] * n
-    heap: list[tuple[int, int]] = [(0, x) for x in range(n)]
-    heapq.heapify(heap)
-    while heap:
-        neg_r, x = heapq.heappop(heap)
-        if visited[x] or -neg_r != r[x]:
-            continue
-        visited[x] = True
-        for y, p in adj[x]:
-            if not visited[y]:
-                base[p] = r[y]
-                r[y] += total[p]
-                heapq.heappush(heap, (-r[y], y))
+    size = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) vertices per block
+    r = np.full(-(-n // size) * size, -1, dtype=dtype)
+    r[:n] = 0
+    blocks = r.reshape(-1, size)
+    block_max = blocks.max(axis=1)
+    base = np.zeros(pairs, dtype=dtype)
+    for _ in range(n):
+        k = int(block_max.argmax())
+        x = k * size + int(blocks[k].argmax())
+        ys, ps = nbr[indptr[x] : indptr[x + 1]], pid[indptr[x] : indptr[x + 1]]
+        ry = r[ys]
+        open_ = ry >= 0
+        if open_.any():
+            ys, ps, ry = ys[open_], ps[open_], ry[open_]
+            base[ps] = ry
+            ry = ry + total[ps]
+            r[ys] = ry
+            np.maximum.at(block_max, ys // size, ry)
+        r[x] = -1
+        block_max[k] = blocks[k].max()
 
-    shift = np.array(base, dtype=object) - np.array(before, dtype=object)
-    levels = np.repeat(shift, np.diff(np.r_[starts, m])) + np.array(prefix, dtype=object)
-    out = np.empty(m, dtype=object)
-    out[order] = levels
-    return out.tolist()
+    out = np.empty(m, dtype=dtype)
+    out[order] = np.repeat(base - before, sizes) + prefix
+    return out
 
 
 def preprocess_rho(n: int, epsilon: float, rho_scale: float = 1.0) -> float:
@@ -93,7 +117,7 @@ def ni_preprocess(
     t0 = time.perf_counter()
     indices = ni_indices(g)
     t1 = time.perf_counter()
-    probs = np.minimum(1.0, rho / np.array(indices, dtype=np.float64))
+    probs = np.minimum(1.0, rho / indices.astype(np.float64))
     kept, weights = compress(
         g.edge_w.astype(np.float64), probs, RngStream(seed).child("ni-compress")
     )
@@ -101,4 +125,5 @@ def ni_preprocess(
     if timings_ms is not None:
         timings_ms["indices"] = (t1 - t0) * 1e3
         timings_ms["compression"] = (time.perf_counter() - t1) * 1e3
-    return h, max(indices, default=0) <= rho
+    # a Python int against rho compares exactly; int64 against float64 rounds
+    return h, (int(indices.max()) if g.m else 0) <= rho

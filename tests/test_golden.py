@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from cutsparse import WeightedGraph, save_graph
+from cutsparse import MAX_WEIGHT, WeightedGraph, save_graph
 from cutsparse.cli import main
 
 from conftest import dumbbell_graph, multi_complete_graph, random_graph
@@ -39,11 +39,19 @@ def layered_graph() -> WeightedGraph:
     return WeightedGraph.from_edges(32, edges)
 
 
+def flooded_graph() -> WeightedGraph:
+    """The `multi` graph plus three parallels of weight 2^63 - 1 on one pair:
+    the total weight passes 2^64, so NI indices are Python ints."""
+    g = multi_complete_graph(10, 30, 8, seed=2)
+    return WeightedGraph.from_edges(g.n, g.edges() + [(0, 1, MAX_WEIGHT)] * 3)
+
+
 INPUTS = {
     "multi": lambda: multi_complete_graph(10, 30, 8, seed=2),
     "layered": layered_graph,
     "dumbbell": lambda: dumbbell_graph(6, bridge_weight=3, copies=12),
     "random": lambda: random_graph(16, 300, 1000, seed=5),
+    "flooded": flooded_graph,
 }
 
 PRACTICAL = ["--epsilon", "0.5", "--seed", "7", "--mode", "practical"]
@@ -77,6 +85,11 @@ CASES = {
         "multi",
         ["sparsify", "--method", "ni", *PRACTICAL],
         "784400e5b687efaeda3d466063cf2448f9114f39e50933e1a3b1dc32a26fac52",
+    ),
+    "sparsify-ni-past-64-bits": (
+        "flooded",
+        ["sparsify", "--method", "ni", *PRACTICAL],
+        "fd19580a444adcc27d3b5ab73e040efb1bce3e656d4db57ab8f23c060d753c54",
     ),
     "sparsify-pipeline": (
         "multi",

@@ -2,12 +2,13 @@ import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutsparse import MAX_WEIGHT, CutSpec, SparsifyConfig, WeightedGraph, cut_weight, sparsify
-from cutsparse.ni import ni_indices, preprocess_rho
+from cutsparse.ni import ni_indices, ni_preprocess, preprocess_rho
 
 from conftest import complete_graph, multi_complete_graph, random_graph
 from reference import oracle_ni_indices, validate_ni_indices
@@ -73,15 +74,15 @@ def repeated_bfs_forest_levels(g: WeightedGraph) -> list[int]:
 class TestNiIndices:
     def test_single_weighted_edge(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 3)])
-        assert ni_indices(g) == [3]
+        assert ni_indices(g).tolist() == [3]
 
     def test_unit_k3_multiset(self):
-        levels = ni_indices(complete_graph(3))
+        levels = ni_indices(complete_graph(3)).tolist()
         assert sorted(levels) == [1, 1, 2]
         assert sorted(repeated_bfs_forest_levels(complete_graph(3))) == [1, 1, 2]
 
     def test_unit_k4_multiset(self):
-        levels = ni_indices(complete_graph(4))
+        levels = ni_indices(complete_graph(4)).tolist()
         assert sorted(levels) == [1, 1, 1, 2, 2, 3]
         assert sorted(repeated_bfs_forest_levels(complete_graph(4))) == [1, 1, 1, 2, 2, 3]
 
@@ -90,11 +91,11 @@ class TestNiIndices:
             g = random_graph(
                 random.Random(trial).randint(2, 30), 40, 5, seed=800 + trial, connected=False
             )
-            validate_ni_indices(g, ni_indices(g))
+            validate_ni_indices(g, ni_indices(g).tolist())
 
     def test_weighted_occupancy(self):
         g = WeightedGraph.from_edges(3, [(0, 1, 4), (1, 2, 2), (0, 2, 3)])
-        levels = ni_indices(g)
+        levels = ni_indices(g).tolist()
         validate_ni_indices(g, levels)
         # every edge must occupy w(e) contiguous forests ending at l_e >= w(e)
         for (u, v, w), l in zip(g.edges(), levels):
@@ -107,24 +108,49 @@ class TestNiIndices:
             for u, v, w in g.edges():
                 wdeg[u] += w
                 wdeg[v] += w
-            for (u, v, w), l in zip(g.edges(), ni_indices(g)):
+            for (u, v, w), l in zip(g.edges(), ni_indices(g).tolist()):
                 assert l <= min(wdeg[u], wdeg[v])
 
     def test_empty_and_isolated(self):
         g = WeightedGraph.from_edges(4, [])
-        assert ni_indices(g) == []
+        assert ni_indices(g).tolist() == []
 
     def test_parallel_sums_pass_64_bits(self):
         # vertex 0 is scanned first and hands every parallel edge to vertex 1
         g = WeightedGraph.from_edges(2, [(0, 1, MAX_WEIGHT), (1, 0, MAX_WEIGHT), (0, 1, 5)])
-        assert ni_indices(g) == [MAX_WEIGHT, 2 * MAX_WEIGHT, 2 * MAX_WEIGHT + 5]
+        assert ni_indices(g).tolist() == [MAX_WEIGHT, 2 * MAX_WEIGHT, 2 * MAX_WEIGHT + 5]
 
     @settings(max_examples=400, deadline=None)
     @given(g=ni_graphs())
     @example(g=WeightedGraph.from_edges(1, []))
     @example(g=WeightedGraph.from_edges(3, [(2, 1, MAX_WEIGHT)] * 3 + [(1, 2, 7), (0, 1, 1)]))
     def test_matches_per_edge_scan(self, g):
-        assert ni_indices(g) == oracle_ni_indices(g)
+        assert ni_indices(g).tolist() == oracle_ni_indices(g)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_edge_scan_across_blocks(self, seed):
+        # 30..300 vertices make 5..17 scan blocks; weights 1 and 2 on sparse
+        # parts leave many vertices tied in r(v), so the smallest-id rule
+        # decides across blocks.  Two parts with no edge between them, their
+        # vertices shuffled over the id range, and isolated vertices.
+        rng = random.Random(seed)
+        n = rng.randint(30, 300)
+        verts = rng.sample(range(n), n)
+        isolated = rng.randint(1, n // 4)
+        cut = rng.randint(2, n - isolated - 2)
+        edges = []
+        for part in (verts[:cut], verts[cut : n - isolated]):
+            for _ in range(rng.randint(0, 4 * len(part))):
+                edges.append((*rng.sample(part, 2), rng.choice([1, 2])))
+        g = WeightedGraph.from_edges(n, edges)
+        assert ni_indices(g).tolist() == oracle_ni_indices(g)
+
+    def test_dtype_follows_total_weight(self):
+        # int64 while the total weight fits in 63 bits, Python ints past it
+        narrow = ni_indices(WeightedGraph.from_edges(3, [(0, 1, MAX_WEIGHT - 1), (1, 2, 1)]))
+        assert narrow.dtype == np.int64 and narrow.tolist() == [MAX_WEIGHT - 1, 1]
+        wide = ni_indices(WeightedGraph.from_edges(3, [(0, 1, MAX_WEIGHT), (1, 2, 1)]))
+        assert wide.dtype == object and wide.tolist() == [MAX_WEIGHT, 1]
 
 
 def ni_sparsify(g, epsilon, seed=0, rho_scale=1.0):
@@ -147,6 +173,19 @@ class TestFhhpPreprocess:
         h = ni_sparsify(g, 0.5, seed=3)
         assert [(u, v, float(w)) for u, v, w in g.edges()] == h.edges()
 
+    def test_kept_all_compares_exactly(self):
+        # the index 2^53 + 1 rounds to 2^53 in float64, so p_e = 1 and the
+        # edge is kept, but the index is above rho: not every l_e <= rho
+        g = WeightedGraph.from_edges(2, [(0, 1, 2**53 + 1)])
+        h, kept_all = ni_preprocess(g, float(2**53), seed=0)
+        assert h.m == 1 and not kept_all
+        _, kept_all = ni_preprocess(g, float(2**53 + 2), seed=0)
+        assert kept_all
+
+    def test_kept_all_on_edgeless_graph(self):
+        h, kept_all = ni_preprocess(WeightedGraph.from_edges(3, []), 1.0, seed=0)
+        assert h.m == 0 and kept_all
+
     def test_determinism(self):
         g = random_graph(10, 200, 40, seed=2)
         scale = 30.0 / preprocess_rho(g.n, 0.5)
@@ -162,7 +201,7 @@ class TestFhhpPreprocess:
         g = random_graph(10, 120, 6, seed=3)
         scale = 20.0 / preprocess_rho(g.n, 0.5)
         h = ni_sparsify(g, 0.5, seed=5, rho_scale=scale)
-        levels = ni_indices(g)
+        levels = ni_indices(g).tolist()
         rho = preprocess_rho(g.n, 0.5, scale)
         exact = Counter(
             (u, v, float(w))
