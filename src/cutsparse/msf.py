@@ -60,8 +60,10 @@ def _descending_order(w: np.ndarray) -> list[int]:
     return np.argsort(-w, kind="stable").tolist()
 
 
-def _pack_levels(g: WeightedGraph, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy first-fit packing of `g` in `_descending_order`.
+def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
+    """M-partial packing: greedy first-fit in `_descending_order` (weight
+    descending, edge id ascending) over disjoint-set forests.  M = 0 is the
+    empty set of forests: every edge is OVER and every singleton level is 1.
 
     Forest connectivity is nested (endpoints joined in forest j are joined in
     every forest below it), so each edge first probes its top candidate,
@@ -78,6 +80,8 @@ def _pack_levels(g: WeightedGraph, M: int) -> tuple[np.ndarray, np.ndarray]:
     counted only when its count first catches up with forest 1's, and at
     most once.
     """
+    if M < 0:
+        raise ValueError(f"forest count must be >= 0, got {M}")
     n, m = g.n, g.m
     edge_u = g.edge_u.tolist()
     edge_v = g.edge_v.tolist()
@@ -85,7 +89,7 @@ def _pack_levels(g: WeightedGraph, M: int) -> tuple[np.ndarray, np.ndarray]:
     s = [1] * n
     m_eff = min(M, m)  # a level index can never exceed the edge count
     if not m_eff:
-        return np.array(levels, dtype=np.int64), np.array(s, dtype=np.int64)
+        return MsfPacking(M, np.array(levels, dtype=np.int64), np.array(s, dtype=np.int64))
     parents: list[list[int]] = [[]]  # 1-based
     placed = [0] * (m_eff + 1)  # edges per forest
     need = -1  # n - c(G), once counted
@@ -145,17 +149,7 @@ def _pack_levels(g: WeightedGraph, M: int) -> tuple[np.ndarray, np.ndarray]:
             if placed[level] == need:
                 break
 
-    return np.array(levels, dtype=np.int64), np.array(s, dtype=np.int64)
-
-
-def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
-    """M-partial packing: first-fit in (weight descending, edge id ascending)
-    order over disjoint-set forests.  M = 0 is the empty set of forests:
-    every edge is OVER and every singleton level is 1."""
-    if M < 0:
-        raise ValueError(f"forest count must be >= 0, got {M}")
-    levels, s = _pack_levels(g, M)
-    return MsfPacking(M=M, levels=levels, singleton_level=s)
+    return MsfPacking(M, np.array(levels, dtype=np.int64), np.array(s, dtype=np.int64))
 
 
 # --- bottleneck weights ------------------------------------------------------

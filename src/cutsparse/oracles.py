@@ -160,7 +160,7 @@ def exact_min_cut(g: WeightedGraph | SparseGraph) -> tuple[CutSpec, float]:
         key[active[1:]] = weight[active[0], active[1:]]
         s = t = int(active[0])
         for _ in range(len(active) - 1):
-            s, t = t, int(np.argmax(key))
+            s, t = t, int(key.argmax())
             key[t] = -np.inf
             key += weight[t]
         # left to right; the zero diagonal entry adds nothing

@@ -5,7 +5,9 @@ min-cut.  `sparsify(g, SparsifyConfig)` is the one entry point, and a
 
 A run is one schedule of rounds (see `sparsify`): a forest-index (NI)
 preprocessing pass, msf rounds of Algorithm 1 at tightening precision, or
-the NI pass followed by the msf rounds.
+the NI pass followed by the msf rounds.  `sparsify` only lays out the
+schedule: an msf round rounds its own real-weighted input, and a rounding
+refused for want of 63 bits leaves through the round's one early out.
 
 One msf round proceeds in two phases.  Phase one peels the edge set into
 levels: F_0 is the union of a floor(2*rho)-partial packing, and while the
@@ -49,6 +51,9 @@ POLY_WEIGHT_EXPONENT = 4
 # literal constants force the early-out on anything small enough to verify.
 PRACTICAL_RHO = 8.0
 PRACTICAL_NI_RHO = 25.0
+# The smallest epsilon a config accepts: a run's precisions stay above
+# epsilon / 2^10, so for n < 2^63 every rho and threshold stays finite.
+MIN_EPSILON = 1e-100
 
 
 class LevelOverflowError(RuntimeError):
@@ -100,6 +105,10 @@ class SparsifyConfig:
     def validate(self) -> None:
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        # pipeline's msf stage runs a config at a third of its epsilon
+        share = 3.0 if self.method == "pipeline" else 1.0
+        if self.epsilon / share < MIN_EPSILON:
+            raise ValueError(f"epsilon must be at least {MIN_EPSILON * share:g}, got {self.epsilon}")
         if not (0.0 < self.rho_scale < math.inf):
             raise ValueError(f"rho_scale must be positive and finite, got {self.rho_scale}")
         for name, allowed in (("method", _METHODS), ("mode", _MODES)):
@@ -191,12 +200,12 @@ def _round_report(
 
 def early_out_threshold(n: int, m: int, epsilon: float, rho_val: float) -> float:
     """Edge-count bound under which the run returns its input unchanged; 0
-    when there is nothing to sample (no edges, or fewer than two vertices).
+    when there is nothing to sample (no edges; a graph with edges has n >= 2).
 
     The log factor is base 2 and clamped below at 1 (the ratio can drop
     under 1 at desk scale, where the bound still must stay positive).
     """
-    if n < 2 or m == 0:
+    if m == 0:
         return 0.0
     ratio = m / (n * math.log2(n) / epsilon**2)
     return 4.0 * rho_val * n * max(1.0, math.log2(ratio))
@@ -209,29 +218,43 @@ def _algorithm_one(
     rng: RngStream,
     *,
     windowed: bool,
+    round_eps: float | None = None,
     capture_levels: bool = False,
-) -> tuple[SparseGraph, RunReport]:
+) -> tuple[SparseGraph, RunReport, int]:
+    """One msf round of Algorithm 1 at precision epsilon: its graph, its
+    report, and the r of the 2^r its input was scaled by.  With round_eps set
+    the round first rounds its real weights at round_eps with
+    `reduce_real_weights` (timed as `reduce`) and samples the result.  A
+    rounding refused for want of 63 bits and an m at or under the threshold
+    leave through one early out, which returns what it would have sampled."""
+    t_start = time.perf_counter()
+    r, reason, timings = 0, None, {}
+    if round_eps is not None:
+        try:
+            g, r = reduce_real_weights(g, round_eps)
+            timings["reduce"] = (time.perf_counter() - t_start) * 1e3
+        except WeightRangeError as exc:
+            reason = str(exc)
     n, m = g.n, g.m
     report = _round_report(g, cfg, epsilon, cfg.seed, windowed, "msf")
     report.level_sets = [] if capture_levels else None
-    t_start = time.perf_counter()
-
-    report.threshold = early_out_threshold(n, m, report.epsilon_effective, report.rho)
-    if n < 2 or m <= report.threshold:
-        report.early_out = True
-        report.early_out_reason = f"m={m} <= threshold {report.threshold:g}"
+    report.timings_ms = timings
+    if reason is None:
+        report.threshold = early_out_threshold(n, m, report.epsilon_effective, report.rho)
+        if m <= report.threshold:
+            reason = f"m={m} <= threshold {report.threshold:g}"
+    if reason is not None:
+        report.early_out, report.early_out_reason = True, reason
         report.output_size = m
-        identity = SparseGraph.from_arrays(n, g.edge_u, g.edge_v, g.edge_w)
-        report.timings_ms["total"] = (time.perf_counter() - t_start) * 1e3
-        return identity, report
+        timings["total"] = (time.perf_counter() - t_start) * 1e3
+        return SparseGraph.from_arrays(n, g.edge_u, g.edge_v, g.edge_w), report, r
     rho_val = report.rho
 
     # reaching level L needs an edge that survived L fair coins, which has
     # probability at most m * 2^-L
     guard = m.bit_length() + 64
 
-    t_pack = 0.0
-    t_sample = 0.0
+    t_pack = t_sample = 0.0
 
     x_ids = np.arange(m, dtype=np.int64)
     # the unbounded regime's set-aside and its d(e), read at level 0; not a
@@ -240,8 +263,8 @@ def _algorithm_one(
     f_levels: list[np.ndarray] = []  # F_i id arrays, i = 0..Gamma
 
     i = 0
-    m_i = math.floor(2.0 * rho_val)
     while True:
+        m_i = math.floor(rho_val * 2.0 ** (i + 1))
         t0 = time.perf_counter()
         packing = (msf_packing_windowed if windowed else msf_packing_bounded)(
             g if i == 0 else g.subgraph_edges(x_ids), m_i
@@ -276,7 +299,6 @@ def _algorithm_one(
                 f"level count exceeded guard {guard} "
                 f"(n={n}, m={m}, rho={rho_val:.3f})"
             )
-        m_i = math.floor(rho_val * 2.0 ** (i + 1))
 
     gamma = i
     report.gamma = gamma
@@ -313,14 +335,14 @@ def _algorithm_one(
     )
     result = SparseGraph.from_arrays(n, g.edge_u[ids], g.edge_v[ids], out_w)
     report.output_size = result.m
-    report.timings_ms = {
-        "packing": t_pack * 1e3,
-        "sampling": t_sample * 1e3,
-        "compression": t_compress * 1e3,
-        "assembly": (time.perf_counter() - t0) * 1e3,
-        "total": (time.perf_counter() - t_start) * 1e3,
-    }
-    return result, report
+    timings.update(
+        packing=t_pack * 1e3,
+        sampling=t_sample * 1e3,
+        compression=t_compress * 1e3,
+        assembly=(time.perf_counter() - t0) * 1e3,
+        total=(time.perf_counter() - t_start) * 1e3,
+    )
+    return result, report, r
 
 
 def sparsify_unbounded_with_report(
@@ -331,14 +353,10 @@ def sparsify_unbounded_with_report(
     weight, the rest runs the standard levels with windowed index estimates.
     `sparsify` is the library's entry point; this single round is kept only
     because perfbench/test_perfbench.py imports it."""
-    return _algorithm_one(
-        g,
-        cfg,
-        cfg.epsilon,
-        RngStream(cfg.seed),
-        windowed=True,
-        capture_levels=capture_levels,
+    h, report, _ = _algorithm_one(
+        g, cfg, cfg.epsilon, RngStream(cfg.seed), windowed=True, capture_levels=capture_levels
     )
+    return h, report
 
 
 def _ni_round(
@@ -368,9 +386,9 @@ def sparsify(
     1 +/- eps; each round after the first rounds its input to integers at
     eps_i and samples at eps_i / 2.  `pipeline` is an NI pass at eps/3, then
     `msf` at eps/3 with a seed of its own, whose first round rounds the NI
-    output at eps/3.  A rounding that does not fit 63 bits skips its round
-    with an early-out report; the next round, at a looser eps_i, tries again.
-    One scale-back by 2^-(sum of r) ends the run.
+    output at eps/3.  A round whose rounding does not fit 63 bits returns its
+    input through its early out; the next round, at a looser eps_i, tries
+    again.  One scale-back by 2^-(sum of r) ends the run.
     """
     windowed = g.m > 0 and g.max_weight() > g.n**POLY_WEIGHT_EXPONENT
     if cfg.method == "ni":
@@ -385,36 +403,23 @@ def sparsify(
             g, cfg, first_rounding, root.child("pipeline-preprocess").seed, windowed
         )
         reports.append(rep)
-        cfg = replace(cfg, epsilon=first_rounding, seed=root.child("pipeline-main").seed)
+        cfg = replace(
+            cfg, epsilon=first_rounding, seed=root.child("pipeline-main").seed, method="msf"
+        )
 
     n, m = current.n, current.m
-    k = max(1, log_star2(m / (n * math.log2(n) / cfg.epsilon**2))) if n >= 2 and m > 0 else 1
+    k = max(1, log_star2(m / (n * math.log2(n) / cfg.epsilon**2))) if m else 1
     budgets = [cfg.epsilon / 2.0 ** (k - i + 2) for i in range(1, k + 1)]
     # per round: the precision it samples at, and the one it rounds at (or None)
     schedule = [(budgets[0], first_rounding)] + [(e / 2.0, e) for e in budgets[1:]]
     root = RngStream(cfg.seed)
     scale_exp = 0
     for i, (run_eps, round_eps) in enumerate(schedule, 1):
-        work = current
-        if round_eps is not None:
-            t_start = time.perf_counter()
-            try:
-                work, r = reduce_real_weights(current, round_eps)
-            except WeightRangeError as exc:
-                rep = _round_report(current, cfg, run_eps, cfg.seed, windowed, "msf")
-                rep.early_out, rep.early_out_reason = True, str(exc)
-                rep.output_size = current.m
-                rep.timings_ms["total"] = (time.perf_counter() - t_start) * 1e3
-                reports.append(rep)
-                continue
-            scale_exp += r
-            reduce_ms = (time.perf_counter() - t_start) * 1e3
-        rng = root.child(f"round:{i}")
-        current, rep = _algorithm_one(work, cfg, run_eps, rng, windowed=windowed)
-        if round_eps is not None:
-            rep.timings_ms["reduce"] = reduce_ms
-            rep.timings_ms["total"] += reduce_ms
+        current, rep, r = _algorithm_one(
+            current, cfg, run_eps, root.child(f"round:{i}"), windowed=windowed, round_eps=round_eps
+        )
         reports.append(rep)
+        scale_exp += r
     if scale_exp:
         current = scale_back(current, scale_exp)
     return current, reports

@@ -43,10 +43,12 @@ def single_round(
     g: WeightedGraph, cfg: SparsifyConfig, *, windowed: bool = False, capture_levels: bool = False
 ) -> tuple[SparseGraph, RunReport]:
     """One round of Algorithm 1 at cfg.epsilon on the stream RngStream(cfg.seed),
-    with exact (polynomial) or windowed (unbounded) packings."""
-    return _algorithm_one(
+    with exact (polynomial) or windowed (unbounded) packings; the round takes
+    an integral input, so it rescales nothing."""
+    h, report, _ = _algorithm_one(
         g, cfg, cfg.epsilon, RngStream(cfg.seed), windowed=windowed, capture_levels=capture_levels
     )
+    return h, report
 
 
 def rho_scale_for(n: int, epsilon: float, target: float) -> float:

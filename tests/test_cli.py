@@ -511,6 +511,9 @@ _EXIT_CASES = [
     (["sparsify", "verify", "mincut", "msf"], "missing", [], 1, "[Errno 2] "),
     (["sparsify", "verify", "mincut", "msf"], "malformed", [], 1, "line 2: "),
     (["sparsify", "mincut", "bench"], "graph", ["--epsilon", "1.5"], 2, "epsilon must be in (0, 1)"),
+    # below the floor eps^2 underflows: a ZeroDivisionError, or log2(0) in practical mode
+    (["sparsify", "mincut", "bench"], "graph", ["--epsilon", "1e-200"], 2, "epsilon must be at least 1e-100"),
+    (["sparsify", "mincut", "bench"], "graph", ["--epsilon", "1e-160", "--mode", "practical"], 2, "epsilon must be at least 1e-100"),
     (["sparsify", "mincut", "bench"], "graph", ["--rho-scale", "nan"], 2, "rho_scale must be positive and finite"),
     (["sparsify", "mincut", "bench"], "graph", ["--rho-scale", "inf"], 2, "rho_scale must be positive and finite"),
     (["sparsify", "mincut", "bench"], "pair", ["--mode", "practical"], 3, "level count exceeded guard"),

@@ -2,8 +2,9 @@
 
 Each case builds its input, runs one command and compares the sha256 of what
 it wrote (the output file for `sparsify`, stdout otherwise) with a literal
-digest.  A change that alters output on purpose updates the digest here and
-says why in CHANGES.md.
+digest.  A `sparsify` case also digests its `--report` JSON with every
+`timings_ms` removed, the only fields that vary between runs.  A change that
+alters output on purpose updates the digest here and says why in CHANGES.md.
 """
 
 import hashlib
@@ -46,12 +47,21 @@ def flooded_graph() -> WeightedGraph:
     return WeightedGraph.from_edges(g.n, g.edges() + [(0, 1, MAX_WEIGHT)] * 3)
 
 
+def refused_graph() -> WeightedGraph:
+    """One edge of weight 2^63 - 1 beside 1,201 unit edges on a triangle:
+    the NI pass leaves real weights whose range cannot be rounded into 63
+    bits, so the msf round after it is refused."""
+    unit = [(i % 3, (i + 1) % 3, 1) for i in range(1201)]
+    return WeightedGraph.from_edges(3, [(0, 1, MAX_WEIGHT), *unit])
+
+
 INPUTS = {
     "multi": lambda: multi_complete_graph(10, 30, 8, seed=2),
     "layered": layered_graph,
     "dumbbell": lambda: dumbbell_graph(6, bridge_weight=3, copies=12),
     "random": lambda: random_graph(16, 300, 1000, seed=5),
     "flooded": flooded_graph,
+    "refused": refused_graph,
 }
 
 PRACTICAL = ["--epsilon", "0.5", "--seed", "7", "--mode", "practical"]
@@ -96,6 +106,11 @@ CASES = {
         ["sparsify", "--method", "pipeline", *PRACTICAL],
         "82ad160d45b30f4934eeabc68455f184907b403d9765d00c4668cced8a59ec53",
     ),
+    "sparsify-pipeline-refused-round": (
+        "refused",
+        ["sparsify", "--method", "pipeline", *PRACTICAL],
+        "e9150c1039e142e419cdf2687c07c5042400e18ab51bea05e6d9fff73c06f22b",
+    ),
     "mincut": (
         "dumbbell",
         ["mincut", *PRACTICAL],
@@ -107,6 +122,26 @@ CASES = {
         "c96f2a544c3fba0bc1b13ae07a5daed31c3b8fe0f8cf764631f459161b9f113b",
     ),
 }
+
+
+# the --report digest of each sparsify case, timings_ms removed
+REPORTS = {
+    "sparsify-msf-polynomial": "35b6576c1f7969e23e1da64d6816937fb6257afc554c8eea857d20373fba8535",
+    "sparsify-msf-unbounded": "6f8947777cb35c648650964d6751356b9c0e9c974ac7a1b9d88fe833e8add11f",
+    "sparsify-msf-unbounded-zero-forests": "26495b3c31c7b407bb65a84b09bd85cc8dd98f8361b930fa52e5fd9a7b6e516e",
+    "sparsify-msf-polynomial-zero-forests": "674a5e81c103914892b83839bed69965298c1b37a2cebeea6f9307f2ad558472",
+    "sparsify-ni": "5c4a6ad65cf55356d250a1b738a8f2a8507751bf3b6973c4117ab901792e2bbf",
+    "sparsify-ni-past-64-bits": "7f6990bc9af71ed39a70986a4b0a3dab8e28cb5eefa3bc615793a3db522178bd",
+    "sparsify-pipeline": "28c5a98c89ec7113a8fd01f56b546d21fe6311866f47c923bea8d34a45f6d7f0",
+    "sparsify-pipeline-refused-round": "72073efb5b0776637c157216d03e82a6e4bb1cd4f0e9c3fbed7cf1d79476eea3",
+}
+
+
+def report_digest(text: str) -> str:
+    payload = json.loads(text)
+    for part in [payload, *payload["rounds"]]:
+        del part["timings_ms"]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -138,4 +173,11 @@ def test_cli_output_digest(case, tmp_path, capsys):
         assert rnd["regime"] == "unbounded" and rnd["set_aside_count"] > 0
         forests = [level["forests"] for level in rnd["levels"]]
         assert forests[0] == 0 and len(forests) >= 2 and min(forests[1:]) >= 1
+    if case == "sparsify-pipeline-refused-round":
+        ni_round, msf_round = json.loads(report.read_text())["rounds"]
+        assert ni_round["method"] == "ni" and not ni_round["early_out"]
+        assert msf_round["early_out_reason"].startswith("weight range too wide")
+        assert set(msf_round["timings_ms"]) == {"total"}
     assert hashlib.sha256(written).hexdigest() == digest
+    if argv[0] == "sparsify":
+        assert report_digest(report.read_text()) == REPORTS[case]

@@ -22,6 +22,7 @@ from cutsparse import (
 from cutsparse.msf import OVER
 from cutsparse.sampling import RngStream
 from cutsparse.sparsify import (
+    MIN_EPSILON,
     early_out_threshold,
     log_star2,
     reduce_real_weights,
@@ -98,6 +99,26 @@ class TestConfig:
             replace(cfg, epsilon=1.5)
         with pytest.raises(ValueError, match="theory mode"):
             replace(SparsifyConfig(epsilon=0.5, mode="practical"), rho_scale=0.5)
+
+    def test_epsilon_floor(self):
+        # below the floor eps^2 underflows to 0, and the round count or rho
+        # divides by it
+        for epsilon in (1e-160, 1e-200):
+            with pytest.raises(ValueError, match="epsilon must be at least 1e-100,"):
+                SparsifyConfig(epsilon=epsilon)
+        # pipeline's msf stage runs at a third of epsilon, which has the floor
+        with pytest.raises(ValueError, match="epsilon must be at least 3e-100,"):
+            SparsifyConfig(epsilon=2e-100, method="pipeline")
+        # at the floor every method runs with a finite rho, and theory mode's
+        # rho keeps every edge
+        g = random_graph(8, 20, 9, seed=1)
+        for method, epsilon in (("msf", MIN_EPSILON), ("ni", MIN_EPSILON), ("pipeline", 3.0 * MIN_EPSILON)):
+            for mode in ("theory", "practical"):
+                h, reports = sparsify(g, SparsifyConfig(epsilon=epsilon, method=method, mode=mode))
+                assert all(0.0 < r.rho < math.inf for r in reports)
+                assert np.isfinite(h.edge_w).all()
+                if mode == "theory":
+                    assert h.edges() == as_float_edges(g)
 
     def test_log_star(self):
         assert log_star2(0.5) == 0
