@@ -8,11 +8,13 @@ list-backed union-find forests, allocated as the packing first reaches them.
 The kernel stops once its top forest spans the graph: every later edge then
 has its endpoints joined in all M forests, so it is OVER and moves no
 singleton level, and the levels are those of the full pass.  The bottleneck
-weights come from their own descending Kruskal pass over a union-by-size
-forest that keeps the order of its unions.  A windowed estimator rescales
-extreme weight ranges into polynomial bands and reads exact packings there;
-its domain, the edges with n*w(e) > d(e), is the one place the unbounded
-regime's set-aside rule lives.
+weights take the maximum spanning forest from a vectorized Borůvka, build a
+union-by-size forest that keeps the order of its unions from only its
+edges, and climb every edge through it in numpy.  A windowed estimator
+rescales extreme weight ranges into polynomial bands, by a float64 estimate
+that falls back to exact Python ints next to a rounding boundary, and reads
+exact packings there; its domain, the edges with n*w(e) > d(e), is the one
+place the unbounded regime's set-aside rule lives.
 """
 
 from __future__ import annotations
@@ -51,13 +53,13 @@ class EstimatedMsfPacking:
     d: np.ndarray  # int64 per edge; bottleneck weights in the graph estimated
 
 
-def _descending_order(w: np.ndarray) -> list[int]:
+def _descending_order(w: np.ndarray) -> np.ndarray:
     """Edge ids by weight descending, ties by ascending edge id.
 
     Weights lie in [1, 2**63 - 1], so negating them cannot overflow int64,
     and the stable sort keeps tied edges in id order.
     """
-    return np.argsort(-w, kind="stable").tolist()
+    return np.argsort(-w, kind="stable")
 
 
 def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
@@ -94,7 +96,7 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
     placed = [0] * (m_eff + 1)  # edges per forest
     need = -1  # n - c(G), once counted
 
-    for eid in _descending_order(g.edge_w):
+    for eid in _descending_order(g.edge_w).tolist():
         u = edge_u[eid]
         v = edge_v[eid]
         su = s[u]
@@ -155,49 +157,136 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
 # --- bottleneck weights ------------------------------------------------------
 
 
+def _forest_positions(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Order positions of the maximum spanning forest, ascending, for the
+    edges eu[i]-ev[i] listed in order (position 0 heaviest).
+
+    Vectorized Borůvka: positions are distinct keys, so each component's
+    smallest incident position (`np.minimum.at`) is a forest edge by the cut
+    property.  Every component hooks across its edge; two components that
+    picked the same edge hook each other, and the one with the smaller id
+    stays the root.  Pointer jumping relabels the endpoints, and the edges
+    that became internal drop out.
+    """
+    live = np.arange(len(eu))
+    cu, cv = eu, ev
+    picked = []
+    while live.size:
+        best = np.full(n, live.size)
+        idx = np.arange(live.size)
+        np.minimum.at(best, cu, idx)
+        np.minimum.at(best, cv, idx)
+        comp = np.flatnonzero(best < live.size)
+        e = best[comp]
+        other = np.where(cu[e] == comp, cv[e], cu[e])
+        label = np.arange(n)
+        label[comp] = other
+        root = (label[other] == comp) & (comp < other)
+        label[comp[root]] = comp[root]
+        picked.append(live[e[~root]])
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
+        cu, cv = label[cu], label[cv]
+        keep = cu != cv
+        live, cu, cv = live[keep], cu[keep], cv[keep]
+    return np.sort(np.concatenate(picked)) if picked else live
+
+
+def _attachments(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parent, attaching order position (m at a root) and attaching weight
+    of every vertex in the union-by-size forest built from the maximum
+    spanning forest's edges in `_descending_order`."""
+    n, m = g.n, g.m
+    order = _descending_order(g.edge_w)
+    eu, ev = g.edge_u[order], g.edge_v[order]
+    forest = _forest_positions(n, eu, ev)
+    us, vs = eu[forest].tolist(), ev[forest].tolist()
+    ws = g.edge_w[order[forest]].tolist()
+    parent = list(range(n))
+    size = [1] * n
+    when = [m] * n
+    via = [0] * n
+    for pos, x, y, w in zip(forest.tolist(), us, vs, ws):
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if size[x] < size[y]:
+            x, y = y, x
+        parent[y] = x
+        size[x] += size[y]
+        when[y] = pos
+        via[y] = w
+    return (
+        np.array(parent, dtype=np.int64),
+        np.array(when, dtype=np.int64),
+        np.array(via, dtype=np.int64),
+    )
+
+
 def bottleneck_weights(g: WeightedGraph) -> np.ndarray:
     """d(e): minimum edge weight on the path between e's endpoints in the
     maximum spanning forest that Kruskal builds in `_descending_order`; for
-    forest edges d(e) = w(e).
+    forest edges d(e) = w(e).  d(e) is the largest over all e-paths of the
+    path's lightest weight, the same in every maximum spanning forest.
 
-    One descending pass over a union-by-size forest without path compression
-    (depth at most log2 n).  Each attached root keeps the order position and
-    weight of the edge that attached it, and positions rise along every path
-    to a root.  A non-forest edge climbs both endpoints, always stepping the
-    one attached earlier, until they meet: the last attachment climbed is the
-    union that first joined them, and its weight is d(e).
+    Three steps.  `_forest_positions` finds the forest by Borůvka in numpy.
+    `_attachments` then builds a union-by-size forest without path
+    compression (depth at most log2 n) from only those n - c(G) edges, in
+    order; each attached root keeps the order position and weight of the
+    edge that attached it, and positions rise along every path to a root.
+    Last, every edge climbs both endpoints at once in numpy, always stepping
+    the one attached earlier, until they meet: the last attachment climbed
+    is the union that first joined them, and its weight is d(e).  That
+    takes at most 2 log2 n steps.
     """
-    n, m = g.n, g.m
-    us = g.edge_u.tolist()
-    vs = g.edge_v.tolist()
-    ws = g.edge_w.tolist()
-    d = [0] * m
-    parent = list(range(n))
-    size = [1] * n
-    when = [m] * n  # order position of the edge that attached x; m at a root
-    via = [0] * n  # weight of that edge
-    for pos, eid in enumerate(_descending_order(g.edge_w)):
-        x = us[eid]
-        y = vs[eid]
-        while x != y:
-            if when[x] < when[y]:
-                d[eid] = via[x]
-                x = parent[x]
-            elif when[y] < when[x]:
-                d[eid] = via[y]
-                y = parent[y]
-            else:  # two roots: e joins their trees
-                if size[x] < size[y]:
-                    x, y = y, x
-                parent[y] = x
-                size[x] += size[y]
-                when[y] = pos
-                via[y] = d[eid] = ws[eid]
-                break
-    return np.array(d, dtype=np.int64)
+    parent, when, via = _attachments(g)
+    d = np.zeros(g.m, dtype=np.int64)
+    live = np.arange(g.m)
+    x, y = g.edge_u, g.edge_v
+    while live.size:
+        first = when[x] < when[y]
+        z = np.where(first, x, y)
+        d[live] = via[z]
+        up = parent[z]
+        x = np.where(first, up, x)
+        y = np.where(first, y, up)
+        keep = x != y
+        live, x, y = live[keep], x[keep], y[keep]
+    return d
 
 
 # --- windowed estimation ------------------------------------------------------
+
+
+def _window_weights(x: np.ndarray, D: int, n: int) -> np.ndarray:
+    """Window D's int64 weights for x > D // n**2: n**3 x / D rounded half
+    up, (2 n**3 x + D) // 2D, where x <= D, and the cap n**3 + 1 above D,
+    which sorts above every rescaled weight and stays below n**4.
+
+    The quotient q = n**3 x / D is estimated as t = fl(x) * fl(n**3) / fl(D)
+    in float64: at most five roundings to nearest, so |t - q| is below
+    5.0001 * 2**-53 * q, hence below t * 2**-50.  Round half up moves only
+    at half-integers, so t rounds like q unless a half-integer lies within
+    that bound of t.  Those entries, exact ties among them, and only those,
+    take the exact Python-int expression, so every entry equals it.  While
+    n**4 < 2**63, as in the unbounded regime, q <= n**3 keeps the bound
+    below 0.15, and at n = 1024 below 2**-20, so few entries fall back.
+    """
+    n3 = n**3
+    t = np.minimum(x, D).astype(np.float64) * float(n3) / float(D)
+    whole = np.floor(t)
+    frac = t - whole  # exact: whole is 0 or at least t / 2
+    r = (whole + (frac >= 0.5)).astype(np.int64)
+    r[x > D] = n3 + 1
+    near = np.flatnonzero((np.abs(frac - 0.5) <= t * 2.0**-50) & (x <= D))
+    if near.size:
+        k, two_D = 2 * n3, 2 * D
+        r[near] = [(k * v + D) // two_D for v in x[near].tolist()]
+    return r
 
 
 def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
@@ -206,11 +295,12 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     Coverage is decided once, up front, and windows pack covered edges only.
     Windows are processed from the largest d(e) not yet reached downward.
     Window D drops edges not heavier than D/n**2, rescales weights in
-    (D/n**2, D] by n**3/D (round half up), caps everything heavier than D at
-    n**3 + 1, and reads the exact packing of that rescaled graph.  Each
-    covered edge takes its level from the first window whose (D/n, D]
-    interval contains its d(e); at M = 0 no window is packed and every
-    covered edge is OVER.  d is taken in `g` itself: for the working set of
+    (D/n**2, D] by n**3/D (round half up, exactly, from a float64 estimate
+    that `_window_weights` checks against the rounding boundaries), caps
+    everything heavier than D at n**3 + 1, and reads the exact packing of
+    that rescaled graph.  Each covered edge takes its level from the first
+    window whose (D/n, D] interval contains its d(e); at M = 0 no window is
+    packed and every covered edge is OVER.  d is taken in `g` itself: for the working set of
     a later level it differs from the whole input's d, so it cannot be
     computed once and passed down.  An uncovered edge is never a Kruskal
     forest edge (those have d = w), so dropping the uncovered edges changes
@@ -228,7 +318,6 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     n = g.n
     w = g.edge_w
     d = bottleneck_weights(g)
-    cap = n**3 + 1  # sorts above every rescaled in-window weight, stays < n**4
 
     # For positive integers k*x > y exactly when x > y // k, so the weight
     # tests below stay in int64 without overflow.
@@ -243,13 +332,8 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
         window = covered & (w > D // (n * n))
         assert window[batch].all(), "covered edge must survive into its window"
         idx = np.flatnonzero(window)
-        # n**3 * x / D rounded half up, as (2 n**3 x + D) // 2D in Python ints
-        k, two_D = 2 * n**3, 2 * D
         window_graph = WeightedGraph.from_arrays(
-            g.n,
-            g.edge_u[idx],
-            g.edge_v[idx],
-            [cap if x > D else (k * x + D) // two_D for x in w[idx].tolist()],
+            g.n, g.edge_u[idx], g.edge_v[idx], _window_weights(w[idx], D, n)
         )
         packing = msf_packing_bounded(window_graph, M)
         levels[batch] = packing.levels[np.searchsorted(idx, np.flatnonzero(batch))]

@@ -2,7 +2,9 @@
 
 Everything here is deliberately independent of the library's fast paths: the
 packing oracle repeats standalone Kruskal passes over its own descending
-sort, the windowed oracle scans every edge per window with Python ints,
+sort, the bottleneck oracle climbs every edge through a union-by-size forest
+as the edge arrives in one descending pass, the windowed oracle reads that
+oracle's d and scans every edge per window with Python ints,
 edge connectivity enumerates cuts or runs a max-flow, the NI oracle scans
 every edge with its own heap push, the components oracle searches adjacency
 lists breadth first, the min-cut oracle runs Stoer-Wagner on Python numbers
@@ -31,7 +33,6 @@ from cutsparse.msf import (
     EstimatedMsfPacking,
     MsfPacking,
     _descending_order,
-    bottleneck_weights,
     msf_packing_bounded,
 )
 from cutsparse.oracles import ENUMERATION_LIMIT, _all_cut_weights
@@ -99,6 +100,43 @@ def oracle_msf_packing(g: WeightedGraph, M: int) -> MsfPacking:
     return MsfPacking(M=M, levels=levels, singleton_level=singleton)
 
 
+def oracle_bottleneck_weights(g: WeightedGraph) -> np.ndarray:
+    """d(e) by one descending pass over a union-by-size forest without path
+    compression: each attached root keeps the order position and weight of
+    the edge that attached it.  An edge climbs both endpoints, always
+    stepping the one attached earlier, until they meet (the last attachment
+    climbed is the union that first joined them, and its weight is d(e)) or
+    reach two roots, which the edge then joins (d(e) = w(e))."""
+    n, m = g.n, g.m
+    us = g.edge_u.tolist()
+    vs = g.edge_v.tolist()
+    ws = g.edge_w.tolist()
+    d = [0] * m
+    parent = list(range(n))
+    size = [1] * n
+    when = [m] * n  # order position of the edge that attached x; m at a root
+    via = [0] * n  # weight of that edge
+    for pos, eid in enumerate(_descending_order(g.edge_w).tolist()):
+        x = us[eid]
+        y = vs[eid]
+        while x != y:
+            if when[x] < when[y]:
+                d[eid] = via[x]
+                x = parent[x]
+            elif when[y] < when[x]:
+                d[eid] = via[y]
+                y = parent[y]
+            else:  # two roots: e joins their trees
+                if size[x] < size[y]:
+                    x, y = y, x
+                parent[y] = x
+                size[x] += size[y]
+                when[y] = pos
+                via[y] = d[eid] = ws[eid]
+                break
+    return np.array(d, dtype=np.int64)
+
+
 def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
@@ -112,7 +150,7 @@ def windowed_loop_msf_packing(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     n, m = g.n, g.m
     levels = np.zeros(m, dtype=np.int64)
     covered = np.zeros(m, dtype=bool)
-    d = bottleneck_weights(g)
+    d = oracle_bottleneck_weights(g)
     if m == 0:
         return EstimatedMsfPacking(M=M, levels=levels, covered=covered, d=d)
 
@@ -124,7 +162,7 @@ def windowed_loop_msf_packing(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     for e in domain:
         levels[e] = OVER
         covered[e] = True
-    pending = [e for e in _descending_order(d) if covered[e]] if M else []
+    pending = [e for e in _descending_order(d).tolist() if covered[e]] if M else []
 
     pos = 0
     while pos < len(pending):

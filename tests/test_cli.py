@@ -201,7 +201,7 @@ class TestSparsifyCommand:
         for rnd in exercised:
             assert len(rnd["levels"]) == rnd["gamma"] + 1
             assert rnd["early_out_reason"] is None
-        assert set(payload["timings_ms"]) == {"load", "save", "total"}
+        assert set(payload["timings_ms"]) == {"load", "sparsify", "save", "total"}
 
     @pytest.mark.parametrize("method", ["msf", "ni", "pipeline"])
     def test_report_timings_add_up(self, multigraph_file, tmp_path, method):
@@ -221,6 +221,23 @@ class TestSparsifyCommand:
             round_totals += total
         top = payload["timings_ms"]
         assert top["total"] >= top["load"] + top["save"] + round_totals
+        # the rounds run inside the sparsify call, which also scales back
+        assert top["sparsify"] >= round_totals
+
+    @pytest.mark.parametrize("method", ["msf", "ni", "pipeline"])
+    def test_report_top_level_timings_cover_the_run(self, multigraph_file, tmp_path, method):
+        # load, sparsify and save are the whole command: nothing it does
+        # between reading the input and writing the output goes untimed
+        report = tmp_path / "report.json"
+        rc = main(
+            ["sparsify", "--input", str(multigraph_file), "--output", str(tmp_path / "h.txt"),
+             "--epsilon", "0.5", "--seed", "3", "--method", method, "--report", str(report)]
+        )
+        assert rc == 0
+        top = json.loads(report.read_text())["timings_ms"]
+        parts = [top["load"], top["sparsify"], top["save"]]
+        assert all(t >= 0.0 for t in parts)
+        assert sum(parts) <= top["total"]
 
     def test_methods_run(self, multigraph_file, tmp_path):
         for method in ("msf", "ni", "pipeline"):

@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutsparse import MAX_WEIGHT, WeightedGraph, msf_packing_bounded
-from cutsparse.msf import OVER, bottleneck_weights, msf_packing_windowed
+from cutsparse.msf import OVER, _window_weights, bottleneck_weights, msf_packing_windowed
 
 from conftest import complete_graph, multigraphs, random_graph
 from reference import (
     edge_connectivity,
+    oracle_bottleneck_weights,
     oracle_msf_packing,
     validate_msf_packing_forests,
     validate_msf_packing_heaviness,
@@ -31,6 +32,18 @@ def disjoint_unions(draw) -> WeightedGraph:
         edges += [(u + offset, v + offset, w) for u, v, w in part.edges()]
         offset += part.n
     return WeightedGraph.from_edges(offset + draw(st.integers(0, 2)), edges)
+
+
+@st.composite
+def tied_multigraphs(draw) -> WeightedGraph:
+    """`multigraphs` reweighted from a pool of one to five values, the
+    extremes 1 and 2^63 - 1 among its choices: long runs of tied weights,
+    where only the edge-id order tells Borůvka's picks apart."""
+    g = draw(multigraphs(max_n=24, max_edges=60))
+    pool = draw(st.lists(st.sampled_from([1, 2, 3, MAX_WEIGHT - 1, MAX_WEIGHT]), min_size=1, max_size=3))
+    pool += draw(st.lists(st.integers(1, MAX_WEIGHT), max_size=2))
+    w = draw(st.lists(st.sampled_from(pool), min_size=g.m, max_size=g.m))
+    return WeightedGraph.from_arrays(g.n, g.edge_u, g.edge_v, w)
 
 
 def triangle():
@@ -225,6 +238,27 @@ class TestBottleneckWeights:
         assert bottleneck_weights(g).tolist() == expected
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(g=tied_multigraphs())
+    @example(g=WeightedGraph.from_edges(5, []))
+    @example(g=WeightedGraph.from_edges(4, [(0, 1, MAX_WEIGHT)] * 3 + [(1, 2, 1)] * 2 + [(0, 2, 1)]))
+    def test_matches_oracle_on_tied_multigraphs(self, g):
+        assert bottleneck_weights(g).tolist() == oracle_bottleneck_weights(g).tolist()
+
+    def test_matches_oracle_on_larger_forests(self):
+        # several Borůvka rounds, several components and isolated vertices
+        rng = random.Random(11)
+        for trial in range(12):
+            n = rng.randint(200, 1500)
+            parts = [random_graph(k, rng.randint(k - 1, 6 * k), rng.choice([3, 1 << 40, MAX_WEIGHT]),
+                                  seed=1000 + 10 * trial + j)
+                     for j, k in enumerate((n // 2, n // 3))]
+            edges = [(u, v, w) for u, v, w in parts[0].edges()]
+            edges += [(u + n // 2, v + n // 2, w) for u, v, w in parts[1].edges()]
+            g = WeightedGraph.from_edges(n, edges)  # the last n // 6 vertices isolated
+            assert bottleneck_weights(g).tolist() == oracle_bottleneck_weights(g).tolist()
+
+
 class TestWindowedPacking:
     def test_uniform_weights_single_window_equals_exact(self):
         g = random_graph(8, 25, 1, seed=700)  # all weights 1
@@ -313,6 +347,52 @@ class TestWindowedPacking:
         assert est.covered.tolist() == in_domain
 
 
+def exact_window_weights(x: list[int], D: int, n: int) -> list[int]:
+    return [n**3 + 1 if v > D else (2 * n**3 * v + D) // (2 * D) for v in x]
+
+
+# n = 55108 is the largest n with n^4 < 2^63, the largest the unbounded regime sees
+WINDOW_NS = [2, 3, 1024, 55108]
+
+
+class TestWindowWeights:
+    @pytest.mark.parametrize("n", WINDOW_NS)
+    def test_half_ties_and_neighbours(self, n):
+        # n^3 x / D = k + 1/2 exactly: D = 2 n^3 z and x = (2k + 1) z, with z
+        # as large as D <= 2^63 - 1 allows, so x and D are not exact in float64
+        rng = random.Random(n)
+        n3 = n**3
+        z_max = MAX_WEIGHT // (2 * n3)
+        for z in (z_max, z_max - 1, rng.randint(z_max // 2, z_max), 1):
+            D = 2 * n3 * z
+            for k in (n, n + 1, n3 - 1, *(rng.randint(n, n3 - 1) for _ in range(40))):
+                x0 = (2 * k + 1) * z
+                x = [v for v in (x0 - 1, x0, x0 + 1) if D // (n * n) < v <= D]
+                got = _window_weights(np.array(x, dtype=np.int64), D, n).tolist()
+                assert got == exact_window_weights(x, D, n), (n, D, x)
+
+    @pytest.mark.parametrize("n", WINDOW_NS)
+    def test_window_ends_and_cap(self, n):
+        rng = random.Random(7 * n)
+        for D in (MAX_WEIGHT, MAX_WEIGHT - 1, n**4 - 1, n * n, rng.randint(n * n, MAX_WEIGHT)):
+            lo = D // (n * n) + 1
+            x = [lo, lo + 1, D - 1, D, *(rng.randint(lo, D) for _ in range(200))]
+            x += [v for v in (D + 1, MAX_WEIGHT) if D < v <= MAX_WEIGHT]  # capped at n^3 + 1
+            got = _window_weights(np.array(x, dtype=np.int64), D, n).tolist()
+            assert got == exact_window_weights(x, D, n), (n, D)
+            assert got[1] >= got[0] >= n and got[3] == n**3
+
+    def test_exact_fallback_is_needed(self):
+        # q = 8 x / D lies just below 4.5, at 4.5 and just above it; float64
+        # cannot tell the three apart and rounds the first up to 5
+        n, D = 2, 16 * 365178100632113834
+        x = [3286602905689024505, 3286602905689024506, 3286602905689024507]
+        in_float = np.floor(np.array(x, dtype=np.float64) * 8.0 / float(D) + 0.5)
+        assert in_float.tolist() == [5.0, 5.0, 5.0]
+        got = _window_weights(np.array(x, dtype=np.int64), D, n).tolist()
+        assert got == exact_window_weights(x, D, n) == [4, 5, 5]
+
+
 @st.composite
 def window_graphs(draw) -> WeightedGraph:
     """`multigraphs` shapes reweighted from a small pool, so that weights tie,
@@ -356,6 +436,43 @@ class TestWindowedOracle:
     )
     def test_matches_windowed_loop(self, g):
         for M in (0, 1, 2, max(1, g.m), g.m + 5):
+            fast = msf_packing_windowed(g, M)
+            loop = windowed_loop_msf_packing(g, M)
+            assert fast.levels.tolist() == loop.levels.tolist()
+            assert fast.covered.tolist() == loop.covered.tolist()
+            assert fast.d.tolist() == loop.d.tolist()
+
+
+@st.composite
+def banded_graphs(draw) -> WeightedGraph:
+    """Connected graphs on n in [200, 2000] with 2n to 3n edges whose weights
+    fall in four to six bands, band j of multiplicative width n^2 starting
+    at a random power of two: several windows, and most rescaled weights far
+    from a half-integer, so that most entries take the float64 estimate."""
+    n = draw(st.integers(200, 2000))
+    top = 62 - 2 * n.bit_length()
+    bases = draw(st.lists(st.integers(0, top), min_size=4, max_size=6))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    span = n * n
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = list(zip(order, order[1:]))
+    m = rng.randint(2 * n, 3 * n)
+    while len(pairs) < m:
+        u, v = rng.sample(range(n), 2)
+        pairs.append((u, v))
+    edges = []
+    for u, v in pairs:
+        lo = 1 << rng.choice(bases)
+        edges.append((u, v, rng.randint(lo, lo * span - 1)))
+    return WeightedGraph.from_edges(n, edges)
+
+
+class TestWindowedOracleAtScale:
+    @settings(max_examples=25, deadline=None)
+    @given(g=banded_graphs())
+    def test_matches_windowed_loop(self, g):
+        for M in (0, 1, 3):
             fast = msf_packing_windowed(g, M)
             loop = windowed_loop_msf_packing(g, M)
             assert fast.levels.tolist() == loop.levels.tolist()
