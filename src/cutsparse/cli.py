@@ -37,6 +37,8 @@ from .graph import (
 from .msf import OVER, msf_packing_bounded
 from .oracles import ENUMERATION_LIMIT, check_sparsifier
 from .sparsify import (
+    METHODS,
+    MODES,
     PRACTICAL_NI_RHO,
     PRACTICAL_RHO,
     LevelOverflowError,
@@ -56,7 +58,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     p.add_argument(
         "--mode",
-        choices=("theory", "practical"),
+        choices=MODES,
         default="theory",
         help="theory keeps the literal constants; practical runs every msf "
         f"round at rho = {PRACTICAL_RHO:g} and every NI pass at rho = "
@@ -91,9 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sparsify = sub.add_parser("sparsify", help="write a cut sparsifier")
     p_sparsify.add_argument("--input", required=True)
     p_sparsify.add_argument("--output", required=True)
-    p_sparsify.add_argument(
-        "--method", choices=("msf", "ni", "pipeline"), default="msf"
-    )
+    p_sparsify.add_argument("--method", choices=METHODS, default="msf")
     p_sparsify.add_argument("--report", default=None, help="write a JSON run report")
     _add_config_flags(p_sparsify)
 

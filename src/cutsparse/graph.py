@@ -55,6 +55,19 @@ class _Graph:
     edge_v: np.ndarray  # int64
     edge_w: np.ndarray
 
+    @classmethod
+    def from_arrays(cls, n: int, edge_u, edge_v, edge_w) -> _Graph:
+        """Validated graph over read-only copies of the given columns: int64
+        endpoints, weights of the class's `_weight_dtype`."""
+        g = cls(
+            n,
+            _column(edge_u, np.int64, "edge endpoint out of range"),
+            _column(edge_v, np.int64, "edge endpoint out of range"),
+            _column(edge_w, cls._weight_dtype, cls._weight_error),
+        )
+        g._validate()
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edge_u)
@@ -98,17 +111,7 @@ class _Graph:
 class WeightedGraph(_Graph):
     """Integer-weighted multigraph; edge_w is int64, each in [1, MAX_WEIGHT]."""
 
-    @staticmethod
-    def from_arrays(n: int, edge_u, edge_v, edge_w) -> "WeightedGraph":
-        """Validated graph over read-only int64 copies of the given columns."""
-        g = WeightedGraph(
-            n,
-            _column(edge_u, np.int64, "edge endpoint out of range"),
-            _column(edge_v, np.int64, "edge endpoint out of range"),
-            _column(edge_w, np.int64, "edge weight outside [1, 2^63-1]"),
-        )
-        g._validate()
-        return g
+    _weight_dtype, _weight_error = np.int64, "edge weight outside [1, 2^63-1]"
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int, int]]) -> "WeightedGraph":
@@ -132,17 +135,7 @@ class WeightedGraph(_Graph):
 class SparseGraph(_Graph):
     """Reweighted subgraph; edge_w is float64, strictly positive and finite."""
 
-    @staticmethod
-    def from_arrays(n: int, edge_u, edge_v, edge_w) -> "SparseGraph":
-        """Validated graph over read-only int64 / float64 copies of the columns."""
-        g = SparseGraph(
-            n,
-            _column(edge_u, np.int64, "edge endpoint out of range"),
-            _column(edge_v, np.int64, "edge endpoint out of range"),
-            _column(edge_w, np.float64, "edge weights must be positive and finite"),
-        )
-        g._validate()
-        return g
+    _weight_dtype, _weight_error = np.float64, "edge weights must be positive and finite"
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> "SparseGraph":

@@ -25,8 +25,8 @@ import numpy as np
 from .graph import MAX_WEIGHT, SparseGraph, WeightedGraph
 from .sampling import RngStream, compress
 
-# Fixed constant of the preprocessing sampler; scaled only by the shared
-# practical-mode knob.
+# Fixed constant of the preprocessing sampler, scaled by rho_scale in theory
+# mode; a practical-mode NI pass runs at rho = PRACTICAL_NI_RHO instead.
 PREPROCESS_RHO_CONSTANT = 224.0 / 0.38
 
 

@@ -23,8 +23,8 @@ current (v1 drew compression by geometric skips over Mersenne Twister
 uniforms, several per edge).
 
 `binom_sample` and `RngStream.uniform_open` have no library caller.  They
-remain only because the benchmark's tracer hooks them by name; ROADMAP item 1
-moves that hook onto `compress` and removes both.
+remain only because the benchmark's tracer hooks them by name; once the
+benchmark hooks `compress` instead, both can go.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ _STREAM_VERSION = b"cutsparse-rng-v2"
 # entries per pass of the sampler: its temporaries stay small, in cache and
 # off the process's peak memory
 _BLOCK = 1 << 15
+# step pairs the inversion walks one numpy step at a time; after them it
+# walks chunks of as many step pairs again, of at most _CHUNK_PMFS pmfs
+# across the block
+_SINGLE_PAIRS = 64
+_CHUNK_PMFS = 1 << 18
 _LN_2PI = math.log(2.0 * math.pi)
 # log(k!) minus its Stirling approximation (k + 1/2) log k - k + log sqrt(2 pi),
 # for k = 0..15; 0 at k = 0
@@ -134,9 +139,12 @@ def _binomial(trials, probs, rng: RngStream) -> np.ndarray:
     mode + 1, mode - 1, mode + 2, ...: the mode's pmf comes from its
     log-pmf, each later one from its neighbour's by the pmf ratio, and each
     step touches only the entries whose running sum is still below their
-    uniform.  The work per entry grows with its standard deviation, not its
-    trial count.  p = 1 gives the trial count itself, p = 0 or no trials
-    give 0; every entry takes its uniform all the same.
+    uniform.  The first 64 step pairs go one numpy step at a time; an entry
+    still open after them continues in chunks, each as many step pairs as
+    walked so far, whose pmfs are cumulative products of the ratios.  The work
+    per entry grows with its standard deviation, not its trial count.  p = 1
+    gives the trial count itself, p = 0 or no trials give 0; every entry
+    takes its uniform all the same.
     """
     t = np.asarray(trials, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
@@ -166,25 +174,49 @@ def _draw_block(t: np.ndarray, p: np.ndarray, u: np.ndarray, out: np.ndarray) ->
     f_lo = f_hi = np.exp(_log_pmf_at(mode, t, p))
     u -= f_lo
     out[idx] = mode
-    step = 0
+    step = 0  # half steps walked
     while True:
         live = np.flatnonzero((u > 0) & ((f_lo > 0) | (f_hi > 0)))
         if not len(live):
             return
         idx, t, u, odds, mode = idx[live], t[live], u[live], odds[live], mode[live]
         f_lo, f_hi = f_lo[live], f_hi[live]
-        if step >= 0:
+        if step < 2 * _SINGLE_PAIRS:
             step += 1
-            k = mode + step
-            f_hi = f_hi * (t - k + 1.0) / k * odds
-            u -= f_hi
-        else:
-            k = mode + step
-            f_lo = f_lo * (k + 1.0) / (t - k) / odds
-            u -= f_lo
-        done = np.flatnonzero(u <= 0)
-        out[idx[done]] = k[done]
-        step = -step
+            if step % 2:
+                k = mode + (step + 1) // 2
+                f_hi = f_hi * (t - k + 1.0) / k * odds
+                u -= f_hi
+            else:
+                k = mode - step // 2
+                f_lo = f_lo * (k + 1.0) / (t - k) / odds
+                u -= f_lo
+            done = np.flatnonzero(u <= 0)
+            out[idx[done]] = k[done]
+            continue
+        # as many pairs as walked so far, j = step/2 + 1 .. step/2 + c, each
+        # mode + j, then mode - j; a ratio past 0 or t is clamped at 0, which
+        # keeps every product finite
+        c = max(1, min(step // 2, _CHUNK_PMFS // (2 * len(idx))))
+        j = np.arange(step // 2 + 1, step // 2 + c + 1, dtype=np.float64)
+        hi, lo = mode[:, None] + j, mode[:, None] - j
+        t2 = t[:, None]
+        walk = np.empty((len(idx), 2 * c + 1))
+        walk[:, 0] = u
+        walk[:, 1::2] = f_hi[:, None] * np.cumprod(
+            np.maximum(t2 - hi + 1.0, 0.0) / hi * odds[:, None], axis=1
+        )
+        walk[:, 2::2] = f_lo[:, None] * np.cumprod(
+            np.maximum(lo + 1.0, 0.0) / (t2 - lo) / odds[:, None], axis=1
+        )
+        f_hi, f_lo = walk[:, -2].copy(), walk[:, -1].copy()
+        np.subtract.accumulate(walk, axis=1, out=walk)
+        u = walk[:, -1]
+        first = np.argmax(walk[:, 1:] <= 0, axis=1)
+        done = np.flatnonzero(walk[np.arange(len(idx)), first + 1] <= 0)
+        h = first[done]
+        out[idx[done]] = np.where(h % 2 == 0, hi[done, h // 2], lo[done, h // 2])
+        step += 2 * c
 
 
 def binom_sample(n: int, p: float, rng: RngStream) -> int:

@@ -81,8 +81,8 @@ def log_star2(x: float) -> int:
     return count
 
 
-_METHODS = ("msf", "ni", "pipeline")
-_MODES = ("theory", "practical")
+METHODS = ("msf", "ni", "pipeline")
+MODES = ("theory", "practical")
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class SparsifyConfig:
             raise ValueError(f"epsilon must be at least {MIN_EPSILON * share:g}, got {self.epsilon}")
         if not (0.0 < self.rho_scale < math.inf):
             raise ValueError(f"rho_scale must be positive and finite, got {self.rho_scale}")
-        for name, allowed in (("method", _METHODS), ("mode", _MODES)):
+        for name, allowed in (("method", METHODS), ("mode", MODES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.mode == "practical" and self.rho_scale != 1.0:
@@ -346,16 +346,14 @@ def _algorithm_one(
 
 
 def sparsify_unbounded_with_report(
-    g: WeightedGraph, cfg: SparsifyConfig, capture_levels: bool = False
+    g: WeightedGraph, cfg: SparsifyConfig
 ) -> tuple[SparseGraph, RunReport]:
     """One unbounded-weight round of Algorithm 1 at cfg.epsilon: edges no
     heavier than d(e)/n are compressed directly against their bottleneck
     weight, the rest runs the standard levels with windowed index estimates.
     `sparsify` is the library's entry point; this single round is kept only
     because perfbench/test_perfbench.py imports it."""
-    h, report, _ = _algorithm_one(
-        g, cfg, cfg.epsilon, RngStream(cfg.seed), windowed=True, capture_levels=capture_levels
-    )
+    h, report, _ = _algorithm_one(g, cfg, cfg.epsilon, RngStream(cfg.seed), windowed=True)
     return h, report
 
 
@@ -474,13 +472,10 @@ def scale_back(h: SparseGraph, r: int) -> SparseGraph:
 def approx_min_cut(
     g: WeightedGraph, cfg: SparsifyConfig
 ) -> tuple[CutSpec, float]:
-    """Sparsify, solve min-cut exactly on the sparsifier, report the found
-    cut with its weight evaluated in the original graph."""
-    if g.n < 2:
-        raise ValueError("minimum cut needs at least two vertices")
-    comp = _components(g)
-    if comp.any():  # vertex 0's label is 0
-        return CutSpec.from_vertices(np.flatnonzero(comp == 0).tolist()), 0.0
-    h, _ = sparsify(g, cfg)
+    """Solve min-cut exactly on a sparsifier of g and report the found cut
+    with its weight evaluated in g.  A disconnected g needs no sparsifier:
+    `exact_min_cut` finds its zero-weight cut on g itself, and raises on a
+    g of fewer than two vertices."""
+    h = g if _components(g).any() else sparsify(g, cfg)[0]
     cut, _ = exact_min_cut(h)
     return cut, float(cut_weight(g, cut))

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,22 @@ class TestSparsifyCommand:
         h = load_sparse(out)
         assert 0 < h.m < 1000
         assert len(set(_components(h))) == 1
+
+    @pytest.mark.parametrize("method", ["ni", "pipeline"])
+    def test_wide_binomial_draw_finishes(self, tmp_path, method):
+        # one edge of 2^62 in theory mode at eps 1e-5: the NI pass draws at
+        # mean rho, about 2e14, with standard deviation 1.4e7
+        path = tmp_path / "pair.txt"
+        path.write_text(f"2 1\n0 1 {1 << 62}\n")
+        out = tmp_path / "h.txt"
+        t0 = time.perf_counter()
+        rc = main(
+            ["sparsify", "--input", str(path), "--output", str(out),
+             "--epsilon", "1e-5", "--method", method]
+        )
+        assert time.perf_counter() - t0 < 5.0
+        assert rc == 0
+        assert load_sparse(out).m == 1
 
     def test_report_written(self, multigraph_file, tmp_path):
         report = tmp_path / "report.json"
@@ -396,6 +413,13 @@ class TestVerifyCommand:
         rc = main(["verify", "--graph", str(path), "--sparsifier", str(path)])
         assert rc == 2
 
+    def test_vertex_counts_differ_exit_2(self, tmp_path, capsys):
+        g, h = tmp_path / "g.txt", tmp_path / "h.txt"
+        g.write_text("3 1\n0 1 1\n")
+        h.write_text("2 1\n0 1 1\n")
+        assert main(["verify", "--graph", str(g), "--sparsifier", str(h)]) == 2
+        assert capsys.readouterr().err == "error: vertex counts differ: 3 vs 2\n"
+
 
 class TestMincutCommand:
     def test_unit_k5_theory_mode_exact(self, tmp_path, capsys):
@@ -523,6 +547,19 @@ _ARGV = {
     "bench": "bench --corpus {corpus} --methods msf --epsilon 0.5",
 }
 
+# the inputs written as text; "graph" and "pair" are saved graphs, and
+# "missing" and "empty" leave the corpus without a file
+_INPUT_TEXT = {
+    "malformed": "2 1\n0 1 0\n",
+    "dimacs-empty": "p sp 0 0\n",
+    "dimacs-malformed": "p sp 3 2\na 1 2 5\na 2 9 1\n",
+    "blank": "",
+    "three-token-header": "3 2 1\n0 1 1\n1 2 1\n",
+    "fractional-weight": "2 1\n0 1 1.5\n",
+    "word-weight": "2 1\n0 1 x\n",
+    "vertex": "1 0\n",
+}
+
 # (subcommands, input, extra flags, exit code, start of the error line)
 _EXIT_CASES = [
     (["sparsify", "verify", "mincut", "msf"], "missing", [], 1, "[Errno 2] "),
@@ -544,6 +581,12 @@ _EXIT_CASES = [
     (["bench"], "dimacs-malformed", [], 1, "{g}: line 3: endpoint out of range"),
     (["bench"], "graph", ["--seeds", ","], 2, "--seeds lists no seed"),
     (["bench"], "graph", ["--methods", ","], 2, "--methods lists no method"),
+    (["sparsify"], "blank", [], 1, "line 1: missing 'n m' header"),
+    (["sparsify"], "three-token-header", [], 1, "line 1: header must be 'n m'"),
+    (["sparsify"], "fractional-weight", [], 1, "line 2: weight '1.5' is not an integer"),
+    (["verify"], "word-weight", [], 1, "line 2: weight 'x' is not a number"),
+    (["verify"], "vertex", [], 2, "graphs on a single vertex have no cuts"),
+    (["mincut"], "vertex", [], 2, "minimum cut needs at least two vertices"),
 ]
 
 
@@ -565,12 +608,8 @@ class TestExitCodes:
         g = corpus / "g.txt"
         if kind != "missing":
             corpus.mkdir()
-        if kind == "malformed":
-            g.write_text("2 1\n0 1 0\n")
-        elif kind == "dimacs-empty":
-            g.write_text("p sp 0 0\n")
-        elif kind == "dimacs-malformed":
-            g.write_text("p sp 3 2\na 1 2 5\na 2 9 1\n")
+        if kind in _INPUT_TEXT:
+            g.write_text(_INPUT_TEXT[kind])
         elif kind == "graph":
             save_graph(random_graph(8, 20, 9, seed=1), g)
         elif kind == "pair":

@@ -1,9 +1,11 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from cutsparse import sampling
 from cutsparse.sampling import RngStream, _binomial, binom_sample, compress
 
 from reference import binomial_pmf, oracle_binomial_draws
@@ -90,6 +92,44 @@ class TestBinomSample:
             stream = RngStream(1000 + seed)
             draws = _binomial(trials, probs, stream)
             assert draws.tolist() == oracle_binomial_draws(trials, probs, stream.seed), seed
+
+    def test_exact_past_the_single_steps(self):
+        # standard deviation 35: some uniforms are still unspent after the
+        # 64 single step pairs, on both sides, and end in the first chunk
+        t, count = 5000, 300
+        stream = RngStream(5000)
+        draws = _binomial(np.full(count, float(t)), np.full(count, 0.5), stream)
+        assert draws.tolist() == oracle_binomial_draws([t] * count, [0.5] * count, stream.seed)
+        assert (draws > t // 2 + 64).sum() >= 3 and (draws < t // 2 - 64).sum() >= 3
+
+    def test_chunks_repeat_the_single_steps(self, monkeypatch):
+        # standard deviation 1,000: each entry walks many chunks, which the
+        # 2^18-pmf cap holds at 65 step pairs while 2,000 entries are live
+        t = np.array([4e6] * 1000 + [1e12] * 1000)
+        p = np.array([0.5] * 1000 + [1e-6] * 1000)
+        chunked = _binomial(t, p, RngStream(77))
+        monkeypatch.setattr(sampling, "_SINGLE_PAIRS", 1 << 40)
+        stepwise = _binomial(t, p, RngStream(77))
+        assert chunked.tolist() == stepwise.tolist()
+        assert np.abs(chunked - np.floor((t + 1) * p)).max() > 2000
+
+    def test_unreachable_uniform_keeps_the_mode(self, monkeypatch):
+        # at the largest uniform the rounded pmf sum often stops short of
+        # it: the walk runs past 0 (small means) or past t (means near t)
+        # into pmf 0, where the chunks must stay finite, and keeps the mode
+        # as the single steps do
+        small = np.geomspace(0.5, 60, 50)
+        t = np.repeat([2.0**62, 1e6, 1000.0, 1000.0], 50)
+        p = np.concatenate([small / 2.0**62, small / 1e6, small / 1000, 1 - small / 1000])
+        u = np.full(len(t), 1.0 - 2.0**-53)
+        chunked, stepwise = np.zeros(len(t)), np.zeros(len(t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sampling._draw_block(t, p, u.copy(), chunked)
+        monkeypatch.setattr(sampling, "_SINGLE_PAIRS", 1 << 40)
+        sampling._draw_block(t, p, u.copy(), stepwise)
+        assert chunked.tolist() == stepwise.tolist()
+        assert (chunked == np.floor((t + 1) * p)).sum() >= 10
 
     def test_binom_sample_is_one_edge_of_the_sampler(self):
         for n, p in [(10, 0.3), (64, 0.5), (1 << 80, 1e-24)]:

@@ -450,6 +450,12 @@ class TestReduceRealWeights:
         assert digest(g.edge_w) == digest(expected)
         assert g.edge_u.tolist() == u.tolist()
 
+    def test_rejects_a_nan_weight(self):
+        # the dataclass constructor skips the checks of from_arrays
+        h = SparseGraph(2, np.array([0]), np.array([1]), np.array([math.nan]))
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            reduce_real_weights(h, 0.5)
+
     def test_rejects_bad_epsilon(self):
         h = SparseGraph.from_edges(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
