@@ -334,11 +334,9 @@ def _weight_column(w: np.ndarray) -> list[str]:
     """Weights as text: integral values as integers, other floats by repr."""
     if w.dtype != np.float64:
         return list(map(str, w.tolist()))
-    text = list(map(float.__repr__, w.tolist()))
-    integral = np.flatnonzero((np.floor(w) == w) & (np.abs(w) < 2.0**63))
-    for i, t in zip(integral.tolist(), map(str, w[integral].astype(np.int64).tolist())):
-        text[i] = t
-    return text
+    integral = (np.floor(w) == w) & (np.abs(w) < 2.0**63)
+    ints = np.where(integral, w, 0).astype(np.int64).tolist()
+    return [str(k) if f else repr(x) for k, x, f in zip(ints, w.tolist(), integral.tolist())]
 
 
 def save_graph(g: WeightedGraph | SparseGraph, sink: str | Path) -> None:

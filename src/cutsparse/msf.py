@@ -5,9 +5,13 @@ can join when edges are inserted in descending weight order; edges whose
 endpoints are already connected in every forest up to the requested bound get
 the explicit OVER sentinel.  The exact packing is one first-fit kernel over
 list-backed union-find forests, allocated as the packing first reaches them.
-The kernel stops once its top forest spans the graph: every later edge then
-has its endpoints joined in all M forests, so it is OVER and moves no
-singleton level, and the levels are those of the full pass.  The bottleneck
+Each edge probes the highest forest it could join, then the one under it,
+and bisects further down only when both fail to join its endpoints.  The
+kernel reads the edges in processing order, converting their ids and
+endpoints to Python ints one block at a time, and stops once its top forest
+spans the graph: every later edge then has its endpoints joined in all M
+forests, so it is OVER and moves no singleton level, the levels are those of
+the full pass, and the blocks after it are never converted.  The bottleneck
 weights take the maximum spanning forest from a vectorized Borůvka, build a
 union-by-size forest that keeps the order of its unions from only its
 edges, and climb every edge through it in numpy.  A windowed estimator
@@ -19,7 +23,9 @@ place the unbounded regime's set-aside rule lives.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +36,10 @@ from .oracles import _components
 # Sentinel for "endpoints connected in every forest up to M"; kept distinct
 # from any valid level so arithmetic on it fails loudly.
 OVER = -1
+
+# Edges of the processing order that the packing converts to Python ints at
+# a time, so that an early stop leaves the rest of the order unconverted.
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -69,25 +79,31 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
 
     Forest connectivity is nested (endpoints joined in forest j are joined in
     every forest below it), so each edge first probes its top candidate,
-    forest min(s(u), s(v), M + 1) - 1.  If that joins its endpoints, the edge
-    lands at min(s(u), s(v)), where an endpoint is still a singleton, or is
-    OVER beyond M; otherwise a binary search below the top finds the first
-    forest that does not join them.  Forest j is allocated when a singleton
-    level first reaches it; `find` runs inline on its parent list.
+    forest top = min(s(u), s(v), M + 1) - 1.  If that joins its endpoints,
+    the edge lands at min(s(u), s(v)), where an endpoint is still a
+    singleton, or is OVER beyond M.  Otherwise a binary search over forests
+    1 .. top - 1 finds the first forest that does not join them; it probes
+    top - 1 first, because nearly every such edge lands at top itself, and
+    that probe settles it.  An edge that goes lower pays at most one probe
+    more than a plain bisection, so the search stays O(log M) finds.  Forest
+    j is allocated when a singleton level first reaches it; `find` runs
+    inline on its parent list.
+
+    The ids and endpoints are read in `_descending_order`, converted to
+    Python ints `_BLOCK` edges at a time, and the levels are kept in a typed
+    array that becomes the int64 result through the buffer protocol.
 
     The loop stops once the top forest spans, holding n - c(G) edges for the
     c(G) components of `g`: every later edge then has its endpoints joined
     in the top forest, hence in all M, so it is OVER and moves no singleton
-    level.  The top forest never holds more edges than forest 1, so c(G) is
-    counted only when its count first catches up with forest 1's, and at
-    most once.
+    level, and the blocks after the stop are never converted.  The top
+    forest never holds more edges than forest 1, so c(G) is counted only
+    when its count first catches up with forest 1's, and at most once.
     """
     if M < 0:
         raise ValueError(f"forest count must be >= 0, got {M}")
     n, m = g.n, g.m
-    edge_u = g.edge_u.tolist()
-    edge_v = g.edge_v.tolist()
-    levels = [OVER] * m
+    levels = array("q", [OVER]) * m
     s = [1] * n
     m_eff = min(M, m)  # a level index can never exceed the edge count
     if not m_eff:
@@ -96,9 +112,12 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
     placed = [0] * (m_eff + 1)  # edges per forest
     need = -1  # n - c(G), once counted
 
-    for eid in _descending_order(g.edge_w).tolist():
-        u = edge_u[eid]
-        v = edge_v[eid]
+    order = _descending_order(g.edge_w)
+    blocks = (order[i : i + _BLOCK] for i in range(0, m, _BLOCK))
+    edges = chain.from_iterable(
+        zip(b.tolist(), g.edge_u[b].tolist(), g.edge_v[b].tolist()) for b in blocks
+    )
+    for eid, u, v in edges:
         su = s[u]
         sv = s[v]
         smin = level = su if su < sv else sv
@@ -114,9 +133,8 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
             if ru != rv:
                 level = top
                 lo = 1
-                hi = top - 1
+                mid = hi = top - 1
                 while lo <= hi:
-                    mid = (lo + hi) >> 1
                     q = parents[mid]
                     a = u
                     while q[a] != a:
@@ -129,6 +147,7 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
                     else:
                         hi = mid - 1
                         level, p, ru, rv = mid, q, a, b
+                    mid = (lo + hi) >> 1
                 p[ru] = rv
             elif smin > m_eff:
                 continue

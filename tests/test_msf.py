@@ -6,7 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutsparse import MAX_WEIGHT, WeightedGraph, msf_packing_bounded
-from cutsparse.msf import OVER, _window_weights, bottleneck_weights, msf_packing_windowed
+from cutsparse.msf import (
+    _BLOCK,
+    OVER,
+    _descending_order,
+    _window_weights,
+    bottleneck_weights,
+    msf_packing_windowed,
+)
 
 from conftest import complete_graph, multigraphs, random_graph
 from reference import (
@@ -200,6 +207,49 @@ class TestPackingAgreement:
                 packing = msf_packing_bounded(g, M)
                 validate_msf_packing_forests(g, packing)
                 validate_msf_packing_heaviness(g, packing)
+
+
+class TestPackingKernel:
+    """The kernel's search order and its block-by-block reads of the
+    processing order, against the literal definition."""
+
+    @staticmethod
+    def assert_matches_oracle(g: WeightedGraph, M: int) -> np.ndarray:
+        fast = msf_packing_bounded(g, M)
+        oracle = oracle_msf_packing(g, M)
+        assert fast.levels.tolist() == oracle.levels.tolist()
+        assert fast.singleton_level.tolist() == oracle.singleton_level.tolist()
+        return fast.levels
+
+    def test_bisects_after_a_failed_probe_under_the_top(self):
+        # Edge 2 comes last, with both endpoints at s = 4, so its top is
+        # forest 3.  Forests 3 and 2 both split {0, 2} from {1, 3}: the probe
+        # of forest 2 fails, and the bisection goes on down to forest 1.
+        g = WeightedGraph.from_edges(
+            4, [(1, 3, 2), (3, 1, 7), (3, 2, 1), (2, 0, 5), (3, 1, 2), (2, 0, 2), (0, 2, 3)]
+        )
+        levels = self.assert_matches_oracle(g, 3)
+        assert levels.tolist() == [2, 1, 1, 1, 3, 3, 2]
+
+    def test_early_stop_inside_a_middle_block(self):
+        g = random_graph(2000, 3 * _BLOCK - 1000, 10**6, seed=7)
+        assert g.m % _BLOCK and g.m > 2 * _BLOCK
+        levels = self.assert_matches_oracle(g, 2)[_descending_order(g.edge_w)]
+        # the top forest spans (n - 1 edges; `g` is connected) at an edge of
+        # the second block, and every later edge is OVER
+        top = np.flatnonzero(levels == 2)
+        assert len(top) == g.n - 1
+        assert top[-1] // _BLOCK == 1
+        assert (levels[top[-1] + 1 :] == OVER).all()
+
+    def test_no_early_stop_reads_every_block(self):
+        g = random_graph(2000, 3 * _BLOCK - 1000, 10**6, seed=7)
+        degree = np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=g.n)
+        # a vertex of degree d lies in at most d forests, so forest d + 1
+        # never spans and the loop runs to the last edge of the last block
+        M = int(degree.min()) + 1
+        levels = self.assert_matches_oracle(g, M)
+        assert np.count_nonzero(levels == M) < g.n - 1
 
 
 class TestBottleneckWeights:
