@@ -166,17 +166,19 @@ class CutSpec:
             raise ValueError("cut side must be a proper non-empty vertex subset")
 
     def vertices(self, n: int) -> list[int]:
-        return [i for i in range(n) if (self.side >> i) & 1]
+        return np.flatnonzero(_side_membership(self.side & ((1 << n) - 1), n)).tolist()
 
     def complement(self, n: int) -> "CutSpec":
         return CutSpec(((1 << n) - 1) ^ self.side)
 
     @staticmethod
     def from_vertices(vertices: Iterable[int]) -> "CutSpec":
-        mask = 0
-        for v in vertices:
-            mask |= 1 << v
-        return CutSpec(mask)
+        ids = np.fromiter(vertices, dtype=np.int64)
+        if ids.min(initial=0) < 0:
+            raise ValueError("vertex ids must be non-negative")
+        member = np.zeros(ids.max(initial=-1) + 1, dtype=bool)
+        member[ids] = True
+        return CutSpec(int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little"))
 
 
 def _side_membership(side: int, n: int) -> np.ndarray:

@@ -66,10 +66,25 @@ class EstimatedMsfPacking:
 def _descending_order(w: np.ndarray) -> np.ndarray:
     """Edge ids by weight descending, ties by ascending edge id.
 
-    Weights lie in [1, 2**63 - 1], so negating them cannot overflow int64,
-    and the stable sort keeps tied edges in id order.
+    Each edge gets the key (hi - w) * m + id, hi the largest weight: a key
+    orders by weight descending, then by id, and no two keys are equal, so
+    any sort kind gives this order.  While (hi - lo + 1) * m <= 2**63, lo
+    the smallest weight, every key fits int64; the keys are built, sorted
+    and reduced back to ids `key % m` in one array.  Wider ranges fall back
+    to the stable argsort of -w, which cannot overflow for weights in
+    [1, 2**63 - 1].
     """
-    return np.argsort(-w, kind="stable")
+    m = len(w)
+    if not m:
+        return np.arange(0)
+    hi = w.max()
+    if (int(hi) - int(w.min()) + 1) * m > 2**63:
+        return np.argsort(-w, kind="stable")
+    key = np.subtract(hi, w)
+    key *= m
+    key += np.arange(m)
+    key.sort()
+    return np.remainder(key, m, out=key)
 
 
 def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
@@ -109,6 +124,7 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
     if not m_eff:
         return MsfPacking(M, np.array(levels, dtype=np.int64), np.array(s, dtype=np.int64))
     parents: list[list[int]] = [[]]  # 1-based
+    forests = 0  # allocated so far: len(parents) - 1
     placed = [0] * (m_eff + 1)  # edges per forest
     need = -1  # n - c(G), once counted
 
@@ -152,8 +168,9 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
             elif smin > m_eff:
                 continue
         if level == smin:
-            if smin == len(parents):
+            if smin > forests:
                 parents.append(ForestDsu(n).parent)
+                forests = smin
             # an endpoint at s == smin is a singleton there: hang it on the other
             if su == smin:
                 parents[smin][u] = v
@@ -319,11 +336,11 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     everything heavier than D at n**3 + 1, and reads the exact packing of
     that rescaled graph.  Each covered edge takes its level from the first
     window whose (D/n, D] interval contains its d(e); at M = 0 no window is
-    packed and every covered edge is OVER.  d is taken in `g` itself: for the working set of
-    a later level it differs from the whole input's d, so it cannot be
-    computed once and passed down.  An uncovered edge is never a Kruskal
-    forest edge (those have d = w), so dropping the uncovered edges changes
-    no other edge's d, level or window.
+    packed and every covered edge is OVER.  d is taken in `g` itself: for
+    the working set of a later level it differs from the whole input's d,
+    so it cannot be computed once and passed down.  An uncovered edge is
+    never a Kruskal forest edge (those have d = w), so dropping the
+    uncovered edges changes no other edge's d, level or window.
 
     Capping (rather than contracting) the heavy edges keeps their
     multiplicities honest: the window's forests are genuine subgraphs of the

@@ -32,7 +32,6 @@ from cutsparse.msf import (
     OVER,
     EstimatedMsfPacking,
     MsfPacking,
-    _descending_order,
     msf_packing_bounded,
 )
 from cutsparse.oracles import ENUMERATION_LIMIT, _all_cut_weights
@@ -116,7 +115,7 @@ def oracle_bottleneck_weights(g: WeightedGraph) -> np.ndarray:
     size = [1] * n
     when = [m] * n  # order position of the edge that attached x; m at a root
     via = [0] * n  # weight of that edge
-    for pos, eid in enumerate(_descending_order(g.edge_w).tolist()):
+    for pos, eid in enumerate(sorted(range(m), key=lambda e: (-ws[e], e))):
         x = us[eid]
         y = vs[eid]
         while x != y:
@@ -162,7 +161,8 @@ def windowed_loop_msf_packing(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     for e in domain:
         levels[e] = OVER
         covered[e] = True
-    pending = [e for e in _descending_order(d).tolist() if covered[e]] if M else []
+    order = sorted(range(m), key=lambda e: (-ds[e], e))
+    pending = [e for e in order if covered[e]] if M else []
 
     pos = 0
     while pos < len(pending):

@@ -102,6 +102,22 @@ class TestCutWeight:
         assert cut_weight(h, CutSpec.from_vertices([0])) == 1e16 + 2.0
 
 
+class TestCutSpec:
+    @pytest.mark.parametrize("n", [1, 8, 9, 1000])
+    def test_round_trip(self, n):
+        rng = random.Random(n)
+        for side in ([], [0], [n - 1], list(range(n)), sorted(rng.sample(range(n), n // 2))):
+            cut = CutSpec.from_vertices(reversed(side + side))
+            assert cut.side == sum(1 << v for v in side)
+            assert cut.vertices(n) == side
+            # bits past n - 1 name no vertex of an n-vertex graph
+            assert CutSpec(cut.side | 1 << n).vertices(n) == side
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValueError):
+            CutSpec.from_vertices([2, -1])
+
+
 class TestFileFormats:
     def test_edgelist_round_trip_example(self, tmp_path):
         p = tmp_path / "g.txt"

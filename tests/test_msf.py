@@ -209,6 +209,45 @@ class TestPackingAgreement:
                 validate_msf_packing_heaviness(g, packing)
 
 
+def reference_order(w: list[int]) -> list[int]:
+    return sorted(range(len(w)), key=lambda e: (-w[e], e))
+
+
+@st.composite
+def weight_lists(draw) -> list[int]:
+    """Weights from one narrow band anywhere in [1, 2^63 - 1], with many
+    ties, or from a band reaching 2^63 - 1, which may pass the key bound."""
+    lo = draw(st.integers(1, MAX_WEIGHT))
+    hi = draw(st.sampled_from([lo, min(lo + 4, MAX_WEIGHT), MAX_WEIGHT]))
+    return draw(st.lists(st.integers(lo, hi), max_size=64))
+
+
+class TestDescendingOrder:
+    """The processing order against the (-w, id) sort, on both sides of
+    the int64 key bound (hi - lo + 1) * m <= 2^63."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=weight_lists())
+    @example(w=[])
+    @example(w=[7])
+    @example(w=[5] * 6)
+    @example(w=[MAX_WEIGHT] * 6)
+    @example(w=[3, 9, 3, 1, 9])
+    @example(w=[1, MAX_WEIGHT, 1, MAX_WEIGHT])
+    def test_matches_reference(self, w):
+        assert _descending_order(np.array(w, dtype=np.int64)).tolist() == reference_order(w)
+
+    @pytest.mark.parametrize("top, fallback", [(1 << 62, False), ((1 << 62) + 1, True)])
+    def test_key_bound(self, monkeypatch, top, fallback):
+        # at m = 2 the largest key is (top - 1) * 2 + 1: 2^63 - 1 at top = 2^62
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(a) or argsort(*a, **k))
+        for w in ([1, top], [top, 1]):
+            assert _descending_order(np.array(w, dtype=np.int64)).tolist() == reference_order(w)
+        assert bool(calls) == fallback
+
+
 class TestPackingKernel:
     """The kernel's search order and its block-by-block reads of the
     processing order, against the literal definition."""
