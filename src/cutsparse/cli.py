@@ -144,7 +144,8 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     if all(r.early_out for r in reports):
         print(
             f"warning: every round took the early out ({reports[-1].early_out_reason}); "
-            "the output is the input unchanged",
+            "the output is the input with each weight as its nearest float64, "
+            "so unchanged while every weight is at most 2^53",
             file=sys.stderr,
         )
     return EXIT_OK

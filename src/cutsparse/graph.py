@@ -332,16 +332,58 @@ def _load_edgelist_arrays(source: str | Path, data: bytes) -> WeightedGraph | No
         return None
 
 
-def _weight_column(w: np.ndarray) -> list[str]:
-    """Weights as text: integral values as integers, other floats by repr."""
-    if w.dtype != np.float64:
-        return list(map(str, w.tolist()))
-    integral = (np.floor(w) == w) & (np.abs(w) < 2.0**63)
-    ints = np.where(integral, w, 0).astype(np.int64).tolist()
-    return [str(k) if f else repr(x) for k, x, f in zip(ints, w.tolist(), integral.tolist())]
+# Lines per block of the edge-list writer: each block is formatted in one
+# uint8 matrix, so the writer's temporaries stay bounded whatever m is.
+_SAVE_BLOCK = 1 << 16
+
+
+def _put_digits(rows: np.ndarray, x: np.ndarray) -> None:
+    """Write the uint64 values `x` in decimal into `rows`, one column per
+    value, right-aligned; positions left of a value's leading digit are 0."""
+    q, digit = np.empty_like(x), np.empty_like(x)
+    for j, row in enumerate(rows[::-1]):
+        np.floor_divide(x, 10**j, out=q)
+        np.floor_divide(q, 10, out=digit)
+        np.multiply(digit, 10, out=digit)
+        np.subtract(q, digit, out=digit)
+        np.add(digit, ord("0"), out=row, casting="unsafe")
+        if j:
+            row *= q != 0
+
+
+def _edge_lines(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Lines "u v w\n" as bytes.  They are laid out field-major, a row per
+    byte position and a column per line, each field as wide as its widest
+    value; the matrix is read column by column and its zero bytes, the
+    padding, are dropped.  Integral weights below 2^63 are written as
+    integers, every other weight by repr."""
+    if w.dtype == np.float64:
+        by_repr = (np.floor(w) != w) | (w >= 2.0**63)
+        ints = np.where(by_repr, 0, w).astype(np.uint64)
+    else:
+        by_repr, ints = np.zeros(len(w), dtype=bool), w.view(np.uint64)
+    idx = np.flatnonzero(by_repr)
+    words = np.array(list(map(repr, w[idx].tolist())), dtype=bytes)
+    u, v = u.view(np.uint64), v.view(np.uint64)
+    du, dv, di = (len(str(x.max())) for x in (u, v, ints))
+    dw = max(di, words.itemsize)
+    lines = np.zeros((du + dv + dw + 3, len(u)), dtype=np.uint8)
+    _put_digits(lines[:du], u)
+    _put_digits(lines[du + 1 : du + dv + 1], v)
+    lines[[du, du + dv + 1]] = ord(" ")
+    weight = lines[du + dv + 2 : -1]
+    _put_digits(weight[dw - di :], ints)
+    weight[-1, idx] = 0  # the "0" written for a weight that repr writes
+    weight[: words.itemsize, idx] = words.view(np.uint8).reshape(len(idx), words.itemsize).T
+    lines[-1] = ord("\n")
+    out = lines.ravel(order="F")
+    return out[out != 0]
 
 
 def save_graph(g: WeightedGraph | SparseGraph, sink: str | Path) -> None:
     """Write a graph as an edge list; edge order is preserved as given."""
-    body = map("{} {} {}".format, g.edge_u.tolist(), g.edge_v.tolist(), _weight_column(g.edge_w))
-    Path(sink).write_text("\n".join([f"{g.n} {g.m}", *body]) + "\n")
+    with open(sink, "wb") as f:
+        f.write(f"{g.n} {g.m}\n".encode())
+        for s in range(0, g.m, _SAVE_BLOCK):
+            e = s + _SAVE_BLOCK
+            f.write(_edge_lines(g.edge_u[s:e], g.edge_v[s:e], g.edge_w[s:e]))

@@ -9,8 +9,9 @@ edge connectivity enumerates cuts or runs a max-flow, the NI oracle scans
 every edge with its own heap push, the components oracle searches adjacency
 lists breadth first, the min-cut oracle runs Stoer-Wagner on Python numbers
 (exact on integer graphs), the binomial oracle inverts each uniform with
-exact rational pmfs, and the packing validators re-check forests edge by
-edge.  `single_round` is the exception: it runs the library's own round of
+exact rational pmfs, the edge-list oracle formats the file line by line
+with Python's str and repr, and the packing validators re-check forests edge
+by edge.  `single_round` is the exception: it runs the library's own round of
 Algorithm 1 at the config's full epsilon, the harness the single-round tests
 need.  `rho_scale_for` pins such a round at a rho other than practical
 mode's.
@@ -381,6 +382,20 @@ def oracle_min_cut(g: WeightedGraph | SparseGraph) -> tuple[CutSpec, int | float
         groups[s].extend(groups[t])
         active.remove(t)
     return CutSpec.from_vertices(best_side), best_value
+
+
+def _weight_text(w: int | float) -> str:
+    """An int weight, and an integral float below 2^63, as an integer; any
+    other float by repr."""
+    if isinstance(w, int) or (w.is_integer() and abs(w) < 2**63):
+        return str(int(w))
+    return repr(w)
+
+
+def oracle_edge_list_text(g: WeightedGraph | SparseGraph) -> str:
+    """The edge-list file `save_graph` writes for g, one line at a time."""
+    lines = [f"{g.n} {g.m}"] + [f"{u} {v} {_weight_text(w)}" for u, v, w in g.edges()]
+    return "\n".join(lines) + "\n"
 
 
 def binomial_pmf(n: int, p: float, k: int) -> float:

@@ -68,6 +68,37 @@ class TestSparsifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("warning: every round took the early out (m=20 <= threshold ")
 
+    @pytest.mark.parametrize(
+        "weights, written",
+        [
+            ("9007199254740992 9 5", "9007199254740992 9 5"),
+            ("9223372036854775807 9007199254740993 5", "9.223372036854776e+18 9007199254740992 5"),
+        ],
+        ids=["at-2^53", "above-2^53"],
+    )
+    def test_early_out_writes_each_weight_as_its_float64(self, tmp_path, capsys, weights, written):
+        """An early out gives back its input byte for byte while every weight
+        is at most 2^53; above that, each weight is its nearest float64."""
+
+        def triangle(ws: str) -> str:
+            return "3 3\n" + "".join(f"{e} {w}\n" for e, w in zip(["0 1", "1 2", "0 2"], ws.split()))
+
+        def sparsify(source: Path, sink: Path) -> int:
+            return main(["sparsify", "--input", str(source), "--output", str(sink),
+                         "--epsilon", "0.5", "--mode", "practical"])
+
+        graph, out = tmp_path / "g.txt", tmp_path / "h.txt"
+        graph.write_text(triangle(weights))
+        assert sparsify(graph, out) == 0
+        assert out.read_text() == triangle(written)
+        assert capsys.readouterr().err.endswith(
+            "the output is the input with each weight as its nearest float64, "
+            "so unchanged while every weight is at most 2^53\n"
+        )
+        if "e+18" in written:  # the float64 of 2^63 - 1 is no integer weight
+            assert sparsify(out, tmp_path / "again.txt") == 1
+            assert "weight '9.223372036854776e+18' is not an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["ni", "pipeline"])
     def test_ni_keeping_every_edge_warns(self, tiny_graph_file, tmp_path, capsys, method):
         out = tmp_path / "h.txt"

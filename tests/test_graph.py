@@ -19,12 +19,14 @@ from cutsparse import (
 )
 from cutsparse.graph import (
     _EDGELIST_BYTES,
+    _SAVE_BLOCK,
     _load_edgelist_arrays,
     _parse_lines,
     _read_lines,
 )
 
 from conftest import multigraphs, random_graph
+from reference import oracle_edge_list_text
 
 
 def triangle():
@@ -389,11 +391,47 @@ class TestEdgeListFastPath:
         assert capfd.readouterr().err == ""
 
 
-def _weight_text_reference(w: float) -> str:
-    """The per-edge weight formatting the column writer replaces."""
-    if float(w).is_integer() and abs(w) < 2**63:
-        return str(int(w))
-    return repr(float(w))
+_INT_WEIGHTS = st.one_of(
+    st.sampled_from([1, 9, 10, 99, 100, 10**18, 2**63 - 1]), st.integers(1, 2**63 - 1)
+)
+_REAL_WEIGHTS = st.one_of(
+    st.sampled_from([2.0**63, 2.0**63 - 1024, 5e-324, 1e308, 0.5, 1.0, 9.0, 10.0, 99.0]),
+    st.floats(min_value=5e-324, max_value=1e308),
+    st.integers(1, 1 << 64).map(float),
+)
+
+
+@st.composite
+def saved_graphs(draw) -> WeightedGraph | SparseGraph:
+    """Graphs with endpoints of 1 to 7 digits and 0, a few or 2 blocks + 3
+    edges; each block of the writer, the ragged last one too, draws its own
+    endpoint bound and weight pool, so field widths change between blocks."""
+    digits = draw(st.integers(1, 7))
+    n = draw(st.integers(10 ** (digits - 1), 10**digits))
+    m = 0 if n == 1 else draw(st.sampled_from([0, 1, 5, 2 * _SAVE_BLOCK + 3]))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    w = [np.empty(0, dtype=np.float64 if real else np.int64)]
+    for start in range(0, m, _SAVE_BLOCK):
+        k = min(_SAVE_BLOCK, m - start)
+        bound = draw(st.integers(2, n))
+        pool = draw(st.lists(_REAL_WEIGHTS if real else _INT_WEIGHTS, min_size=1, max_size=8))
+        u.append(rng.integers(0, bound, k))
+        v.append((u[-1] + rng.integers(1, bound, k)) % bound)
+        w.append(rng.choice(np.array(pool), k))
+    cls = SparseGraph if real else WeightedGraph
+    return cls.from_arrays(n, *map(np.concatenate, (u, v, w)))
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """Equal texts, or a failure that names the first line that differs
+    (the texts run to 2 blocks of lines, too long for pytest's diff)."""
+    if got != want:
+        got_lines, want_lines = got.split("\n"), want.split("\n")
+        pairs = enumerate(zip(got_lines, want_lines))
+        i = next((i for i, (a, b) in pairs if a != b), min(len(got_lines), len(want_lines)))
+        pytest.fail(f"line {i + 1}: wrote {got_lines[i:i + 1]}, expected {want_lines[i:i + 1]}")
 
 
 class TestSaveColumns:
@@ -412,5 +450,29 @@ class TestSaveColumns:
         h = SparseGraph.from_arrays(2, [0] * len(weights), [1] * len(weights), weights)
         path = tmp_path_factory.mktemp("save") / "h.txt"
         save_graph(h, path)
-        lines = [f"2 {len(weights)}"] + [f"0 1 {_weight_text_reference(w)}" for w in weights]
-        assert path.read_text() == "\n".join(lines) + "\n"
+        assert path.read_text() == oracle_edge_list_text(h)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(g=saved_graphs())
+    def test_matches_line_by_line_oracle(self, g, tmp_path_factory):
+        path = tmp_path_factory.mktemp("save") / "g.txt"
+        save_graph(g, path)
+        _assert_same_text(path.read_text(), oracle_edge_list_text(g))
+
+    @pytest.mark.parametrize(
+        "tail_weights", [[2**63 - 1, 10**18, 100], [2.0**63 - 1024, 5e-324, 0.1]]
+    )
+    def test_ragged_last_block_wider_than_the_first(self, tail_weights, tmp_path):
+        """Every field of the last block is wider than in the blocks before
+        it, whose lines are all "0 1 1"."""
+        m = 2 * _SAVE_BLOCK + 3
+        u, v = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
+        w = np.ones(m, dtype=type(tail_weights[-1]))
+        u[-3:], v[-3:] = [9_999_998, 9_999_999, 1_234_567], [9_999_999, 0, 7_654_321]
+        w[-3:] = tail_weights
+        cls = SparseGraph if w.dtype == np.float64 else WeightedGraph
+        g = cls.from_arrays(10**7, u, v, w)
+        path = tmp_path / "g.txt"
+        save_graph(g, path)
+        _assert_same_text(path.read_text(), oracle_edge_list_text(g))
+
