@@ -6,7 +6,7 @@ every NI pass, and an explicit --rho-scale selects theory mode instead.  The
 input settles the rest: the loaders tell edge-list from DIMACS text, and
 `sparsify` picks the weight regime from W and n.  `verify` reads both files
 with real weights.  Output files are edge lists.  `sparsify` warns on stderr
-when every round took the early out.
+when every round took the early out, and then writes its input.
 
 Every subcommand is deterministic for fixed flags including --seed; the only
 non-reproducible fields are wall-clock entries in reports and bench tables.
@@ -144,8 +144,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     if all(r.early_out for r in reports):
         print(
             f"warning: every round took the early out ({reports[-1].early_out_reason}); "
-            "the output is the input with each weight as its nearest float64, "
-            "so unchanged while every weight is at most 2^53",
+            "the output is its input",
             file=sys.stderr,
         )
     return EXIT_OK

@@ -51,9 +51,12 @@ POLY_WEIGHT_EXPONENT = 4
 # literal constants force the early-out on anything small enough to verify.
 PRACTICAL_RHO = 8.0
 PRACTICAL_NI_RHO = 25.0
-# The smallest epsilon a config accepts: a run's precisions stay above
-# epsilon / 2^10, so for n < 2^63 every rho and threshold stays finite.
+# The smallest epsilon and the largest rho_scale a config accepts: a run's
+# precisions stay above epsilon / 2^10, so for n < 2^63 every rho stays under
+# rho_scale * 1.4e212, and every threshold, 4 * rho * n * a log2 factor under
+# 63, under rho_scale * 3.1e233: finite at every rho_scale up to the ceiling.
 MIN_EPSILON = 1e-100
+MAX_RHO_SCALE = 1e70
 
 
 class LevelOverflowError(RuntimeError):
@@ -109,8 +112,11 @@ class SparsifyConfig:
         share = 3.0 if self.method == "pipeline" else 1.0
         if self.epsilon / share < MIN_EPSILON:
             raise ValueError(f"epsilon must be at least {MIN_EPSILON * share:g}, got {self.epsilon}")
-        if not (0.0 < self.rho_scale < math.inf):
-            raise ValueError(f"rho_scale must be positive and finite, got {self.rho_scale}")
+        if not (0.0 < self.rho_scale <= MAX_RHO_SCALE):
+            raise ValueError(
+                f"rho_scale must be positive and finite, at most {MAX_RHO_SCALE:g}, "
+                f"got {self.rho_scale}"
+            )
         for name, allowed in (("method", METHODS), ("mode", MODES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
@@ -199,7 +205,7 @@ def _round_report(
 
 
 def early_out_threshold(n: int, m: int, epsilon: float, rho_val: float) -> float:
-    """Edge-count bound under which the run returns its input unchanged; 0
+    """Edge-count bound at or under which a round samples nothing; 0
     when there is nothing to sample (no edges; a graph with edges has n >= 2).
 
     The log factor is base 2 and clamped below at 1 (the ratio can drop
@@ -220,13 +226,15 @@ def _algorithm_one(
     windowed: bool,
     round_eps: float | None = None,
     capture_levels: bool = False,
-) -> tuple[SparseGraph, RunReport, int]:
+) -> tuple[WeightedGraph | SparseGraph, RunReport, int]:
     """One msf round of Algorithm 1 at precision epsilon: its graph, its
     report, and the r of the 2^r its input was scaled by.  With round_eps set
     the round first rounds its real weights at round_eps with
     `reduce_real_weights` (timed as `reduce`) and samples the result.  A
     rounding refused for want of 63 bits and an m at or under the threshold
-    leave through one early out, which returns what it would have sampled."""
+    leave through one early out, which returns the graph it would have
+    sampled, that object itself: the rounded graph, or the input when the
+    rounding was refused or not asked for."""
     t_start = time.perf_counter()
     r, reason, timings = 0, None, {}
     if round_eps is not None:
@@ -247,7 +255,7 @@ def _algorithm_one(
         report.early_out, report.early_out_reason = True, reason
         report.output_size = m
         timings["total"] = (time.perf_counter() - t_start) * 1e3
-        return SparseGraph.from_arrays(n, g.edge_u, g.edge_v, g.edge_w), report, r
+        return g, report, r
     rho_val = report.rho
 
     # reaching level L needs an edge that survived L fair coins, which has
@@ -347,7 +355,7 @@ def _algorithm_one(
 
 def sparsify_unbounded_with_report(
     g: WeightedGraph, cfg: SparsifyConfig
-) -> tuple[SparseGraph, RunReport]:
+) -> tuple[WeightedGraph | SparseGraph, RunReport]:
     """One unbounded-weight round of Algorithm 1 at cfg.epsilon: edges no
     heavier than d(e)/n are compressed directly against their bottleneck
     weight, the rest runs the standard levels with windowed index estimates.
@@ -359,7 +367,7 @@ def sparsify_unbounded_with_report(
 
 def _ni_round(
     g: WeightedGraph, cfg: SparsifyConfig, epsilon: float, seed: int, windowed: bool
-) -> tuple[SparseGraph, RunReport]:
+) -> tuple[WeightedGraph | SparseGraph, RunReport]:
     """One pass of the forest-index preprocessing sampler, with its report."""
     t_start = time.perf_counter()
     report = _round_report(g, cfg, epsilon, seed, windowed, "ni")
@@ -375,7 +383,7 @@ def _ni_round(
 
 def sparsify(
     g: WeightedGraph, cfg: SparsifyConfig
-) -> tuple[SparseGraph, list[RunReport]]:
+) -> tuple[WeightedGraph | SparseGraph, list[RunReport]]:
     """The sparsifier named by cfg.method, with one report per round.
 
     The weight regime is settled once, on the input.  `ni` is one NI pass at
@@ -387,6 +395,9 @@ def sparsify(
     output at eps/3.  A round whose rounding does not fit 63 bits returns its
     input through its early out; the next round, at a looser eps_i, tries
     again.  One scale-back by 2^-(sum of r) ends the run.
+
+    A run that samples nothing, every report an early out, returns `g`
+    itself, every weight exact, whatever its early-out rounds rounded.
     """
     windowed = g.m > 0 and g.max_weight() > g.n**POLY_WEIGHT_EXPONENT
     if cfg.method == "ni":
@@ -418,6 +429,8 @@ def sparsify(
         )
         reports.append(rep)
         scale_exp += r
+    if all(rep.early_out for rep in reports):
+        return g, reports
     if scale_exp:
         current = scale_back(current, scale_exp)
     return current, reports
@@ -431,7 +444,7 @@ sparsify_with_report = sparsify
 
 
 def reduce_real_weights(
-    g_real: SparseGraph, epsilon: float
+    g_real: WeightedGraph | SparseGraph, epsilon: float
 ) -> tuple[WeightedGraph, int]:
     """Round weights to the nearest multiple of 2^-r and rescale to integers.
 
@@ -440,7 +453,8 @@ def reduce_real_weights(
     (r may go negative).  The per-edge additive error 2^-r must not exceed
     (eps/2) times the smallest weight; a weight range too wide for that
     raises WeightRangeError.  A (1 +/- eps/3)-sparsifier of the scaled graph, scaled back by
-    2^-r, is a (1 +/- eps)-sparsifier of the input.
+    2^-r, is a (1 +/- eps)-sparsifier of the input.  Integer weights are read
+    as their nearest float64, as a float64 copy of the graph would hold them.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -461,7 +475,7 @@ def reduce_real_weights(
     return WeightedGraph.from_arrays(g_real.n, g_real.edge_u, g_real.edge_v, scaled), r
 
 
-def scale_back(h: SparseGraph, r: int) -> SparseGraph:
+def scale_back(h: WeightedGraph | SparseGraph, r: int) -> SparseGraph:
     """Undo the 2^r rescaling of reduce_real_weights."""
     return SparseGraph.from_arrays(h.n, h.edge_u, h.edge_v, h.edge_w * math.ldexp(1.0, -r))
 

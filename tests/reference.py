@@ -42,7 +42,7 @@ from cutsparse.sparsify import RunReport, SparsifyConfig, _algorithm_one, rho
 
 def single_round(
     g: WeightedGraph, cfg: SparsifyConfig, *, windowed: bool = False, capture_levels: bool = False
-) -> tuple[SparseGraph, RunReport]:
+) -> tuple[WeightedGraph | SparseGraph, RunReport]:
     """One round of Algorithm 1 at cfg.epsilon on the stream RngStream(cfg.seed),
     with exact (polynomial) or windowed (unbounded) packings; the round takes
     an integral input, so it rescales nothing."""

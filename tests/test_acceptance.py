@@ -229,9 +229,8 @@ def test_criterion_06_theory_mode_identity():
         cfg = SparsifyConfig(epsilon=EPS, seed=9)
         h, reports = sparsify(g, cfg)
         assert all(r.early_out for r in reports)
-        assert h.n == g.n
-        assert h.edges() == [(u, v, float(w)) for u, v, w in g.edges()]
-    _pass(6, "theory-mode-identity", f"{len(corpus)} corpus graphs returned bit-exactly")
+        assert h is g
+    _pass(6, "theory-mode-identity", f"{len(corpus)} corpus graphs returned as themselves")
 
 
 def test_criterion_07_size_regression():

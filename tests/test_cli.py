@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import calibration as cal
-from cutsparse import WeightedGraph, check_sparsifier, load_graph, load_sparse, save_graph
+from cutsparse import MAX_WEIGHT, WeightedGraph, check_sparsifier, load_graph, load_sparse, save_graph
 from cutsparse.cli import main
 from cutsparse.msf import OVER
 from cutsparse.oracles import _components
@@ -55,6 +55,14 @@ def heavy_graph_file(tmp_path):
     return path
 
 
+def heavy_theory_graph() -> WeightedGraph:
+    """40 vertices, 20,000 edges at weights in [2^53, 2^62): at eps 0.5 in
+    theory mode all four rounds take the early out, and the last three round
+    their input first."""
+    g = random_graph(40, 20_000, 2**62 - 2**53, seed=4)
+    return WeightedGraph.from_arrays(g.n, g.edge_u, g.edge_v, g.edge_w + (2**53 - 1))
+
+
 class TestSparsifyCommand:
     def test_theory_mode_identity_bytes(self, tiny_graph_file, tmp_path, capsys):
         out = tmp_path / "h.txt"
@@ -69,35 +77,34 @@ class TestSparsifyCommand:
         assert captured.err.startswith("warning: every round took the early out (m=20 <= threshold ")
 
     @pytest.mark.parametrize(
-        "weights, written",
+        "graph, rounds",
         [
-            ("9007199254740992 9 5", "9007199254740992 9 5"),
-            ("9223372036854775807 9007199254740993 5", "9.223372036854776e+18 9007199254740992 5"),
+            (lambda: WeightedGraph.from_edges(3, [(0, 1, MAX_WEIGHT), (1, 2, 2**53 + 1), (0, 2, 5)]), 1),
+            (
+                lambda: WeightedGraph.from_edges(
+                    12, [(2 * i, 2 * i + 1, w) for i, w in enumerate([1, 9, 10, 99, 2**53 + 1, MAX_WEIGHT])]
+                ),
+                1,
+            ),
+            (heavy_theory_graph, 4),
         ],
-        ids=["at-2^53", "above-2^53"],
+        ids=["triangle", "twelve-vertices", "heavy-theory"],
     )
-    def test_early_out_writes_each_weight_as_its_float64(self, tmp_path, capsys, weights, written):
-        """An early out gives back its input byte for byte while every weight
-        is at most 2^53; above that, each weight is its nearest float64."""
-
-        def triangle(ws: str) -> str:
-            return "3 3\n" + "".join(f"{e} {w}\n" for e, w in zip(["0 1", "1 2", "0 2"], ws.split()))
-
-        def sparsify(source: Path, sink: Path) -> int:
-            return main(["sparsify", "--input", str(source), "--output", str(sink),
-                         "--epsilon", "0.5", "--mode", "practical"])
-
-        graph, out = tmp_path / "g.txt", tmp_path / "h.txt"
-        graph.write_text(triangle(weights))
-        assert sparsify(graph, out) == 0
-        assert out.read_text() == triangle(written)
-        assert capsys.readouterr().err.endswith(
-            "the output is the input with each weight as its nearest float64, "
-            "so unchanged while every weight is at most 2^53\n"
-        )
-        if "e+18" in written:  # the float64 of 2^63 - 1 is no integer weight
-            assert sparsify(out, tmp_path / "again.txt") == 1
-            assert "weight '9.223372036854776e+18' is not an integer" in capsys.readouterr().err
+    def test_early_out_output_is_its_input(self, tmp_path, capsys, graph, rounds):
+        """A run whose every round took the early out writes its input back
+        byte for byte, at any weight, and that output reads back in.  The
+        first two graphs run in practical mode, the last in theory mode."""
+        mode = ["--mode", "practical"] if rounds == 1 else []
+        source, out, again = tmp_path / "g.txt", tmp_path / "h.txt", tmp_path / "again.txt"
+        save_graph(graph(), source)
+        for path, sink in ((source, out), (out, again)):
+            report = tmp_path / "r.json"
+            assert main(["sparsify", "--input", str(path), "--output", str(sink),
+                         "--epsilon", "0.5", "--report", str(report), *mode]) == 0
+            assert sink.read_bytes() == source.read_bytes()
+            assert capsys.readouterr().err.endswith("; the output is its input\n")
+            early_outs = [rnd["early_out"] for rnd in json.loads(report.read_text())["rounds"]]
+            assert early_outs == [True] * rounds
 
     @pytest.mark.parametrize("method", ["ni", "pipeline"])
     def test_ni_keeping_every_edge_warns(self, tiny_graph_file, tmp_path, capsys, method):
@@ -601,6 +608,8 @@ _EXIT_CASES = [
     (["sparsify", "mincut", "bench"], "graph", ["--epsilon", "1e-160", "--mode", "practical"], 2, "epsilon must be at least 1e-100"),
     (["sparsify", "mincut", "bench"], "graph", ["--rho-scale", "nan"], 2, "rho_scale must be positive and finite"),
     (["sparsify", "mincut", "bench"], "graph", ["--rho-scale", "inf"], 2, "rho_scale must be positive and finite"),
+    # past the ceiling a rho or threshold could reach inf and the report "Infinity"
+    (["sparsify", "mincut", "bench"], "graph", ["--rho-scale", "1e308"], 2, "rho_scale must be positive and finite, at most 1e+70"),
     (["sparsify", "mincut", "bench"], "pair", ["--mode", "practical"], 3, "level count exceeded guard"),
     (["msf"], "graph", ["--levels", "-1"], 2, "forest count must be >= 0"),
     (["bench"], "missing", [], 1, "no graph files in {corpus}"),
@@ -648,6 +657,9 @@ class TestExitCodes:
         fields = {"g": g, "corpus": corpus, "out": tmp_path / "h.txt"}
         argv = [token.format(**fields) for token in _ARGV[command].split()] + flags
         assert main(argv) == code
-        lines = capsys.readouterr().err.splitlines()
+        assert not fields["out"].exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: " + message.format(**fields))

@@ -111,6 +111,19 @@ CASES = {
         ["sparsify", "--method", "pipeline", *PRACTICAL],
         "e9150c1039e142e419cdf2687c07c5042400e18ab51bea05e6d9fff73c06f22b",
     ),
+    # theory mode over three rounds: sampled, early out, sampled; round 3
+    # rounds the integer graph round 2 rounded and returned as it is
+    "sparsify-msf-early-out-between-samples": (
+        "multi",
+        ["sparsify", "--method", "msf", "--epsilon", "0.5", "--seed", "7", "--rho-scale", "3e-7"],
+        "73507479d27e23a6797ddcb842ba798facb3189321c4b8f126a81ea78080b1c2",
+    ),
+    # theory mode over three rounds: early out, early out, sampled
+    "sparsify-msf-early-outs-before-a-sample": (
+        "multi",
+        ["sparsify", "--method", "msf", "--epsilon", "0.5", "--seed", "7", "--rho-scale", "1e-6"],
+        "dafc9681c9fad79bcf4d8027340ff41268593e8084a0f2cccb82d7d72ad72c9e",
+    ),
     "mincut": (
         "dumbbell",
         ["mincut", *PRACTICAL],
@@ -134,6 +147,14 @@ REPORTS = {
     "sparsify-ni-past-64-bits": "7f6990bc9af71ed39a70986a4b0a3dab8e28cb5eefa3bc615793a3db522178bd",
     "sparsify-pipeline": "28c5a98c89ec7113a8fd01f56b546d21fe6311866f47c923bea8d34a45f6d7f0",
     "sparsify-pipeline-refused-round": "72073efb5b0776637c157216d03e82a6e4bb1cd4f0e9c3fbed7cf1d79476eea3",
+    "sparsify-msf-early-out-between-samples": "703088178de96bdfdbb874a0780ecc6230b194cc991c53f3a1809e2af1d0de74",
+    "sparsify-msf-early-outs-before-a-sample": "eba967c628c35487180aa48b3e825953f006e343213074ff67e72618c43f5134",
+}
+
+# the early_out of each round, for the cases that mix early outs and samples
+EARLY_OUTS = {
+    "sparsify-msf-early-out-between-samples": [False, True, False],
+    "sparsify-msf-early-outs-before-a-sample": [True, True, False],
 }
 
 
@@ -178,6 +199,9 @@ def test_cli_output_digest(case, tmp_path, capsys):
         assert ni_round["method"] == "ni" and not ni_round["early_out"]
         assert msf_round["early_out_reason"].startswith("weight range too wide")
         assert set(msf_round["timings_ms"]) == {"total"}
+    if case in EARLY_OUTS:
+        rounds = json.loads(report.read_text())["rounds"]
+        assert [rnd["early_out"] for rnd in rounds] == EARLY_OUTS[case]
     assert hashlib.sha256(written).hexdigest() == digest
     if argv[0] == "sparsify":
         assert report_digest(report.read_text()) == REPORTS[case]

@@ -170,21 +170,30 @@ class TestFhhpPreprocess:
     def test_p_one_branch_exact_retention(self):
         # default constants make rho astronomically larger than any l_e here
         g = random_graph(8, 20, 9, seed=1)
-        h = ni_sparsify(g, 0.5, seed=3)
-        assert [(u, v, float(w)) for u, v, w in g.edges()] == h.edges()
+        assert ni_sparsify(g, 0.5, seed=3) is g
 
     def test_kept_all_compares_exactly(self):
         # the index 2^53 + 1 rounds to 2^53 in float64, so p_e = 1 and the
         # edge is kept, but the index is above rho: not every l_e <= rho
         g = WeightedGraph.from_edges(2, [(0, 1, 2**53 + 1)])
         h, kept_all = ni_preprocess(g, float(2**53), seed=0)
-        assert h.m == 1 and not kept_all
-        _, kept_all = ni_preprocess(g, float(2**53 + 2), seed=0)
-        assert kept_all
+        assert h.m == 1 and h is not g and not kept_all
+        h, kept_all = ni_preprocess(g, float(2**53 + 2), seed=0)
+        assert h is g and kept_all
 
     def test_kept_all_on_edgeless_graph(self):
-        h, kept_all = ni_preprocess(WeightedGraph.from_edges(3, []), 1.0, seed=0)
-        assert h.m == 0 and kept_all
+        g = WeightedGraph.from_edges(3, [])
+        h, kept_all = ni_preprocess(g, 1.0, seed=0)
+        assert h is g and kept_all
+
+    def test_kept_all_draws_nothing_and_times_both_stages(self, monkeypatch):
+        # every p_e = 1: the pass returns its input without a draw
+        monkeypatch.setattr("cutsparse.ni.compress", None)
+        g = random_graph(8, 20, 9, seed=1)
+        timings = {}
+        h, kept_all = ni_preprocess(g, 1e9, seed=0, timings_ms=timings)
+        assert h is g and kept_all
+        assert set(timings) == {"indices", "compression"}
 
     def test_determinism(self):
         g = random_graph(10, 200, 40, seed=2)

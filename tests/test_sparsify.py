@@ -1,12 +1,16 @@
 import hashlib
+import json
 import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutsparse import (
+    MAX_WEIGHT,
     CutSpec,
     LevelOverflowError,
     SparseGraph,
@@ -20,9 +24,13 @@ from cutsparse import (
     sparsify,
 )
 from cutsparse.msf import OVER
+from cutsparse.ni import preprocess_rho
 from cutsparse.sampling import RngStream
 from cutsparse.sparsify import (
+    MAX_RHO_SCALE,
+    METHODS,
     MIN_EPSILON,
+    MODES,
     early_out_threshold,
     log_star2,
     reduce_real_weights,
@@ -47,10 +55,6 @@ def practical_cfg(g, epsilon=0.5, seed=0, target_rho=None, **kw):
         return SparsifyConfig(epsilon=epsilon, seed=seed, mode="practical", **kw)
     scale = rho_scale_for(g.n, epsilon, target_rho)
     return SparsifyConfig(epsilon=epsilon, seed=seed, rho_scale=scale, **kw)
-
-
-def as_float_edges(g):
-    return [(u, v, float(w)) for u, v, w in g.edges()]
 
 
 class TestRho:
@@ -118,7 +122,25 @@ class TestConfig:
                 assert all(0.0 < r.rho < math.inf for r in reports)
                 assert np.isfinite(h.edge_w).all()
                 if mode == "theory":
-                    assert h.edges() == as_float_edges(g)
+                    assert h is g
+
+    def test_rho_scale_ceiling(self):
+        with pytest.raises(ValueError, match=r"positive and finite, at most 1e\+70, got 1e\+308"):
+            SparsifyConfig(epsilon=0.5, rho_scale=1e308)
+        # at the ceiling the msf rho, the NI rho and the threshold on either
+        # stay finite: at the largest n and the smallest precision, and where
+        # the threshold's log factor is largest
+        for n, m, epsilon in ((MAX_WEIGHT, MAX_WEIGHT, MIN_EPSILON / 2**10), (2, MAX_WEIGHT, 0.999)):
+            for r in (rho(n, epsilon, MAX_RHO_SCALE), preprocess_rho(n, epsilon, MAX_RHO_SCALE)):
+                assert math.isfinite(r)
+                assert math.isfinite(early_out_threshold(n, m, epsilon, r))
+        # and every method's report stays valid JSON
+        g = random_graph(8, 20, 9, seed=1)
+        for method in METHODS:
+            epsilon = 3.0 * MIN_EPSILON if method == "pipeline" else MIN_EPSILON
+            cfg = SparsifyConfig(epsilon=epsilon, rho_scale=MAX_RHO_SCALE, method=method)
+            for report in sparsify(g, cfg)[1]:
+                json.dumps(report.to_dict(), allow_nan=False)
 
     def test_log_star(self):
         assert log_star2(0.5) == 0
@@ -133,7 +155,7 @@ class TestEarlyOut:
             g = random_graph(40, 300, 1000, seed=seed)
             cfg = SparsifyConfig(epsilon=0.5, seed=seed)
             h, rep = single_round(g, cfg)
-            assert h.edges() == as_float_edges(g)
+            assert h is g
             assert rep.early_out
             assert rep.early_out_reason == f"m=300 <= threshold {rep.threshold:g}"
 
@@ -350,7 +372,7 @@ class TestSparsifyWrapper:
         cfg = SparsifyConfig(epsilon=0.5, seed=3)
         h, reports = sparsify(g, cfg)
         assert all(r.early_out for r in reports)
-        assert h.edges() == as_float_edges(g)
+        assert h is g
 
     def test_determinism(self):
         g = multi_complete_graph(12, 25, 10, seed=11)
@@ -456,6 +478,23 @@ class TestReduceRealWeights:
         with pytest.raises(ValueError, match="weights must be positive and finite"):
             reduce_real_weights(h, 0.5)
 
+    def test_integer_graph_reads_as_its_float64_copy(self):
+        # past 2^53 the int64 weights cast to float64 with the rounding a
+        # float64 copy of the graph makes
+        heavy = [2**53 + 1, 2**55 + 3, 2**60 - 1]
+        g = WeightedGraph.from_edges(4, [(0, 1, heavy[0]), (1, 2, heavy[1]), (2, 3, heavy[2])])
+        copy = SparseGraph.from_arrays(g.n, g.edge_u, g.edge_v, g.edge_w)
+        assert g.edges() != copy.edges()
+        for eps in (0.5, 0.9):
+            assert reduce_real_weights(g, eps) == reduce_real_weights(copy, eps)
+        for r in (-3, 0, 5):
+            assert scale_back(g, r) == scale_back(copy, r)
+        # a range too wide for 63 bits is refused on both
+        wide = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, MAX_WEIGHT)])
+        for h in (wide, SparseGraph.from_arrays(wide.n, wide.edge_u, wide.edge_v, wide.edge_w)):
+            with pytest.raises(ValueError, match="63 bits"):
+                reduce_real_weights(h, 0.5)
+
     def test_rejects_bad_epsilon(self):
         h = SparseGraph.from_edges(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
@@ -539,7 +578,7 @@ class TestPipeline:
         g = random_graph(8, 20, 9, seed=15)
         cfg = SparsifyConfig(epsilon=0.5, seed=4, method="pipeline")
         h, reports = sparsify(g, cfg)
-        assert h.edges() == as_float_edges(g)
+        assert h is g
         assert [r.method for r in reports] == ["ni", "msf"]
 
     def test_determinism(self):
@@ -665,6 +704,62 @@ class TestApproxMinCut:
         assert lam == 1
         cut, value = approx_min_cut(g, cfg)
         assert value == 1.0
+
+
+@st.composite
+def early_out_graphs(draw, m_range, weights):
+    """(g, eps): g on n in [2, 12] vertices with m edges, m in the range
+    m_range(n, eps) gives for the eps in [0.5, 0.99] drawn with it, and
+    weights drawn from `weights`."""
+    n = draw(st.integers(2, 12))
+    eps = draw(st.floats(0.5, 0.99))
+    m = draw(st.integers(*m_range(n, eps)))
+    edges = []
+    for _ in range(m):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        edges.append((u, v + (v >= u), draw(weights)))
+    return WeightedGraph.from_edges(n, edges), eps
+
+
+def _msf_edges(rounds):
+    """m for a run of one round (k = 1: m <= 2 n log2(n) / eps^2) or of
+    several; at most 32 n, so every round, at rho >= 8, is under its
+    threshold of at least 4 * rho * n."""
+
+    def m_range(n, eps):
+        split = math.floor(2 * n * math.log2(n) / eps**2)
+        return (1, split) if rounds == "one" else (split + 1, 32 * n)
+
+    return m_range
+
+
+class TestEarlyOutReturnsItsInput:
+    """A run whose every report is an early out returns its input object."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("rounds", ["one", "several"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_msf(self, data, rounds, mode):
+        weights = st.one_of(st.sampled_from([1, 2**53 + 1, MAX_WEIGHT]), st.integers(1, MAX_WEIGHT))
+        g, eps = data.draw(early_out_graphs(_msf_edges(rounds), weights))
+        h, reports = sparsify(g, SparsifyConfig(epsilon=eps, seed=data.draw(st.integers(0, 9)), mode=mode))
+        assert (len(reports) == 1) == (rounds == "one")
+        assert all(r.early_out for r in reports)
+        assert h is g
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("method", ["ni", "pipeline"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_ni_keeping_every_edge(self, data, method, mode):
+        # every NI index is at most the total weight, here at most 5 * 5, and
+        # an NI pass runs at rho >= 25: it keeps every edge
+        g, eps = data.draw(early_out_graphs(lambda n, eps: (1, 5), st.integers(1, 5)))
+        cfg = SparsifyConfig(epsilon=eps, seed=data.draw(st.integers(0, 9)), method=method, mode=mode)
+        h, reports = sparsify(g, cfg)
+        assert all(r.early_out for r in reports)
+        assert h is g
 
 
 class TestOutputColumns:
