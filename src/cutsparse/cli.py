@@ -8,13 +8,14 @@ input settles the rest: the loaders tell edge-list from DIMACS text, and
 with real weights.  Output files are edge lists.  `sparsify` warns on stderr
 when every round took the early out, and then writes its input.
 
-Every subcommand is deterministic for fixed flags including --seed; the only
-non-reproducible fields are wall-clock entries in reports and bench tables.
+Every subcommand is deterministic for fixed flags, including `--seed` (for
+`bench`, `--seeds`); the only non-reproducible fields are wall-clock entries
+in reports and bench tables.
 
-Subcommands raise; `main` maps each error type to its exit code and prints
-one `error:` line: 0 success, 1 file error (input unreadable or unparsable,
-output unwritable), 2 configuration violation, 3 internal level-guard
-overflow.
+Subcommands return nothing or raise; `main` alone decides the exit code and
+prints one `error:` line for a failure: 0 success, 1 file error (input
+unreadable or unparsable, output unwritable) or an input too large to hold
+in memory, 2 configuration violation, 3 internal level-guard overflow.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ EXIT_GUARD = 3
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, required=True, help="precision in (0,1)")
-    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     p.add_argument(
         "--mode",
         choices=MODES,
@@ -115,11 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--methods", default="msf,ni", help="comma-separated methods")
     p_bench.add_argument("--output", default=None, help="CSV path (default stdout)")
     _add_config_flags(p_bench)
+    p_bench.set_defaults(seed=0)  # bench's seeds come from --seeds, which `--seed` abbreviates
+    for p in (p_sparsify, p_mincut):
+        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
 
     return parser
 
 
-def _cmd_sparsify(args: argparse.Namespace) -> int:
+def _cmd_sparsify(args: argparse.Namespace) -> None:
     t_start = time.perf_counter()
     g = load_graph(args.input)
     timings_ms = {"load": (time.perf_counter() - t_start) * 1e3}
@@ -147,33 +150,29 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
             "the output is its input",
             file=sys.stderr,
         )
-    return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> None:
     g = load_sparse(args.graph)
     h = load_sparse(args.sparsifier)
     print(json.dumps(check_sparsifier(g, h).to_dict(), sort_keys=True))
-    return EXIT_OK
 
 
-def _cmd_mincut(args: argparse.Namespace) -> int:
+def _cmd_mincut(args: argparse.Namespace) -> None:
     g = load_graph(args.input)
     cut, value = approx_min_cut(g, _build_config(args))
     print(f"value {value}")
     print("side " + " ".join(str(v) for v in cut.vertices(g.n)))
-    return EXIT_OK
 
 
-def _cmd_msf(args: argparse.Namespace) -> int:
+def _cmd_msf(args: argparse.Namespace) -> None:
     g = load_graph(args.input)
     levels = msf_packing_bounded(g, args.levels).levels.tolist()
     for eid, ((u, v, w), level) in enumerate(zip(g.edges(), levels)):
         print(f"{eid} {u} {v} {w} {'OVER' if level == OVER else level}")
-    return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> None:
     corpus = [p for p in sorted(Path(args.corpus).glob("*")) if p.is_file()]
     if not corpus:
         raise FileNotFoundError(f"no graph files in {args.corpus}")
@@ -216,7 +215,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -232,9 +230,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # GraphFormatError is a ValueError, so the file errors go first
     try:
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
+        return EXIT_OK
     except (GraphFormatError, OSError) as exc:
         error, code = exc, EXIT_FILE
+    except MemoryError as exc:  # numpy's says what it could not allocate; Python's says nothing
+        error, code = ": ".join(filter(None, ("out of memory", str(exc)))), EXIT_FILE
     except LevelOverflowError as exc:
         error, code = exc, EXIT_GUARD
     except ValueError as exc:

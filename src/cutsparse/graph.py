@@ -1,9 +1,11 @@
-"""Graph representation, cut evaluation, and file I/O.
+"""Graph representation, cut evaluation, connected components, and file I/O.
 
 Graphs are undirected multigraphs: parallel edges are allowed, self-loops are
 not.  Integer weights live in [1, 2**63 - 1] so that one machine word covers
 both the polynomial and the practical unbounded weight regime; cut weights are
-accumulated in arbitrary-precision integers to rule out overflow.
+accumulated in arbitrary-precision integers to rule out overflow.  Components
+come from min-label hooking; its pointer jumping, `_roots`, also serves the
+packing's Borůvka pass.
 """
 
 from __future__ import annotations
@@ -200,6 +202,50 @@ def cut_weight(g: WeightedGraph | SparseGraph, cut: CutSpec) -> int | float:
     if selected.dtype == np.float64:
         return math.fsum(selected.tolist())
     return sum(selected.tolist())
+
+
+# --- connectivity -------------------------------------------------------------
+
+# edges per hooking step of `_components`
+_HOOK_BLOCK = 1 << 15
+
+
+def _roots(label: np.ndarray) -> np.ndarray:
+    """The parent array `label` with every entry jumped to its root."""
+    while True:
+        jumped = label[label]
+        if (jumped == label).all():
+            return label
+        label = jumped
+
+
+def _components(g: WeightedGraph | SparseGraph) -> np.ndarray:
+    """Component label per vertex: the smallest vertex id in its component.
+
+    Min-label hooking with pointer jumping: each round hooks, block by
+    block, the larger label of every edge whose endpoints still differ onto
+    the smaller one, then jumps every pointer to its root.  Labels only
+    fall, and a label is always a vertex id of the same component no larger
+    than the vertex, so once no edge splits two labels the roots are the
+    components' smallest ids, whatever the order of the hooks.  The blocks
+    keep the temporaries small (the packing kernel counts components while
+    its own lists are alive), and a later block of a round already reads
+    the labels an earlier one hooked.
+    """
+    label = np.arange(g.n, dtype=np.int64)
+    u, v = g.edge_u, g.edge_v
+    while True:
+        hooked = False
+        for lo in range(0, len(u), _HOOK_BLOCK):
+            lu, lv = label[u[lo : lo + _HOOK_BLOCK]], label[v[lo : lo + _HOOK_BLOCK]]
+            split = lu != lv
+            if split.any():
+                hooked = True
+                lu, lv = lu[split], lv[split]
+                np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        if not hooked:
+            return label
+        label = _roots(label)
 
 
 # --- file formats -----------------------------------------------------------

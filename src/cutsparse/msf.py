@@ -30,8 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .dsu import ForestDsu
-from .graph import WeightedGraph
-from .oracles import _components
+from .graph import WeightedGraph, _components, _roots
 
 # Sentinel for "endpoints connected in every forest up to M"; kept distinct
 # from any valid level so arithmetic on it fails loudly.
@@ -220,11 +219,7 @@ def _forest_positions(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
         root = (label[other] == comp) & (comp < other)
         label[comp[root]] = comp[root]
         picked.append(live[e[~root]])
-        while True:
-            jumped = label[label]
-            if (jumped == label).all():
-                break
-            label = jumped
+        label = _roots(label)
         cu, cv = label[cu], label[cv]
         keep = cu != cv
         live, cu, cv = live[keep], cu[keep], cv[keep]

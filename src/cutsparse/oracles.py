@@ -2,7 +2,7 @@
 sparsifier, and the Stoer-Wagner global minimum cut.
 
 Both are deliberately independent of the sparsifier's packings, so they can
-judge its output.
+judge its output; with it they share only the component labels of `graph`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CutSpec, SparseGraph, WeightedGraph
+from .graph import CutSpec, SparseGraph, WeightedGraph, _components
 
 ENUMERATION_LIMIT = 20
 
@@ -81,42 +81,6 @@ def check_sparsifier(g: WeightedGraph | SparseGraph, h: WeightedGraph | SparseGr
 
 
 # --- exact minimum cut --------------------------------------------------------
-
-# edges per hooking step of `_components`
-_BLOCK = 1 << 15
-
-
-def _components(g: WeightedGraph | SparseGraph) -> np.ndarray:
-    """Component label per vertex: the smallest vertex id in its component.
-
-    Min-label hooking with pointer jumping: each round hooks, block by
-    block, the larger label of every edge whose endpoints still differ onto
-    the smaller one, then jumps every pointer to its root.  Labels only
-    fall, and a label is always a vertex id of the same component no larger
-    than the vertex, so once no edge splits two labels the roots are the
-    components' smallest ids, whatever the order of the hooks.  The blocks
-    keep the temporaries small (the packing kernel counts components while
-    its own lists are alive), and a later block of a round already reads
-    the labels an earlier one hooked.
-    """
-    label = np.arange(g.n, dtype=np.int64)
-    u, v = g.edge_u, g.edge_v
-    while True:
-        hooked = False
-        for lo in range(0, len(u), _BLOCK):
-            lu, lv = label[u[lo : lo + _BLOCK]], label[v[lo : lo + _BLOCK]]
-            split = lu != lv
-            if split.any():
-                hooked = True
-                lu, lv = lu[split], lv[split]
-                np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        if not hooked:
-            return label
-        while True:
-            jumped = label[label]
-            if (jumped == label).all():
-                break
-            label = jumped
 
 
 def exact_min_cut(g: WeightedGraph | SparseGraph) -> tuple[CutSpec, float]:

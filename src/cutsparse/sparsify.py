@@ -34,12 +34,13 @@ from .graph import (
     CutSpec,
     SparseGraph,
     WeightedGraph,
+    _components,
     cut_weight,
 )
 from .msf import OVER, msf_packing_bounded, msf_packing_windowed
 from .msf import bottleneck_weights  # noqa: F401  the benchmark's tracer patches this binding
 from .ni import ni_preprocess, preprocess_rho
-from .oracles import exact_min_cut, _components
+from .oracles import exact_min_cut
 from .sampling import RngStream, compress
 
 RHO_NUMERATOR = 1352.0
@@ -125,14 +126,6 @@ class SparsifyConfig:
 
 
 @dataclass
-class LevelStats:
-    x_size: int
-    f_size: int
-    y_size: int
-    forests: int
-
-
-@dataclass
 class RunReport:
     n: int
     m: int
@@ -148,19 +141,14 @@ class RunReport:
     set_aside_count: int = 0
     method: str = "msf"
     threshold: float = 0.0  # msf: m at or under it; ni: every index at or under it
-    levels: list[LevelStats] = field(default_factory=list)
+    levels: list[dict[str, int]] = field(default_factory=list)  # x, f, y, forests
     gamma: int = 0
     output_size: int = 0
     timings_ms: dict[str, float] = field(default_factory=dict)
     level_sets: list[dict[str, np.ndarray]] | None = None
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "level_sets"}
-        out["levels"] = [
-            {"x": s.x_size, "f": s.f_size, "y": s.y_size, "forests": s.forests}
-            for s in self.levels
-        ]
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "level_sets"}
 
 
 def _round_report(
@@ -292,7 +280,7 @@ def _algorithm_one(
         f_ids = x_ids[levels != OVER]
         y_ids = x_ids[levels == OVER]
         f_levels.append(f_ids)
-        report.levels.append(LevelStats(len(x_ids), len(f_ids), len(y_ids), m_i))
+        report.levels.append({"x": len(x_ids), "f": len(f_ids), "y": len(y_ids), "forests": m_i})
         if capture_levels:
             report.level_sets.append({"x": x_ids, "f": f_ids, "y": y_ids})
         if len(y_ids) <= 2.0 * rho_val * n:

@@ -100,7 +100,7 @@ def test_criterion_02_leftover_heaviness():
             us = g.edge_u.tolist()
             vs = g.edge_v.tolist()
             for level, sets in enumerate(rep.level_sets):
-                forests = rep.levels[level].forests
+                forests = rep.levels[level]["forests"]
                 x_ids = sets["x"]
                 x_weights = g.edge_w[x_ids]
                 by_weight: dict[int, list[int]] = {}
@@ -254,7 +254,7 @@ def test_criterion_07_size_regression():
         worst_size = max(worst_size, h.m)
         for i in range(1, len(rep.levels)):
             transitions += 1
-            shrink_ok += rep.levels[i].x_size <= cal.LEVEL_SHRINK_RATIO * rep.levels[i - 1].x_size
+            shrink_ok += rep.levels[i]["x"] <= cal.LEVEL_SHRINK_RATIO * rep.levels[i - 1]["x"]
     assert transitions > 0
     assert shrink_ok >= (1.0 - cal.LEVEL_SHRINK_VIOLATION_BUDGET) * transitions
     _pass(

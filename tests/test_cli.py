@@ -15,7 +15,7 @@ import calibration as cal
 from cutsparse import MAX_WEIGHT, WeightedGraph, check_sparsifier, load_graph, load_sparse, save_graph
 from cutsparse.cli import main
 from cutsparse.msf import OVER
-from cutsparse.oracles import _components
+from cutsparse.graph import _components
 
 from conftest import (
     complete_graph,
@@ -554,6 +554,20 @@ class TestBenchCommand:
             outputs.append(rows)
         assert outputs[0] == outputs[1]
 
+    def test_seed_reads_as_seeds(self, tmp_path, capsys):
+        """bench parses no --seed of its own, so argparse reads one as --seeds."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        save_graph(random_graph(12, 400, 9, seed=3), corpus / "g.txt")
+        outputs = []
+        for flags in (["--seed", "3"], ["--seeds", "3"], []):
+            rc = main(["bench", "--corpus", str(corpus), "--epsilon", "0.5", "--mode", "practical", *flags])
+            assert rc == 0
+            rows = [line.rsplit(",", 1)[0] for line in capsys.readouterr().out.strip().splitlines()]
+            outputs.append(rows)
+        # the last run, at seed 0, shows that the corpus samples
+        assert outputs[0] == outputs[1] != outputs[2]
+
     def test_unwritable_output_exit_1(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -596,6 +610,8 @@ _INPUT_TEXT = {
     "fractional-weight": "2 1\n0 1 1.5\n",
     "word-weight": "2 1\n0 1 x\n",
     "vertex": "1 0\n",
+    # 8 * 10^17 bytes for one int64 per vertex exceed any address space
+    "huge": "100000000000000000 1\n0 1 5\n",
 }
 
 # (subcommands, input, extra flags, exit code, start of the error line)
@@ -627,6 +643,10 @@ _EXIT_CASES = [
     (["verify"], "word-weight", [], 1, "line 2: weight 'x' is not a number"),
     (["verify"], "vertex", [], 2, "graphs on a single vertex have no cuts"),
     (["mincut"], "vertex", [], 2, "minimum cut needs at least two vertices"),
+    (["msf", "mincut"], "huge", [], 1, "out of memory"),
+    (["sparsify"], "huge", ["--method", "ni"], 1, "out of memory"),
+    (["sparsify"], "huge", ["--method", "pipeline"], 1, "out of memory"),
+    (["bench"], "huge", ["--methods", "msf,ni"], 1, "out of memory"),
 ]
 
 

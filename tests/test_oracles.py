@@ -17,7 +17,7 @@ from cutsparse import (
     sparsify,
 )
 from cutsparse.msf import OVER
-from cutsparse.oracles import _components
+from cutsparse.graph import _components
 
 from conftest import complete_graph, dumbbell_graph, multi_complete_graph, random_graph
 from reference import (

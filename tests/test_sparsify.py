@@ -247,8 +247,8 @@ class TestSparsifyOnce:
         g = multi_complete_graph(12, 30, 8, seed=3)
         _, rep = single_round(g, practical_cfg(g, seed=1))
         assert rep.rho == 8.0
-        assert rep.levels[0].forests == 16
-        assert rep.levels[1].forests == 32
+        assert rep.levels[0]["forests"] == 16
+        assert rep.levels[1]["forests"] == 32
 
     def test_timings_cover_every_stage(self):
         g = multi_complete_graph(12, 30, 8, seed=3)
@@ -317,7 +317,7 @@ class TestSparsifyOnce:
                 assert set(x.tolist()) <= set(prev_y.tolist())
             # F_i is exactly the packing of (V, X_i) with the level's forest count
             sub = g.subgraph_edges(x)
-            packing = msf_packing_bounded(sub, rep.levels[i].forests)
+            packing = msf_packing_bounded(sub, rep.levels[i]["forests"])
             expected_f = x[packing.levels != OVER]
             assert expected_f.tolist() == sorted(f.tolist())
 
@@ -331,7 +331,7 @@ class TestSparsifyOnce:
         checked = 0
         for i, sets in enumerate(rep.level_sets):
             x, y = sets["x"], sets["y"]
-            forests = rep.levels[i].forests
+            forests = rep.levels[i]["forests"]
             x_edges = g.subgraph_edges(x)
             ws = g.edge_w.tolist()
             for e in y.tolist()[:40]:
