@@ -5,8 +5,9 @@ call `sparsify`: practical mode is rho = 8 in every msf round and rho = 25 in
 every NI pass, and an explicit --rho-scale selects theory mode instead.  The
 input settles the rest: the loaders tell edge-list from DIMACS text, and
 `sparsify` picks the weight regime from W and n.  `verify` reads both files
-with real weights.  Output files are edge lists.  `sparsify` warns on stderr
-when every round took the early out, and then writes its input.
+with real weights.  Output files are edge lists.  The `sparsify` command
+warns on stderr when the `sparsify` call returns its input, which it does
+exactly when every round took the early out, and then writes that input.
 
 Every subcommand is deterministic for fixed flags, including `--seed` (for
 `bench`, `--seeds`); the only non-reproducible fields are wall-clock entries
@@ -144,7 +145,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> None:
             "timings_ms": timings_ms,
         }
         Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if all(r.early_out for r in reports):
+    if h is g:
         print(
             f"warning: every round took the early out ({reports[-1].early_out_reason}); "
             "the output is its input",

@@ -86,10 +86,10 @@ class _Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(self.edge_u == self.edge_v):
                 raise ValueError("self-loops are not allowed")
-            self._validate_weights()
-
-    def _validate_weights(self) -> None:
-        raise NotImplementedError
+            # int64 weights at least 1, float64 ones finite and positive; NaN
+            # fails the first test
+            if not (self.edge_w.min() > 0 and self.edge_w.max() < math.inf):
+                raise ValueError(self._weight_error)
 
     def max_weight(self) -> int | float:
         return self.edge_w.max().item() if self.m else 0
@@ -119,10 +119,6 @@ class WeightedGraph(_Graph):
     def from_edges(n: int, edges: Iterable[tuple[int, int, int]]) -> "WeightedGraph":
         return WeightedGraph.from_arrays(n, *_columns(edges))
 
-    def _validate_weights(self) -> None:
-        if self.edge_w.min() < 1:
-            raise ValueError("edge weights must be >= 1")
-
     def subgraph_edges(self, idx: np.ndarray) -> "WeightedGraph":
         """Graph on the same vertex set restricted to the given edge indices."""
         return WeightedGraph(
@@ -142,10 +138,6 @@ class SparseGraph(_Graph):
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> "SparseGraph":
         return SparseGraph.from_arrays(n, *_columns(edges))
-
-    def _validate_weights(self) -> None:
-        if not np.all(np.isfinite(self.edge_w)) or self.edge_w.min() <= 0.0:
-            raise ValueError("edge weights must be positive and finite")
 
 
 def _columns(edges: Iterable[tuple]) -> tuple[tuple, tuple, tuple]:

@@ -23,6 +23,7 @@ place the unbounded regime's set-aside rule lives.
 
 from __future__ import annotations
 
+import time
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -320,7 +321,9 @@ def _window_weights(x: np.ndarray, D: int, n: int) -> np.ndarray:
     return r
 
 
-def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
+def msf_packing_windowed(
+    g: WeightedGraph, M: int, *, timings_ms: dict[str, float] | None = None
+) -> EstimatedMsfPacking:
     """Estimated MSF indices for the covered edges, those with w(e) > d(e)/n.
 
     Coverage is decided once, up front, and windows pack covered edges only.
@@ -343,12 +346,17 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
     among edges of weight at least (1 - 1/n) w(e).  Contraction would let a
     single heavy edge impersonate arbitrarily many disjoint routes through a
     merged blob and overstate the index.
+
+    Stage times in ms, `bottleneck` (the d pass) and `windows` (coverage and
+    the window packings), are added into `timings_ms` when one is given.
     """
     if M < 0:
         raise ValueError(f"forest count must be >= 0, got {M}")
     n = g.n
     w = g.edge_w
+    t0 = time.perf_counter()
     d = bottleneck_weights(g)
+    t1 = time.perf_counter()
 
     # For positive integers k*x > y exactly when x > y // k, so the weight
     # tests below stay in int64 without overflow.
@@ -368,5 +376,8 @@ def msf_packing_windowed(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
         )
         packing = msf_packing_bounded(window_graph, M)
         levels[batch] = packing.levels[np.searchsorted(idx, np.flatnonzero(batch))]
+    if timings_ms is not None:
+        for stage, ms in (("bottleneck", t1 - t0), ("windows", time.perf_counter() - t1)):
+            timings_ms[stage] = timings_ms.get(stage, 0.0) + ms * 1e3
 
     return EstimatedMsfPacking(M=M, levels=levels, covered=covered, d=d)

@@ -109,18 +109,17 @@ def preprocess_rho(n: int, epsilon: float, rho_scale: float = 1.0) -> float:
 
 def ni_preprocess(
     g: WeightedGraph, rho: float, seed: int, *, timings_ms: dict[str, float] | None = None
-) -> tuple[WeightedGraph | SparseGraph, bool]:
-    """Compress every edge with p_e = min(1, rho / l_e); also return whether
-    it kept every edge.  When every l_e <= rho, every p_e is 1: nothing is
-    drawn and the output is `g` itself.  Stage times in ms, `indices` and
-    `compression`, go into `timings_ms` when one is given."""
+) -> WeightedGraph | SparseGraph:
+    """Compress every edge with p_e = min(1, rho / l_e).  When every
+    l_e <= rho, every p_e is 1: nothing is drawn and the output is `g`
+    itself.  Stage times in ms, `indices` and `compression`, go into
+    `timings_ms` when one is given."""
     t0 = time.perf_counter()
     indices = ni_indices(g)
     t1 = time.perf_counter()
-    # a Python int against rho compares exactly; int64 against float64 rounds
-    kept_all = (int(indices.max()) if g.m else 0) <= rho
     h = g
-    if not kept_all:
+    # a Python int against rho compares exactly; int64 against float64 rounds
+    if (int(indices.max()) if g.m else 0) > rho:
         probs = np.minimum(1.0, rho / indices.astype(np.float64))
         kept, weights = compress(
             g.edge_w.astype(np.float64), probs, RngStream(seed).child("ni-compress")
@@ -129,4 +128,4 @@ def ni_preprocess(
     if timings_ms is not None:
         timings_ms["indices"] = (t1 - t0) * 1e3
         timings_ms["compression"] = (time.perf_counter() - t1) * 1e3
-    return h, kept_all
+    return h

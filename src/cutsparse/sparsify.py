@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -136,7 +137,6 @@ class RunReport:
     rho_scale: float
     regime: str
     rho: float = 0.0
-    early_out: bool = False
     early_out_reason: str | None = None
     set_aside_count: int = 0
     method: str = "msf"
@@ -147,8 +147,14 @@ class RunReport:
     timings_ms: dict[str, float] = field(default_factory=dict)
     level_sets: list[dict[str, np.ndarray]] | None = None
 
+    @property
+    def early_out(self) -> bool:
+        """Whether the round took the early out: exactly when it says why."""
+        return self.early_out_reason is not None
+
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "level_sets"}
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "level_sets"}
+        return d | {"early_out": self.early_out}
 
 
 def _round_report(
@@ -240,7 +246,7 @@ def _algorithm_one(
         if m <= report.threshold:
             reason = f"m={m} <= threshold {report.threshold:g}"
     if reason is not None:
-        report.early_out, report.early_out_reason = True, reason
+        report.early_out_reason = reason
         report.output_size = m
         timings["total"] = (time.perf_counter() - t_start) * 1e3
         return g, report, r
@@ -262,9 +268,9 @@ def _algorithm_one(
     while True:
         m_i = math.floor(rho_val * 2.0 ** (i + 1))
         t0 = time.perf_counter()
-        packing = (msf_packing_windowed if windowed else msf_packing_bounded)(
-            g if i == 0 else g.subgraph_edges(x_ids), m_i
-        )
+        packing = (
+            partial(msf_packing_windowed, timings_ms=timings) if windowed else msf_packing_bounded
+        )(g if i == 0 else g.subgraph_edges(x_ids), m_i)
         levels = packing.levels
         if windowed and i == 0:
             # Level 0 estimates the whole input: its uncovered edges
@@ -359,10 +365,9 @@ def _ni_round(
     """One pass of the forest-index preprocessing sampler, with its report."""
     t_start = time.perf_counter()
     report = _round_report(g, cfg, epsilon, seed, windowed, "ni")
-    h, kept_all = ni_preprocess(g, report.rho, seed, timings_ms=report.timings_ms)
+    h = ni_preprocess(g, report.rho, seed, timings_ms=report.timings_ms)
     report.output_size = h.m
-    if kept_all:
-        report.early_out = True
+    if h is g:
         report.threshold = report.rho
         report.early_out_reason = f"every NI index <= rho {report.threshold:g}"
     report.timings_ms["total"] = (time.perf_counter() - t_start) * 1e3
@@ -387,7 +392,7 @@ def sparsify(
     A run that samples nothing, every report an early out, returns `g`
     itself, every weight exact, whatever its early-out rounds rounded.
     """
-    windowed = g.m > 0 and g.max_weight() > g.n**POLY_WEIGHT_EXPONENT
+    windowed = g.max_weight() > g.n**POLY_WEIGHT_EXPONENT
     if cfg.method == "ni":
         h, rep = _ni_round(g, cfg, cfg.epsilon, cfg.seed, windowed)
         return h, [rep]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cutsparse import (
+    MAX_WEIGHT,
     CutSpec,
     GraphFormatError,
     SparseGraph,
@@ -259,7 +261,18 @@ class TestArrayConstructor:
         with pytest.raises(ValueError):
             SparseGraph.from_edges(2, [(0, 1, w)])
 
-    @pytest.mark.parametrize("cls, w", [(WeightedGraph, 7), (SparseGraph, 0.5)])
+    @pytest.mark.parametrize("w", [0, -1, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls", [WeightedGraph, SparseGraph])
+    def test_weight_rule_raises_the_class_error(self, cls, w):
+        with pytest.raises(ValueError, match=f"^{re.escape(cls._weight_error)}$"):
+            cls.from_arrays(2, [0], [1], [w])
+
+    # each type's weight range is closed at both ends
+    @pytest.mark.parametrize(
+        "cls, w",
+        [(WeightedGraph, 7), (SparseGraph, 0.5), (WeightedGraph, 1), (WeightedGraph, MAX_WEIGHT),
+         (SparseGraph, 5e-324), (SparseGraph, 1e308)],
+    )
     def test_read_only_copies(self, cls, w):
         u, v, ws = np.array([0, 1]), np.array([1, 2]), np.array([w, w])
         g = cls.from_arrays(3, u, v, ws)

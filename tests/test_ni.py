@@ -176,23 +176,23 @@ class TestFhhpPreprocess:
         # the index 2^53 + 1 rounds to 2^53 in float64, so p_e = 1 and the
         # edge is kept, but the index is above rho: not every l_e <= rho
         g = WeightedGraph.from_edges(2, [(0, 1, 2**53 + 1)])
-        h, kept_all = ni_preprocess(g, float(2**53), seed=0)
-        assert h.m == 1 and h is not g and not kept_all
-        h, kept_all = ni_preprocess(g, float(2**53 + 2), seed=0)
-        assert h is g and kept_all
+        h = ni_preprocess(g, float(2**53), seed=0)
+        assert h.m == 1 and h is not g
+        h = ni_preprocess(g, float(2**53 + 2), seed=0)
+        assert h is g
 
     def test_kept_all_on_edgeless_graph(self):
         g = WeightedGraph.from_edges(3, [])
-        h, kept_all = ni_preprocess(g, 1.0, seed=0)
-        assert h is g and kept_all
+        h = ni_preprocess(g, 1.0, seed=0)
+        assert h is g
 
     def test_kept_all_draws_nothing_and_times_both_stages(self, monkeypatch):
         # every p_e = 1: the pass returns its input without a draw
         monkeypatch.setattr("cutsparse.ni.compress", None)
         g = random_graph(8, 20, 9, seed=1)
         timings = {}
-        h, kept_all = ni_preprocess(g, 1e9, seed=0, timings_ms=timings)
-        assert h is g and kept_all
+        h = ni_preprocess(g, 1e9, seed=0, timings_ms=timings)
+        assert h is g
         assert set(timings) == {"indices", "compression"}
 
     def test_determinism(self):

@@ -159,6 +159,18 @@ class TestEarlyOut:
             assert rep.early_out
             assert rep.early_out_reason == f"m=300 <= threshold {rep.threshold:g}"
 
+    def test_early_out_is_its_reason(self):
+        # the golden case sparsify-msf-early-out-between-samples: sampled,
+        # early out, sampled
+        g = multi_complete_graph(10, 30, 8, seed=2)
+        _, reports = sparsify(g, SparsifyConfig(epsilon=0.5, seed=7, rho_scale=3e-7))
+        assert [rep.early_out for rep in reports] == [False, True, False]
+        for rep in reports:
+            assert rep.early_out == (rep.early_out_reason is not None)
+            assert rep.to_dict()["early_out"] is rep.early_out
+        with pytest.raises(AttributeError):
+            reports[0].early_out = True
+
     def test_threshold_formula(self):
         # the clamped log keeps the bound at 4*rho*n when the ratio dips under 1
         assert early_out_threshold(10, 5, 0.5, 2.0) == pytest.approx(80.0)
@@ -256,8 +268,13 @@ class TestSparsifyOnce:
             _, rep = single_round(g, practical_cfg(g, seed=1), windowed=windowed)
             assert not rep.early_out
             assert rep.early_out_reason is None
-            # the windowed regime's bottleneck passes run inside packing
-            assert set(rep.timings_ms) == {"packing", "sampling", "compression", "assembly", "total"}
+            stages = {"packing", "sampling", "compression", "assembly", "total"}
+            # the windowed regime's two packing stages, summed over its levels
+            unbounded = {"bottleneck", "windows"} if windowed else set()
+            assert set(rep.timings_ms) == stages | unbounded
+            t = rep.timings_ms
+            if windowed:
+                assert 0 < t["bottleneck"] + t["windows"] <= t["packing"]
 
     @pytest.mark.parametrize("method", ["ni", "pipeline"])
     def test_ni_round_timings_add_up(self, method):
