@@ -5,7 +5,7 @@ not.  Integer weights live in [1, 2**63 - 1] so that one machine word covers
 both the polynomial and the practical unbounded weight regime; cut weights are
 accumulated in arbitrary-precision integers to rule out overflow.  Components
 come from min-label hooking; its pointer jumping, `_roots`, also serves the
-packing's Borůvka pass.
+packing kernel's block filter and the bottleneck weights' Borůvka pass.
 """
 
 from __future__ import annotations
@@ -220,8 +220,7 @@ def _components(g: WeightedGraph | SparseGraph) -> np.ndarray:
     fall, and a label is always a vertex id of the same component no larger
     than the vertex, so once no edge splits two labels the roots are the
     components' smallest ids, whatever the order of the hooks.  The blocks
-    keep the temporaries small (the packing kernel counts components while
-    its own lists are alive), and a later block of a round already reads
+    keep the temporaries small, and a later block of a round already reads
     the labels an earlier one hooked.
     """
     label = np.arange(g.n, dtype=np.int64)

@@ -7,11 +7,10 @@ the explicit OVER sentinel.  The exact packing is one first-fit kernel over
 list-backed union-find forests, allocated as the packing first reaches them.
 Each edge probes the highest forest it could join, then the one under it,
 and bisects further down only when both fail to join its endpoints.  The
-kernel reads the edges in processing order, converting their ids and
-endpoints to Python ints one block at a time, and stops once its top forest
-spans the graph: every later edge then has its endpoints joined in all M
-forests, so it is OVER and moves no singleton level, the levels are those of
-the full pass, and the blocks after it are never converted.  The bottleneck
+kernel reads the edges in processing order one block at a time, and at each
+block start drops in numpy the edges whose endpoints its top forest already
+joins: they are OVER and move no singleton level, so once the top forest
+spans, no later edge is converted to Python ints.  The bottleneck
 weights take the maximum spanning forest from a vectorized Borůvka, build a
 union-by-size forest that keeps the order of its unions from only its
 edges, and climb every edge through it in numpy.  A windowed estimator
@@ -26,20 +25,20 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .dsu import ForestDsu
-from .graph import WeightedGraph, _components, _roots
+from .graph import WeightedGraph, _roots
 
 # Sentinel for "endpoints connected in every forest up to M"; kept distinct
 # from any valid level so arithmetic on it fails loudly.
 OVER = -1
 
-# Edges of the processing order that the packing converts to Python ints at
-# a time, so that an early stop leaves the rest of the order unconverted.
-_BLOCK = 1 << 13
+# Smallest block of the processing order that the packing filters and
+# converts to Python ints at a time; a block holds at least n edges, so the
+# O(n) root snapshot of the filter costs O(1) per edge.
+_BLOCK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -105,15 +104,15 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
     inline on its parent list.
 
     The ids and endpoints are read in `_descending_order`, converted to
-    Python ints `_BLOCK` edges at a time, and the levels are kept in a typed
-    array that becomes the int64 result through the buffer protocol.
+    Python ints max(`_BLOCK`, n) edges at a time, and the levels are kept in
+    a typed array that becomes the int64 result through the buffer protocol.
 
-    The loop stops once the top forest spans, holding n - c(G) edges for the
-    c(G) components of `g`: every later edge then has its endpoints joined
-    in the top forest, hence in all M, so it is OVER and moves no singleton
-    level, and the blocks after the stop are never converted.  The top
-    forest never holds more edges than forest 1, so c(G) is counted only
-    when its count first catches up with forest 1's, and at most once.
+    Once the top forest exists, each block first drops, in numpy, every edge
+    whose endpoints share a root in it.  Forests only grow, so those
+    endpoints are still joined when the edge comes up; by nesting both then
+    have s > M, the edge's top is the top forest, and the loop would mark it
+    OVER and change nothing.  After the top forest spans, every later block
+    filters to empty.
     """
     if M < 0:
         raise ValueError(f"forest count must be >= 0, got {M}")
@@ -125,67 +124,63 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
         return MsfPacking(M, np.array(levels, dtype=np.int64), np.array(s, dtype=np.int64))
     parents: list[list[int]] = [[]]  # 1-based
     forests = 0  # allocated so far: len(parents) - 1
-    placed = [0] * (m_eff + 1)  # edges per forest
-    need = -1  # n - c(G), once counted
 
     order = _descending_order(g.edge_w)
-    blocks = (order[i : i + _BLOCK] for i in range(0, m, _BLOCK))
-    edges = chain.from_iterable(
-        zip(b.tolist(), g.edge_u[b].tolist(), g.edge_v[b].tolist()) for b in blocks
-    )
-    for eid, u, v in edges:
-        su = s[u]
-        sv = s[v]
-        smin = level = su if su < sv else sv
-        top = smin - 1 if smin <= m_eff else m_eff
-        if top:
-            p = parents[top]
-            ru = u
-            while p[ru] != ru:
-                p[ru] = ru = p[p[ru]]
-            rv = v
-            while p[rv] != rv:
-                p[rv] = rv = p[p[rv]]
-            if ru != rv:
-                level = top
-                lo = 1
-                mid = hi = top - 1
-                while lo <= hi:
-                    q = parents[mid]
-                    a = u
-                    while q[a] != a:
-                        q[a] = a = q[q[a]]
-                    b = v
-                    while q[b] != b:
-                        q[b] = b = q[q[b]]
-                    if a == b:
-                        lo = mid + 1
-                    else:
-                        hi = mid - 1
-                        level, p, ru, rv = mid, q, a, b
-                    mid = (lo + hi) >> 1
-                p[ru] = rv
-            elif smin > m_eff:
-                continue
-        if level == smin:
-            if smin > forests:
-                parents.append(ForestDsu(n).parent)
-                forests = smin
-            # an endpoint at s == smin is a singleton there: hang it on the other
-            if su == smin:
-                parents[smin][u] = v
-                s[u] = smin + 1
-            else:
-                parents[smin][v] = u
-            if sv == smin:
-                s[v] = smin + 1
-        levels[eid] = level
-        placed[level] += 1
-        if level == m_eff and placed[level] == placed[1]:
-            if need < 0:
-                need = n - int(np.count_nonzero(_components(g) == np.arange(n)))
-            if placed[level] == need:
-                break
+    step = max(_BLOCK, n)
+    for start in range(0, m, step):
+        ids = order[start : start + step]
+        us, vs = g.edge_u[ids], g.edge_v[ids]
+        if forests == m_eff:
+            root = _roots(np.array(parents[m_eff]))
+            keep = root[us] != root[vs]
+            ids, us, vs = ids[keep], us[keep], vs[keep]
+        for eid, u, v in zip(ids.tolist(), us.tolist(), vs.tolist()):
+            su = s[u]
+            sv = s[v]
+            smin = level = su if su < sv else sv
+            top = smin - 1 if smin <= m_eff else m_eff
+            if top:
+                p = parents[top]
+                ru = u
+                while p[ru] != ru:
+                    p[ru] = ru = p[p[ru]]
+                rv = v
+                while p[rv] != rv:
+                    p[rv] = rv = p[p[rv]]
+                if ru != rv:
+                    level = top
+                    lo = 1
+                    mid = hi = top - 1
+                    while lo <= hi:
+                        q = parents[mid]
+                        a = u
+                        while q[a] != a:
+                            q[a] = a = q[q[a]]
+                        b = v
+                        while q[b] != b:
+                            q[b] = b = q[q[b]]
+                        if a == b:
+                            lo = mid + 1
+                        else:
+                            hi = mid - 1
+                            level, p, ru, rv = mid, q, a, b
+                        mid = (lo + hi) >> 1
+                    p[ru] = rv
+                elif smin > m_eff:
+                    continue
+            if level == smin:
+                if smin > forests:
+                    parents.append(ForestDsu(n).parent)
+                    forests = smin
+                # an endpoint at s == smin is a singleton there: hang it on the other
+                if su == smin:
+                    parents[smin][u] = v
+                    s[u] = smin + 1
+                else:
+                    parents[smin][v] = u
+                if sv == smin:
+                    s[v] = smin + 1
+            levels[eid] = level
 
     return MsfPacking(M, np.array(levels, dtype=np.int64), np.array(s, dtype=np.int64))
 

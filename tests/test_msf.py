@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutsparse import MAX_WEIGHT, WeightedGraph, msf_packing_bounded
+import cutsparse.msf as msf
 from cutsparse.msf import (
-    _BLOCK,
     OVER,
     _descending_order,
     _window_weights,
@@ -32,7 +32,7 @@ PACKERS = [msf_packing_bounded, oracle_msf_packing]
 def disjoint_unions(draw) -> WeightedGraph:
     """Two or three multigraphs side by side plus up to two isolated vertices:
     the top forest of a small packing often spans them partway through the
-    order, which ends the kernel's loop early."""
+    order, and after that the kernel's block filter drops every later edge."""
     parts = draw(st.lists(multigraphs(max_n=6, max_edges=20), min_size=2, max_size=3))
     edges, offset = [], 0
     for part in parts:
@@ -51,6 +51,22 @@ def tied_multigraphs(draw) -> WeightedGraph:
     pool += draw(st.lists(st.integers(1, MAX_WEIGHT), max_size=2))
     w = draw(st.lists(st.sampled_from(pool), min_size=g.m, max_size=g.m))
     return WeightedGraph.from_arrays(g.n, g.edge_u, g.edge_v, w)
+
+
+def two_paths_graph(n: int, m: int, seed: int) -> WeightedGraph:
+    """Two spanning paths on shuffled vertices, the first heavier than the
+    second, then light random edges up to m in all, listed in random order:
+    the first 2n - 2 edges of the processing order fill forests 1 and 2."""
+    rng = random.Random(seed)
+    edges = []
+    for band in (3, 2):
+        verts = list(range(n))
+        rng.shuffle(verts)
+        edges += [(a, b, rng.randrange(band << 20, (band + 1) << 20)) for a, b in zip(verts, verts[1:])]
+    while len(edges) < m:
+        edges.append((*rng.sample(range(n), 2), rng.randrange(1, 2 << 20)))
+    rng.shuffle(edges)
+    return WeightedGraph.from_edges(n, edges)
 
 
 def triangle():
@@ -270,25 +286,85 @@ class TestPackingKernel:
         levels = self.assert_matches_oracle(g, 3)
         assert levels.tolist() == [2, 1, 1, 1, 3, 3, 2]
 
-    def test_early_stop_inside_a_middle_block(self):
-        g = random_graph(2000, 3 * _BLOCK - 1000, 10**6, seed=7)
-        assert g.m % _BLOCK and g.m > 2 * _BLOCK
+    def test_filter_empties_every_block_after_the_top_forest_spans(self, monkeypatch):
+        # blocks of n edges: two heavy spanning paths fill forests 1 and 2 in
+        # the first 2n - 2 edges, so the top forest spans in the second block
+        # and the third filters to empty
+        monkeypatch.setattr(msf, "_BLOCK", 1)
+        g = two_paths_graph(500, 3 * 500 - 100, seed=7)
         levels = self.assert_matches_oracle(g, 2)[_descending_order(g.edge_w)]
-        # the top forest spans (n - 1 edges; `g` is connected) at an edge of
-        # the second block, and every later edge is OVER
         top = np.flatnonzero(levels == 2)
         assert len(top) == g.n - 1
-        assert top[-1] // _BLOCK == 1
+        assert top[-1] // g.n == 1
         assert (levels[top[-1] + 1 :] == OVER).all()
 
-    def test_no_early_stop_reads_every_block(self):
-        g = random_graph(2000, 3 * _BLOCK - 1000, 10**6, seed=7)
+    def test_filter_reads_every_block_while_the_top_forest_does_not_span(self, monkeypatch):
+        monkeypatch.setattr(msf, "_BLOCK", 1)
+        g = random_graph(300, 3 * 300 - 100, 10**6, seed=7)
         degree = np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=g.n)
         # a vertex of degree d lies in at most d forests, so forest d + 1
-        # never spans and the loop runs to the last edge of the last block
+        # never spans, and the last block still has edges for the loop to place
         M = int(degree.min()) + 1
         levels = self.assert_matches_oracle(g, M)
         assert np.count_nonzero(levels == M) < g.n - 1
+        assert (levels[_descending_order(g.edge_w)][2 * g.n :] != OVER).any()
+
+
+def top_forest_joined(g: WeightedGraph, levels: np.ndarray, M: int) -> list[bool]:
+    """Per edge, whether the level-M edges before it in `_descending_order`
+    join its endpoints."""
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    joined = [False] * g.m
+    for eid in _descending_order(g.edge_w).tolist():
+        ru, rv = find(int(g.edge_u[eid])), find(int(g.edge_v[eid]))
+        joined[eid] = ru == rv
+        if levels[eid] == M:
+            parent[ru] = rv
+    return joined
+
+
+class TestBlockFilter:
+    """Blocks of n edges (`_BLOCK` = 1), so that small graphs reach several
+    block starts, where the kernel drops the edges its top forest joins."""
+
+    @staticmethod
+    def assert_matches_oracle(g: WeightedGraph) -> None:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(msf, "_BLOCK", 1)
+            for M in (1, 2, 3, g.m):
+                fast = msf_packing_bounded(g, M)
+                oracle = oracle_msf_packing(g, M)
+                assert fast.levels.tolist() == oracle.levels.tolist()
+                assert fast.singleton_level.tolist() == oracle.singleton_level.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=multigraphs())
+    def test_matches_oracle_on_random_multigraphs(self, g):
+        self.assert_matches_oracle(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=disjoint_unions())
+    def test_matches_oracle_on_disjoint_unions(self, g):
+        self.assert_matches_oracle(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=tied_multigraphs())
+    def test_matches_oracle_on_tied_multigraphs(self, g):
+        self.assert_matches_oracle(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.one_of(multigraphs(), tied_multigraphs()), M=st.sampled_from([1, 2, 3]))
+    def test_over_exactly_where_the_top_forest_joins(self, g, M):
+        # the fact the filter rests on, in the literal definition and the kernel
+        for packer in PACKERS:
+            levels = packer(g, M).levels
+            assert (levels == OVER).tolist() == top_forest_joined(g, levels, M)
 
 
 class TestBottleneckWeights:
