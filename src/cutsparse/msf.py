@@ -370,7 +370,7 @@ def msf_packing_windowed(
             g.n, g.edge_u[idx], g.edge_v[idx], _window_weights(w[idx], D, n)
         )
         packing = msf_packing_bounded(window_graph, M)
-        levels[batch] = packing.levels[np.searchsorted(idx, np.flatnonzero(batch))]
+        levels[batch] = packing.levels[batch[idx]]
     if timings_ms is not None:
         for stage, ms in (("bottleneck", t1 - t0), ("windows", time.perf_counter() - t1)):
             timings_ms[stage] = timings_ms.get(stage, 0.0) + ms * 1e3

@@ -62,6 +62,12 @@ INPUTS = {
     "random": lambda: random_graph(16, 300, 1000, seed=5),
     "flooded": flooded_graph,
     "refused": refused_graph,
+    # W = 2^40 > n^4: the unbounded regime, with two light chords to set aside
+    "chords": lambda: WeightedGraph.from_edges(
+        4, [(0, 1, 1 << 40), (1, 2, 1 << 40), (0, 2, 1 << 40), (2, 3, 1 << 40), (0, 2, 3), (1, 3, 5)]
+    ),
+    # three parallels of 2^63 - 1: the NI indices pass 2^64
+    "flooded-pair": lambda: WeightedGraph.from_edges(2, [(0, 1, MAX_WEIGHT), (1, 0, MAX_WEIGHT), (0, 1, MAX_WEIGHT)]),
 }
 
 PRACTICAL = ["--epsilon", "0.5", "--seed", "7", "--mode", "practical"]
@@ -77,6 +83,11 @@ CASES = {
         "layered",
         ["sparsify", "--method", "msf", *PRACTICAL],
         "584095a467880949bca90f9b37a71b4aef0e01b42e39369e2f68e632047b5ce8",
+    ),
+    "sparsify-msf-unbounded-set-aside": (
+        "chords",
+        ["sparsify", "--method", "msf", "--epsilon", "0.5", "--seed", "7", "--rho-scale", "1e-9"],
+        "f185975e4157c46adfe550d4b40b5132c89e77b2e34e84dd460510c341de7c6d",
     ),
     # theory mode at rho 0.34 in round 1: floor(2 rho) = 0 forests at level 0
     "sparsify-msf-unbounded-zero-forests": (
@@ -105,6 +116,11 @@ CASES = {
         "multi",
         ["sparsify", "--method", "pipeline", *PRACTICAL],
         "82ad160d45b30f4934eeabc68455f184907b403d9765d00c4668cced8a59ec53",
+    ),
+    "sparsify-pipeline-past-64-bits": (
+        "flooded-pair",
+        ["sparsify", "--method", "pipeline", *PRACTICAL],
+        "dae47bb13df053d7f7b63eda081f6069f5e6c83b4bb07df9ab68166f1e1efa57",
     ),
     "sparsify-pipeline-refused-round": (
         "refused",
@@ -141,11 +157,13 @@ CASES = {
 REPORTS = {
     "sparsify-msf-polynomial": "35b6576c1f7969e23e1da64d6816937fb6257afc554c8eea857d20373fba8535",
     "sparsify-msf-unbounded": "6f8947777cb35c648650964d6751356b9c0e9c974ac7a1b9d88fe833e8add11f",
+    "sparsify-msf-unbounded-set-aside": "899447db1e1ff4362c5c19512186f6baf0f2361107facb14579349ab20604f4c",
     "sparsify-msf-unbounded-zero-forests": "26495b3c31c7b407bb65a84b09bd85cc8dd98f8361b930fa52e5fd9a7b6e516e",
     "sparsify-msf-polynomial-zero-forests": "674a5e81c103914892b83839bed69965298c1b37a2cebeea6f9307f2ad558472",
     "sparsify-ni": "5c4a6ad65cf55356d250a1b738a8f2a8507751bf3b6973c4117ab901792e2bbf",
     "sparsify-ni-past-64-bits": "7f6990bc9af71ed39a70986a4b0a3dab8e28cb5eefa3bc615793a3db522178bd",
     "sparsify-pipeline": "28c5a98c89ec7113a8fd01f56b546d21fe6311866f47c923bea8d34a45f6d7f0",
+    "sparsify-pipeline-past-64-bits": "d0c3d52dd3fa3f49d0c60e56ca36baab058d0703e060f7d824745aafad56b6de",
     "sparsify-pipeline-refused-round": "72073efb5b0776637c157216d03e82a6e4bb1cd4f0e9c3fbed7cf1d79476eea3",
     "sparsify-msf-early-out-between-samples": "703088178de96bdfdbb874a0780ecc6230b194cc991c53f3a1809e2af1d0de74",
     "sparsify-msf-early-outs-before-a-sample": "eba967c628c35487180aa48b3e825953f006e343213074ff67e72618c43f5134",
@@ -155,6 +173,7 @@ REPORTS = {
 EARLY_OUTS = {
     "sparsify-msf-early-out-between-samples": [False, True, False],
     "sparsify-msf-early-outs-before-a-sample": [True, True, False],
+    "sparsify-pipeline-past-64-bits": [False, True],
 }
 
 
@@ -189,6 +208,9 @@ def test_cli_output_digest(case, tmp_path, capsys):
         rnd = json.loads(report.read_text())["rounds"][0]
         assert rnd["regime"] == "unbounded"
         assert rnd["gamma"] >= 1 and rnd["set_aside_count"] > 0
+    if case == "sparsify-msf-unbounded-set-aside":
+        rnd = json.loads(report.read_text())["rounds"][0]
+        assert rnd["regime"] == "unbounded" and rnd["set_aside_count"] == 2
     if case == "sparsify-msf-unbounded-zero-forests":
         rnd = json.loads(report.read_text())["rounds"][0]
         assert rnd["regime"] == "unbounded" and rnd["set_aside_count"] > 0

@@ -309,6 +309,22 @@ class TestPackingKernel:
         assert np.count_nonzero(levels == M) < g.n - 1
         assert (levels[_descending_order(g.edge_w)][2 * g.n :] != OVER).any()
 
+    def test_filter_at_the_real_block_size(self):
+        # eight blocks of 2^11 edges; the 16th forest starts in the fourth
+        # block and spans in the fifth, so the filter reads a partial and
+        # then a spanning top forest
+        rng = np.random.default_rng(29)
+        n, m = 500, 16_000
+        u = rng.integers(0, n, m)
+        v = (u + rng.integers(1, n, m)) % n
+        g = WeightedGraph.from_arrays(n, u, v, rng.integers(1, 10**6, m, endpoint=True))
+        block = max(msf._BLOCK, n)
+        levels = self.assert_matches_oracle(g, 16)[_descending_order(g.edge_w)]
+        top = np.flatnonzero(levels == 16)
+        assert -(-m // block) == 8
+        assert len(top) == n - 1
+        assert (top[0] // block, top[-1] // block) == (3, 4)
+
 
 def top_forest_joined(g: WeightedGraph, levels: np.ndarray, M: int) -> list[bool]:
     """Per edge, whether the level-M edges before it in `_descending_order`

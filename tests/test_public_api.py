@@ -55,8 +55,12 @@ def test_every_public_name_resolves():
 def test_sparsify_module_binds_the_benchmark_names():
     # perfbench/ imports the unbounded single-round run, hooks
     # sparsify_with_report and checks that the tracer restores the packing and
-    # bottleneck bindings; the package attribute `cutsparse.sparsify` is the
-    # function, so look the module up directly
+    # bottleneck bindings.  The package attribute `cutsparse.sparsify` is the
+    # function, and `import cutsparse.sparsify as sp` binds it too, as README
+    # "Library entry points" says, so look the module up directly
+    import cutsparse.sparsify as sp
+
+    assert sp is cutsparse.sparsify
     module = sys.modules["cutsparse.sparsify"]
     # sparsify is the one entry point: the polynomial single round lives in
     # tests/reference.py as single_round
