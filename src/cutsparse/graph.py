@@ -162,9 +162,6 @@ class CutSpec:
     def vertices(self, n: int) -> list[int]:
         return np.flatnonzero(_side_membership(self.side & ((1 << n) - 1), n)).tolist()
 
-    def complement(self, n: int) -> "CutSpec":
-        return CutSpec(((1 << n) - 1) ^ self.side)
-
     @staticmethod
     def from_vertices(vertices: Iterable[int]) -> "CutSpec":
         ids = np.fromiter(vertices, dtype=np.int64)

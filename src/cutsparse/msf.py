@@ -13,11 +13,10 @@ joins: they are OVER and move no singleton level, so once the top forest
 spans, no later edge is converted to Python ints.  The bottleneck
 weights take the maximum spanning forest from a vectorized Borůvka, build a
 union-by-size forest that keeps the order of its unions from only its
-edges, and climb every edge through it in numpy.  A windowed estimator
-rescales extreme weight ranges into polynomial bands, by a float64 estimate
-that falls back to exact Python ints next to a rounding boundary, and reads
-exact packings there; its domain, the edges with n*w(e) > d(e), is the one
-place the unbounded regime's set-aside rule lives.
+edges, and climb every edge through it in numpy.  The unbounded regime's
+packing is the exact packing of the covered edges, those with
+n*w(e) > d(e); that test is the one place the unbounded regime's set-aside
+rule lives.
 """
 
 from __future__ import annotations
@@ -53,8 +52,9 @@ class MsfPacking:
 
 @dataclass(frozen=True)
 class EstimatedMsfPacking:
-    """Windowed estimate: levels are only meaningful where covered is True.
-    The uncovered edges (n*w(e) <= d(e)) are the ones to set aside."""
+    """The unbounded regime's packing: levels are only meaningful where
+    covered is True, and there they are the exact packing of the covered
+    edges.  The uncovered edges (n*w(e) <= d(e)) are the ones to set aside."""
 
     M: int
     levels: np.ndarray  # int64 per edge; 1..M or OVER where covered
@@ -286,93 +286,31 @@ def bottleneck_weights(g: WeightedGraph) -> np.ndarray:
     return d
 
 
-# --- windowed estimation ------------------------------------------------------
-
-
-def _window_weights(x: np.ndarray, D: int, n: int) -> np.ndarray:
-    """Window D's int64 weights for x > D // n**2: n**3 x / D rounded half
-    up, (2 n**3 x + D) // 2D, where x <= D, and the cap n**3 + 1 above D,
-    which sorts above every rescaled weight and stays below n**4.
-
-    The quotient q = n**3 x / D is estimated as t = fl(x) * fl(n**3) / fl(D)
-    in float64: at most five roundings to nearest, so |t - q| is below
-    5.0001 * 2**-53 * q, hence below t * 2**-50.  Round half up moves only
-    at half-integers, so t rounds like q unless a half-integer lies within
-    that bound of t.  Those entries, exact ties among them, and only those,
-    take the exact Python-int expression, so every entry equals it.  While
-    n**4 < 2**63, as in the unbounded regime, q <= n**3 keeps the bound
-    below 0.15, and at n = 1024 below 2**-20, so few entries fall back.
-    """
-    n3 = n**3
-    t = np.minimum(x, D).astype(np.float64) * float(n3) / float(D)
-    whole = np.floor(t)
-    frac = t - whole  # exact: whole is 0 or at least t / 2
-    r = (whole + (frac >= 0.5)).astype(np.int64)
-    r[x > D] = n3 + 1
-    near = np.flatnonzero((np.abs(frac - 0.5) <= t * 2.0**-50) & (x <= D))
-    if near.size:
-        k, two_D = 2 * n3, 2 * D
-        r[near] = [(k * v + D) // two_D for v in x[near].tolist()]
-    return r
+# --- the unbounded regime's estimate ------------------------------------------
 
 
 def msf_packing_windowed(
     g: WeightedGraph, M: int, *, timings_ms: dict[str, float] | None = None
 ) -> EstimatedMsfPacking:
-    """Estimated MSF indices for the covered edges, those with w(e) > d(e)/n.
-
-    Coverage is decided once, up front, and windows pack covered edges only.
-    Windows are processed from the largest d(e) not yet reached downward.
-    Window D drops edges not heavier than D/n**2, rescales weights in
-    (D/n**2, D] by n**3/D (round half up, exactly, from a float64 estimate
-    that `_window_weights` checks against the rounding boundaries), caps
-    everything heavier than D at n**3 + 1, and reads the exact packing of
-    that rescaled graph.  Each covered edge takes its level from the first
-    window whose (D/n, D] interval contains its d(e); at M = 0 no window is
-    packed and every covered edge is OVER.  d is taken in `g` itself: for
-    the working set of a later level it differs from the whole input's d,
-    so it cannot be computed once and passed down.  An uncovered edge is
-    never a Kruskal forest edge (those have d = w), so dropping the
-    uncovered edges changes no other edge's d, level or window.
-
-    Capping (rather than contracting) the heavy edges keeps their
-    multiplicities honest: the window's forests are genuine subgraphs of the
-    input, so a covered index k certifies k edge-disjoint connecting paths
-    among edges of weight at least (1 - 1/n) w(e).  Contraction would let a
-    single heavy edge impersonate arbitrarily many disjoint routes through a
-    merged blob and overstate the index.
-
-    Stage times in ms, `bottleneck` (the d pass) and `windows` (coverage and
-    the window packings), are added into `timings_ms` when one is given.
+    """MSF indices for the covered edges, those with w(e) > d(e)/n: the
+    exact M-partial packing of the covered edges alone, written back to
+    their ids, so a covered index k certifies k edge-disjoint paths among
+    edges at least as heavy as w(e).  d is taken in `g` itself: for the
+    working set of a later level it differs from the whole input's d, so it
+    cannot be computed once and passed down.  An uncovered edge is never a
+    Kruskal forest edge (those have d = w), so dropping the uncovered edges
+    changes no other edge's d or level.  The time of the d pass is added in
+    ms into `timings_ms["bottleneck"]` when a dict is given.
     """
-    if M < 0:
-        raise ValueError(f"forest count must be >= 0, got {M}")
-    n = g.n
-    w = g.edge_w
     t0 = time.perf_counter()
     d = bottleneck_weights(g)
-    t1 = time.perf_counter()
-
-    # For positive integers k*x > y exactly when x > y // k, so the weight
-    # tests below stay in int64 without overflow.
-    covered = w > d // n
-    levels = np.where(covered, OVER, 0)
-    pending = covered.copy()
-    while M and pending.any():
-        D = int(d[pending].max())
-        batch = pending & (d > D // n)
-        pending &= ~batch
-
-        window = covered & (w > D // (n * n))
-        assert window[batch].all(), "covered edge must survive into its window"
-        idx = np.flatnonzero(window)
-        window_graph = WeightedGraph.from_arrays(
-            g.n, g.edge_u[idx], g.edge_v[idx], _window_weights(w[idx], D, n)
-        )
-        packing = msf_packing_bounded(window_graph, M)
-        levels[batch] = packing.levels[batch[idx]]
     if timings_ms is not None:
-        for stage, ms in (("bottleneck", t1 - t0), ("windows", time.perf_counter() - t1)):
-            timings_ms[stage] = timings_ms.get(stage, 0.0) + ms * 1e3
+        ms = (time.perf_counter() - t0) * 1e3
+        timings_ms["bottleneck"] = timings_ms.get("bottleneck", 0.0) + ms
 
+    # For positive integers k*x > y exactly when x > y // k, so the test
+    # stays in int64 without overflow.
+    covered = g.edge_w > d // g.n
+    levels = np.zeros(g.m, dtype=np.int64)
+    levels[covered] = msf_packing_bounded(g.subgraph_edges(np.flatnonzero(covered)), M).levels
     return EstimatedMsfPacking(M=M, levels=levels, covered=covered, d=d)

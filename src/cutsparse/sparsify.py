@@ -16,9 +16,9 @@ re-packed with twice as many forests.  Phase two keeps F_0 verbatim, keeps
 the final leftover scaled up by the elapsed halvings, and compresses each F_j
 edge binomially with trial count 2^j * w(e).  Both weight regimes run the
 same levels; only the packer differs.  In the unbounded regime every level
-packs windowed estimates; level 0 estimates the whole input, and the edges
-that estimate leaves uncovered are set aside and compressed against their
-d(e), as the last batch of the same compression loop.
+packs exactly the edges its d(e) pass covers, those with n*w(e) > d(e); at
+level 0 the edges left uncovered are set aside and compressed against
+their d(e), as the last batch of the same compression loop.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from .sampling import RngStream, compress
 
 RHO_NUMERATOR = 1352.0
 COMPRESSION_CONSTANT = 384.0 / 169.0
-# sparsify runs exact packings while W <= n**4 (the polynomial weight
-# regime) and windowed estimates above it.
+# sparsify packs every edge while W <= n**4 (the polynomial weight regime)
+# and, above it, only the edges its bottleneck pass covers.
 POLY_WEIGHT_EXPONENT = 4
 # Practical mode: the rho every main round and every NI pass runs at.  The
 # literal constants force the early-out on anything small enough to verify.
@@ -173,8 +173,10 @@ def _round_report(
         formula, target = preprocess_rho, PRACTICAL_NI_RHO
     else:
         if windowed:
-            # Looser per-level heaviness of the windowed estimate costs a
-            # factor sqrt(2) in precision, which doubles rho at the same eps.
+            # The windowed estimate's looser per-level heaviness, (1 - 1/n) w(e),
+            # cost a factor sqrt(2) in precision, which doubles rho at the same
+            # eps.  The exact packing of the covered edges does not need it;
+            # the factor stays until a separately declared change removes it.
             epsilon /= math.sqrt(2.0)
         formula, target = rho, PRACTICAL_RHO
     report = RunReport(
@@ -352,7 +354,7 @@ def sparsify_unbounded_with_report(
 ) -> tuple[WeightedGraph | SparseGraph, RunReport]:
     """One unbounded-weight round of Algorithm 1 at cfg.epsilon: edges no
     heavier than d(e)/n are compressed directly against their bottleneck
-    weight, the rest runs the standard levels with windowed index estimates.
+    weight, the rest runs the standard levels on exact packings of them.
     `sparsify` is the library's entry point; this single round is kept only
     because perfbench/test_perfbench.py imports it."""
     h, report, _ = _algorithm_one(g, cfg, cfg.epsilon, RngStream(cfg.seed), windowed=True)

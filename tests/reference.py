@@ -1,20 +1,19 @@
 """Reference implementations the test suites compare against.
 
-Everything here is deliberately independent of the library's fast paths: the
-packing oracle repeats standalone Kruskal passes over its own descending
-sort, the bottleneck oracle climbs every edge through a union-by-size forest
-as the edge arrives in one descending pass, the windowed oracle reads that
-oracle's d and scans every edge per window with Python ints,
-edge connectivity enumerates cuts or runs a max-flow, the NI oracle scans
-every edge with its own heap push, the components oracle searches adjacency
-lists breadth first, the min-cut oracle runs Stoer-Wagner on Python numbers
+Everything here is deliberately independent of the library's fast paths:
+the packing oracle repeats standalone Kruskal passes over its own
+descending sort, the bottleneck oracle climbs every edge through a
+union-by-size forest as the edge arrives in one descending pass, edge
+connectivity enumerates cuts or runs a max-flow, the NI oracle scans every
+edge with its own heap push, the components oracle searches adjacency lists
+breadth first, the min-cut oracle runs Stoer-Wagner on Python numbers
 (exact on integer graphs), the binomial oracle inverts each uniform with
 exact rational pmfs, the edge-list oracle formats the file line by line
-with Python's str and repr, and the packing validators re-check forests edge
-by edge.  `single_round` is the exception: it runs the library's own round of
-Algorithm 1 at the config's full epsilon, the harness the single-round tests
-need.  `rho_scale_for` pins such a round at a rho other than practical
-mode's.
+with Python's str and repr, and the packing validators re-check forests
+edge by edge.  `single_round` is the exception: it runs the library's own
+round of Algorithm 1 at the config's full epsilon, the harness the
+single-round tests need.  `rho_scale_for` pins such a round at a rho other
+than practical mode's.
 """
 
 from __future__ import annotations
@@ -29,12 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from cutsparse import CutSpec, SparseGraph, WeightedGraph
-from cutsparse.msf import (
-    OVER,
-    EstimatedMsfPacking,
-    MsfPacking,
-    msf_packing_bounded,
-)
+from cutsparse.msf import OVER, MsfPacking
 from cutsparse.oracles import ENUMERATION_LIMIT, _all_cut_weights
 from cutsparse.sampling import RngStream
 from cutsparse.sparsify import RunReport, SparsifyConfig, _algorithm_one, rho
@@ -135,59 +129,6 @@ def oracle_bottleneck_weights(g: WeightedGraph) -> np.ndarray:
                 via[y] = d[eid] = ws[eid]
                 break
     return np.array(d, dtype=np.int64)
-
-
-def _round_half_up(num: int, den: int) -> int:
-    return (2 * num + den) // (2 * den)
-
-
-def windowed_loop_msf_packing(g: WeightedGraph, M: int) -> EstimatedMsfPacking:
-    """The windowed estimator as a per-edge loop: pending edges in descending
-    d order, a batch per window, and a scan of the covered edges per window
-    (none at M = 0, where every covered edge is OVER)."""
-    if M < 0:
-        raise ValueError(f"forest count must be >= 0, got {M}")
-    n, m = g.n, g.m
-    levels = np.zeros(m, dtype=np.int64)
-    covered = np.zeros(m, dtype=bool)
-    d = oracle_bottleneck_weights(g)
-    if m == 0:
-        return EstimatedMsfPacking(M=M, levels=levels, covered=covered, d=d)
-
-    ws = g.edge_w.tolist()
-    ds = d.tolist()
-    cap = n**3 + 1  # sorts above every rescaled in-window weight, stays < n**4
-
-    domain = [e for e in range(m) if n * ws[e] > ds[e]]
-    for e in domain:
-        levels[e] = OVER
-        covered[e] = True
-    order = sorted(range(m), key=lambda e: (-ds[e], e))
-    pending = [e for e in order if covered[e]] if M else []
-
-    pos = 0
-    while pos < len(pending):
-        D = ds[pending[pos]]
-        batch = []
-        while pos < len(pending) and n * ds[pending[pos]] > D:
-            batch.append(pending[pos])
-            pos += 1
-
-        window_ids = [e for e in domain if n * n * ws[e] > D]
-        idx = np.array(window_ids, dtype=np.int64)
-        window_graph = WeightedGraph.from_arrays(
-            g.n,
-            g.edge_u[idx],
-            g.edge_v[idx],
-            [cap if ws[e] > D else _round_half_up(n**3 * ws[e], D) for e in window_ids],
-        )
-        packing = msf_packing_bounded(window_graph, M)
-        local = {e: i for i, e in enumerate(window_ids)}
-        for e in batch:
-            assert e in local, "covered edge must survive into its window"
-            levels[e] = packing.levels[local[e]]
-
-    return EstimatedMsfPacking(M=M, levels=levels, covered=covered, d=d)
 
 
 # --- edge connectivity --------------------------------------------------------

@@ -82,7 +82,7 @@ CASES = {
     "sparsify-msf-unbounded": (
         "layered",
         ["sparsify", "--method", "msf", *PRACTICAL],
-        "584095a467880949bca90f9b37a71b4aef0e01b42e39369e2f68e632047b5ce8",
+        "ea861a4b40f3c3d7e929c8a3ec90c2d1a948a8670b9ed32b0c5437b2543ee42f",
     ),
     "sparsify-msf-unbounded-set-aside": (
         "chords",
@@ -156,7 +156,7 @@ CASES = {
 # the --report digest of each sparsify case, timings_ms removed
 REPORTS = {
     "sparsify-msf-polynomial": "35b6576c1f7969e23e1da64d6816937fb6257afc554c8eea857d20373fba8535",
-    "sparsify-msf-unbounded": "6f8947777cb35c648650964d6751356b9c0e9c974ac7a1b9d88fe833e8add11f",
+    "sparsify-msf-unbounded": "8b0ecc0ed091660b732b6deeb6127af19f5d130d7d9e0cd6f411674d7e8cc0c7",
     "sparsify-msf-unbounded-set-aside": "899447db1e1ff4362c5c19512186f6baf0f2361107facb14579349ab20604f4c",
     "sparsify-msf-unbounded-zero-forests": "26495b3c31c7b407bb65a84b09bd85cc8dd98f8361b930fa52e5fd9a7b6e516e",
     "sparsify-msf-polynomial-zero-forests": "674a5e81c103914892b83839bed69965298c1b37a2cebeea6f9307f2ad558472",

@@ -10,7 +10,6 @@ import cutsparse.msf as msf
 from cutsparse.msf import (
     OVER,
     _descending_order,
-    _window_weights,
     bottleneck_weights,
     msf_packing_windowed,
 )
@@ -22,7 +21,6 @@ from reference import (
     oracle_msf_packing,
     validate_msf_packing_forests,
     validate_msf_packing_heaviness,
-    windowed_loop_msf_packing,
 )
 
 PACKERS = [msf_packing_bounded, oracle_msf_packing]
@@ -498,88 +496,13 @@ class TestWindowedPacking:
                 unit = WeightedGraph.from_edges(n, qualifying)
                 assert edge_connectivity(unit, u, v) >= required
 
-    def test_windows_partition_coverage(self, monkeypatch):
-        # wide weight spreads produce several windows; every estimator-domain
-        # edge is covered by exactly one of them, and the first window sees
-        # no capped weights (the heaviest edge is always a forest edge)
-        import cutsparse.msf as msf_mod
-
-        window_maxima = []
-        real = msf_mod.msf_packing_bounded
-
-        def spy(graph, M):
-            window_maxima.append(graph.max_weight())
-            return real(graph, M)
-
-        monkeypatch.setattr(msf_mod, "msf_packing_bounded", spy)
-        rng = random.Random(3)
-        edges = []
-        for _ in range(30):
-            u, v = rng.sample(range(9), 2)
-            edges.append((u, v, rng.choice([1, 50, 5000, 1 << 30, 1 << 55])))
-        g = WeightedGraph.from_edges(9, edges)
-        est = msf_packing_windowed(g, 3)
-        assert len(window_maxima) >= 2, "weight spread must produce several windows"
-        cap = g.n**3 + 1
-        assert window_maxima[0] <= g.n**3
-        assert all(mx <= cap for mx in window_maxima)
-        in_domain = [g.n * w > d for (_, _, w), d in
-                     zip(g.edges(), bottleneck_weights(g).tolist())]
-        assert est.covered.tolist() == in_domain
-
-
-def exact_window_weights(x: list[int], D: int, n: int) -> list[int]:
-    return [n**3 + 1 if v > D else (2 * n**3 * v + D) // (2 * D) for v in x]
-
-
-# n = 55108 is the largest n with n^4 < 2^63, the largest the unbounded regime sees
-WINDOW_NS = [2, 3, 1024, 55108]
-
-
-class TestWindowWeights:
-    @pytest.mark.parametrize("n", WINDOW_NS)
-    def test_half_ties_and_neighbours(self, n):
-        # n^3 x / D = k + 1/2 exactly: D = 2 n^3 z and x = (2k + 1) z, with z
-        # as large as D <= 2^63 - 1 allows, so x and D are not exact in float64
-        rng = random.Random(n)
-        n3 = n**3
-        z_max = MAX_WEIGHT // (2 * n3)
-        for z in (z_max, z_max - 1, rng.randint(z_max // 2, z_max), 1):
-            D = 2 * n3 * z
-            for k in (n, n + 1, n3 - 1, *(rng.randint(n, n3 - 1) for _ in range(40))):
-                x0 = (2 * k + 1) * z
-                x = [v for v in (x0 - 1, x0, x0 + 1) if D // (n * n) < v <= D]
-                got = _window_weights(np.array(x, dtype=np.int64), D, n).tolist()
-                assert got == exact_window_weights(x, D, n), (n, D, x)
-
-    @pytest.mark.parametrize("n", WINDOW_NS)
-    def test_window_ends_and_cap(self, n):
-        rng = random.Random(7 * n)
-        for D in (MAX_WEIGHT, MAX_WEIGHT - 1, n**4 - 1, n * n, rng.randint(n * n, MAX_WEIGHT)):
-            lo = D // (n * n) + 1
-            x = [lo, lo + 1, D - 1, D, *(rng.randint(lo, D) for _ in range(200))]
-            x += [v for v in (D + 1, MAX_WEIGHT) if D < v <= MAX_WEIGHT]  # capped at n^3 + 1
-            got = _window_weights(np.array(x, dtype=np.int64), D, n).tolist()
-            assert got == exact_window_weights(x, D, n), (n, D)
-            assert got[1] >= got[0] >= n and got[3] == n**3
-
-    def test_exact_fallback_is_needed(self):
-        # q = 8 x / D lies just below 4.5, at 4.5 and just above it; float64
-        # cannot tell the three apart and rounds the first up to 5
-        n, D = 2, 16 * 365178100632113834
-        x = [3286602905689024505, 3286602905689024506, 3286602905689024507]
-        in_float = np.floor(np.array(x, dtype=np.float64) * 8.0 / float(D) + 0.5)
-        assert in_float.tolist() == [5.0, 5.0, 5.0]
-        got = _window_weights(np.array(x, dtype=np.int64), D, n).tolist()
-        assert got == exact_window_weights(x, D, n) == [4, 5, 5]
-
 
 @st.composite
 def window_graphs(draw) -> WeightedGraph:
     """`multigraphs` shapes reweighted from a small pool, so that weights tie,
-    at values where the window tests turn: the extremes, four consecutive
-    powers of n plus or minus one (weight ratios near n, n^2 and n^3), and
-    spreads over 2^0..2^62."""
+    at values where the coverage test n*w(e) > d(e) turns: the extremes,
+    four consecutive powers of n plus or minus one (weight ratios near n,
+    n^2 and n^3), and spreads over 2^0..2^62."""
     g = draw(multigraphs(max_n=8, max_edges=40, min_edges=10))
     n = g.n
     top = 1
@@ -599,37 +522,37 @@ def window_graphs(draw) -> WeightedGraph:
     return WeightedGraph.from_arrays(n, g.edge_u, g.edge_v, w)
 
 
+def assert_packs_covered_edges(g: WeightedGraph, M: int) -> None:
+    """The estimate's d is the oracle's, and its covered levels are the
+    oracle packing of the covered edges alone."""
+    est = msf_packing_windowed(g, M)
+    d = oracle_bottleneck_weights(g)
+    assert est.d.tolist() == d.tolist()
+    assert est.covered.tolist() == [g.n * w > x for w, x in zip(g.edge_w.tolist(), d.tolist())]
+    ids = np.flatnonzero(est.covered)
+    expected = oracle_msf_packing(g.subgraph_edges(ids), M).levels
+    assert est.levels[ids].tolist() == expected.tolist()
+
+
 class TestWindowedOracle:
     @settings(max_examples=400, deadline=None)
     @given(g=window_graphs())
-    # a pending d exactly D/n belongs to a later window, not to D's batch
-    @example(g=WeightedGraph.from_edges(3, [(0, 1, 243), (0, 2, 26), (0, 2, 28), (0, 2, 81)]))
-    # a weight exactly D/n^2 stays out of window D
-    @example(
-        g=WeightedGraph.from_edges(
-            4, [(3, 2, 16384), (3, 1, 262144), (3, 2, 16385), (2, 1, 65537)]
-        )
-    )
     @example(
         g=WeightedGraph.from_edges(
             4, [(2, 0, 1024), (0, 3, 16385), (1, 2, 1025), (1, 2, 4096), (0, 1, 1025), (1, 0, 4097)]
         )
     )
-    def test_matches_windowed_loop(self, g):
+    def test_packs_covered_edges_exactly(self, g):
         for M in (0, 1, 2, max(1, g.m), g.m + 5):
-            fast = msf_packing_windowed(g, M)
-            loop = windowed_loop_msf_packing(g, M)
-            assert fast.levels.tolist() == loop.levels.tolist()
-            assert fast.covered.tolist() == loop.covered.tolist()
-            assert fast.d.tolist() == loop.d.tolist()
+            assert_packs_covered_edges(g, M)
 
 
 @st.composite
 def banded_graphs(draw) -> WeightedGraph:
     """Connected graphs on n in [200, 2000] with 2n to 3n edges whose weights
     fall in four to six bands, band j of multiplicative width n^2 starting
-    at a random power of two: several windows, and most rescaled weights far
-    from a half-integer, so that most entries take the float64 estimate."""
+    at a random power of two: edges on both sides of the coverage test, and
+    enough edges that the packing reads them in several blocks."""
     n = draw(st.integers(200, 2000))
     top = 62 - 2 * n.bit_length()
     bases = draw(st.lists(st.integers(0, top), min_size=4, max_size=6))
@@ -652,13 +575,9 @@ def banded_graphs(draw) -> WeightedGraph:
 class TestWindowedOracleAtScale:
     @settings(max_examples=25, deadline=None)
     @given(g=banded_graphs())
-    def test_matches_windowed_loop(self, g):
+    def test_packs_covered_edges_exactly(self, g):
         for M in (0, 1, 3):
-            fast = msf_packing_windowed(g, M)
-            loop = windowed_loop_msf_packing(g, M)
-            assert fast.levels.tolist() == loop.levels.tolist()
-            assert fast.covered.tolist() == loop.covered.tolist()
-            assert fast.d.tolist() == loop.d.tolist()
+            assert_packs_covered_edges(g, M)
 
 
 class TestEstimatorDomain:
