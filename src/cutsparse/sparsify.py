@@ -162,7 +162,7 @@ def _round_report(
     cfg: SparsifyConfig,
     epsilon: float,
     seed: int,
-    windowed: bool,
+    unbounded: bool,
     method: str,
 ) -> RunReport:
     """A round at precision epsilon: its report and rho, in practical mode
@@ -172,7 +172,7 @@ def _round_report(
     if method == "ni":
         formula, target = preprocess_rho, PRACTICAL_NI_RHO
     else:
-        if windowed:
+        if unbounded:
             # The windowed estimate's looser per-level heaviness, (1 - 1/n) w(e),
             # cost a factor sqrt(2) in precision, which doubles rho at the same
             # eps.  The exact packing of the covered edges does not need it;
@@ -187,7 +187,7 @@ def _round_report(
         epsilon_effective=epsilon,
         seed=seed,
         rho_scale=cfg.rho_scale,
-        regime="unbounded" if windowed else "polynomial",
+        regime="unbounded" if unbounded else "polynomial",
         method=method,
     )
     if g.n >= 2:
@@ -219,7 +219,7 @@ def _algorithm_one(
     epsilon: float,
     rng: RngStream,
     *,
-    windowed: bool,
+    unbounded: bool,
     round_eps: float | None = None,
     capture_levels: bool = False,
 ) -> tuple[WeightedGraph | SparseGraph, RunReport, int]:
@@ -240,7 +240,7 @@ def _algorithm_one(
         except WeightRangeError as exc:
             reason = str(exc)
     n, m = g.n, g.m
-    report = _round_report(g, cfg, epsilon, cfg.seed, windowed, "msf")
+    report = _round_report(g, cfg, epsilon, cfg.seed, unbounded, "msf")
     report.level_sets = [] if capture_levels else None
     report.timings_ms = timings
     if reason is None:
@@ -271,10 +271,10 @@ def _algorithm_one(
         m_i = math.floor(rho_val * 2.0 ** (i + 1))
         t0 = time.perf_counter()
         packing = (
-            partial(msf_packing_windowed, timings_ms=timings) if windowed else msf_packing_bounded
+            partial(msf_packing_windowed, timings_ms=timings) if unbounded else msf_packing_bounded
         )(g if i == 0 else g.subgraph_edges(x_ids), m_i)
         levels = packing.levels
-        if windowed and i == 0:
+        if unbounded and i == 0:
             # Level 0 estimates the whole input: its uncovered edges
             # (n * w <= d) are set aside and compressed against that d.
             aside_ids = np.flatnonzero(~packing.covered)
@@ -282,7 +282,7 @@ def _algorithm_one(
             report.set_aside_count = len(aside_ids)
             x_ids = np.flatnonzero(packing.covered)
             levels = levels[packing.covered]
-        elif windowed:
+        elif unbounded:
             assert bool(packing.covered.all()), "estimator must cover the working set"
         t_pack += time.perf_counter() - t0
         f_ids = x_ids[levels != OVER]
@@ -357,16 +357,16 @@ def sparsify_unbounded_with_report(
     weight, the rest runs the standard levels on exact packings of them.
     `sparsify` is the library's entry point; this single round is kept only
     because perfbench/test_perfbench.py imports it."""
-    h, report, _ = _algorithm_one(g, cfg, cfg.epsilon, RngStream(cfg.seed), windowed=True)
+    h, report, _ = _algorithm_one(g, cfg, cfg.epsilon, RngStream(cfg.seed), unbounded=True)
     return h, report
 
 
 def _ni_round(
-    g: WeightedGraph, cfg: SparsifyConfig, epsilon: float, seed: int, windowed: bool
+    g: WeightedGraph, cfg: SparsifyConfig, epsilon: float, seed: int, unbounded: bool
 ) -> tuple[WeightedGraph | SparseGraph, RunReport]:
     """One pass of the forest-index preprocessing sampler, with its report."""
     t_start = time.perf_counter()
-    report = _round_report(g, cfg, epsilon, seed, windowed, "ni")
+    report = _round_report(g, cfg, epsilon, seed, unbounded, "ni")
     h = ni_preprocess(g, report.rho, seed, timings_ms=report.timings_ms)
     report.output_size = h.m
     if h is g:
@@ -394,9 +394,9 @@ def sparsify(
     A run that samples nothing, every report an early out, returns `g`
     itself, every weight exact, whatever its early-out rounds rounded.
     """
-    windowed = g.max_weight() > g.n**POLY_WEIGHT_EXPONENT
+    unbounded = g.max_weight() > g.n**POLY_WEIGHT_EXPONENT
     if cfg.method == "ni":
-        h, rep = _ni_round(g, cfg, cfg.epsilon, cfg.seed, windowed)
+        h, rep = _ni_round(g, cfg, cfg.epsilon, cfg.seed, unbounded)
         return h, [rep]
     current, reports = g, []
     first_rounding = None  # msf's input is integral already
@@ -404,7 +404,7 @@ def sparsify(
         root = RngStream(cfg.seed)
         first_rounding = cfg.epsilon / 3.0
         current, rep = _ni_round(
-            g, cfg, first_rounding, root.child("pipeline-preprocess").seed, windowed
+            g, cfg, first_rounding, root.child("pipeline-preprocess").seed, unbounded
         )
         reports.append(rep)
         cfg = replace(
@@ -420,7 +420,7 @@ def sparsify(
     scale_exp = 0
     for i, (run_eps, round_eps) in enumerate(schedule, 1):
         current, rep, r = _algorithm_one(
-            current, cfg, run_eps, root.child(f"round:{i}"), windowed=windowed, round_eps=round_eps
+            current, cfg, run_eps, root.child(f"round:{i}"), unbounded=unbounded, round_eps=round_eps
         )
         reports.append(rep)
         scale_exp += r

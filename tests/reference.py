@@ -35,13 +35,14 @@ from cutsparse.sparsify import RunReport, SparsifyConfig, _algorithm_one, rho
 
 
 def single_round(
-    g: WeightedGraph, cfg: SparsifyConfig, *, windowed: bool = False, capture_levels: bool = False
+    g: WeightedGraph, cfg: SparsifyConfig, *, unbounded: bool = False, capture_levels: bool = False
 ) -> tuple[WeightedGraph | SparseGraph, RunReport]:
     """One round of Algorithm 1 at cfg.epsilon on the stream RngStream(cfg.seed),
-    with exact (polynomial) or windowed (unbounded) packings; the round takes
-    an integral input, so it rescales nothing."""
+    in the polynomial regime, or in the unbounded one, which sets its
+    uncovered edges aside at level 0; the round takes an integral input, so
+    it rescales nothing."""
     h, report, _ = _algorithm_one(
-        g, cfg, cfg.epsilon, RngStream(cfg.seed), windowed=windowed, capture_levels=capture_levels
+        g, cfg, cfg.epsilon, RngStream(cfg.seed), unbounded=unbounded, capture_levels=capture_levels
     )
     return h, report
 

@@ -16,7 +16,6 @@ from cutsparse.msf import (
 
 from conftest import complete_graph, multigraphs, random_graph
 from reference import (
-    edge_connectivity,
     oracle_bottleneck_weights,
     oracle_msf_packing,
     validate_msf_packing_forests,
@@ -132,30 +131,13 @@ class TestPackingExamples:
         # descending weight, ties by edge id: 9 first, then the two 4s
         assert packer(g, 3).levels.tolist() == [2, 3, 1]
 
-    @pytest.mark.parametrize("packer", PACKERS)
+    @pytest.mark.parametrize("packer", PACKERS + [msf_packing_windowed])
     def test_rejects_nonpositive_m(self, packer):
         with pytest.raises(ValueError, match="forest count must be >= 0"):
             packer(triangle(), -1)
 
 
 class TestPackingAgreement:
-    @settings(max_examples=300, deadline=None)
-    @given(g=multigraphs())
-    def test_matches_oracle_on_random_multigraphs(self, g):
-        for M in (0, 1, 2, max(1, g.m), g.m + 5):
-            fast = msf_packing_bounded(g, M)
-            oracle = oracle_msf_packing(g, M)
-            assert fast.levels.tolist() == oracle.levels.tolist()
-            assert fast.singleton_level.tolist() == oracle.singleton_level.tolist()
-
-    @settings(max_examples=300, deadline=None)
-    @given(g=disjoint_unions(), M=st.sampled_from([1, 2, 3]))
-    def test_matches_oracle_when_top_forest_spans_early(self, g, M):
-        fast = msf_packing_bounded(g, M)
-        oracle = oracle_msf_packing(g, M)
-        assert fast.levels.tolist() == oracle.levels.tolist()
-        assert fast.singleton_level.tolist() == oracle.singleton_level.tolist()
-
     def test_heavy_component_spanned_first_does_not_stop_the_packing(self):
         # {0, 1} is spanned in both forests, as often as forest 1 is, before
         # the first edge of the lighter {2, 3} arrives; vertex 4 is isolated
@@ -164,42 +146,6 @@ class TestPackingAgreement:
             packing = packer(g, 2)
             assert packing.levels.tolist() == [1, 2, OVER, 1, 2]
             assert packing.singleton_level.tolist() == [3, 3, 3, 3, 1]
-
-    def test_bounded_oracle_identical(self):
-        rng = random.Random(42)
-        for trial in range(25):
-            n = rng.randint(2, 24)
-            m = rng.randint(0, 80)
-            bound = rng.choice([3, 10, n**4])
-            seed = rng.randrange(1 << 30)
-            # the same shape again with weights up to 2**63 - 1: every third
-            # edge tied at the top, and some one below it, which a float64
-            # sort key could not tell apart
-            heavy = random_graph(n, m, MAX_WEIGHT, seed=seed, connected=False)
-            w = heavy.edge_w.copy()
-            w[::3] = MAX_WEIGHT
-            w[1::6] = MAX_WEIGHT - 1
-            for g in (
-                random_graph(n, m, bound, seed=seed, connected=False),
-                WeightedGraph.from_edges(n, zip(heavy.edge_u.tolist(), heavy.edge_v.tolist(), w.tolist())),
-            ):
-                for M in (1, 2, 7):
-                    a = msf_packing_bounded(g, M).levels
-                    c = oracle_msf_packing(g, M).levels
-                    assert a.tolist() == c.tolist()
-
-    def test_per_level_forest_weight_matches_oracle(self):
-        rng = random.Random(9)
-        for trial in range(10):
-            g = random_graph(12, 60, 50, seed=300 + trial)
-            M = rng.randint(1, 8)
-            fast = msf_packing_bounded(g, M)
-            oracle = oracle_msf_packing(g, M)
-            w = g.edge_w.tolist()
-            for level in range(1, M + 1):
-                fw = sum(w[e] for e in np.flatnonzero(fast.levels == level).tolist())
-                ow = sum(w[e] for e in np.flatnonzero(oracle.levels == level).tolist())
-                assert fw == ow
 
     def test_singleton_level_consistency(self):
         # s(v) - 1 must equal the highest level of any edge incident to v
@@ -344,21 +290,26 @@ def top_forest_joined(g: WeightedGraph, levels: np.ndarray, M: int) -> list[bool
 
 
 class TestBlockFilter:
-    """Blocks of n edges (`_BLOCK` = 1), so that small graphs reach several
-    block starts, where the kernel drops the edges its top forest joins."""
+    """The kernel against the literal definition at the real block size and
+    at blocks of n edges (`_BLOCK` = 1), so that small graphs also reach
+    several block starts, where the kernel drops the edges its top forest
+    joins."""
 
     @staticmethod
     def assert_matches_oracle(g: WeightedGraph) -> None:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(msf, "_BLOCK", 1)
-            for M in (1, 2, 3, g.m):
-                fast = msf_packing_bounded(g, M)
-                oracle = oracle_msf_packing(g, M)
+        for M in sorted({0, 1, 2, 3, g.m, g.m + 5}):
+            oracle = oracle_msf_packing(g, M)
+            for block in (msf._BLOCK, 1):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(msf, "_BLOCK", block)
+                    fast = msf_packing_bounded(g, M)
                 assert fast.levels.tolist() == oracle.levels.tolist()
                 assert fast.singleton_level.tolist() == oracle.singleton_level.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(g=multigraphs())
+    # weights far above n**4 keep the same output contract
+    @example(g=WeightedGraph.from_edges(4, [(0, 1, 1 << 60), (1, 2, 3), (2, 3, 1 << 59), (0, 3, 2), (0, 2, 5)]))
     def test_matches_oracle_on_random_multigraphs(self, g):
         self.assert_matches_oracle(g)
 
@@ -397,15 +348,6 @@ class TestBottleneckWeights:
         g = WeightedGraph.from_edges(2, [(0, 1, 3), (0, 1, 8)])
         assert bottleneck_weights(g).tolist() == [8, 8]
 
-    def test_matches_brute_force_maximin(self):
-        for trial in range(14):
-            # the last two inputs draw weights far above n**4
-            bound = 30 if trial < 12 else MAX_WEIGHT
-            g = random_graph(8, 18, bound, seed=600 + trial)
-            d = bottleneck_weights(g).tolist()
-            for eid, (u, v, _) in enumerate(g.edges()):
-                assert d[eid] == brute_force_maximin(g, u, v)
-
     def test_disconnected_components(self):
         g = WeightedGraph.from_edges(4, [(0, 1, 5), (2, 3, 7)])
         assert bottleneck_weights(g).tolist() == [5, 7]
@@ -438,67 +380,8 @@ class TestBottleneckWeights:
             assert bottleneck_weights(g).tolist() == oracle_bottleneck_weights(g).tolist()
 
 
-class TestWindowedPacking:
-    def test_uniform_weights_single_window_equals_exact(self):
-        g = random_graph(8, 25, 1, seed=700)  # all weights 1
-        est = msf_packing_windowed(g, 4)
-        exact = msf_packing_bounded(g, 4)
-        assert bool(est.covered.all())
-        assert est.levels.tolist() == exact.levels.tolist()
-
-    def test_light_bridge_excluded(self):
-        # two unit triangles joined by one much-lighter bridge
-        edges = [(0, 1, 1000), (1, 2, 1000), (0, 2, 1000),
-                 (3, 4, 1000), (4, 5, 1000), (3, 5, 1000),
-                 (0, 3, 1)]
-        g = WeightedGraph.from_edges(6, edges)
-        est = msf_packing_windowed(g, 3)
-        # bridge is a tree edge: d = w, so n*w > d keeps it covered
-        assert bool(est.covered[6])
-        # a light chord across the heavy triangle is what gets excluded
-        edges.append((1, 2, 1))
-        g2 = WeightedGraph.from_edges(6, edges)
-        est2 = msf_packing_windowed(g2, 3)
-        assert not bool(est2.covered[7])
-
-    def test_huge_weight_triangle_exclusion(self):
-        g = WeightedGraph.from_edges(
-            3, [(0, 1, 1 << 60), (1, 2, 1 << 60), (0, 2, 4)]
-        )
-        est = msf_packing_windowed(g, 2)
-        # d(chord) = 2^60 and 3*4 <= 2^60: not in the estimator's domain
-        assert est.covered.tolist() == [True, True, False]
-
-    def test_wide_weight_range_guarantee(self):
-        # weights spanning 1 .. 2^60; every covered level k certifies k
-        # edge-disjoint paths among nearly-as-heavy edges
-        rng = random.Random(8)
-        for trial in range(6):
-            n = 8
-            edges = []
-            for _ in range(24):
-                u, v = rng.sample(range(n), 2)
-                edges.append((u, v, rng.choice([1, 7, 1 << 20, (1 << 60) - 3, 1 << 60])))
-            g = WeightedGraph.from_edges(n, edges)
-            M = 4
-            est = msf_packing_windowed(g, M)
-            ws = g.edge_w.tolist()
-            for eid, (u, v, w) in enumerate(g.edges()):
-                if not est.covered[eid]:
-                    continue
-                level = int(est.levels[eid])
-                required = M + 1 if level == OVER else level
-                qualifying = [
-                    (uu, vv, 1)
-                    for uu, vv, ww in g.edges()
-                    if n * ww >= (n - 1) * w
-                ]
-                unit = WeightedGraph.from_edges(n, qualifying)
-                assert edge_connectivity(unit, u, v) >= required
-
-
 @st.composite
-def window_graphs(draw) -> WeightedGraph:
+def unbounded_graphs(draw) -> WeightedGraph:
     """`multigraphs` shapes reweighted from a small pool, so that weights tie,
     at values where the coverage test n*w(e) > d(e) turns: the extremes,
     four consecutive powers of n plus or minus one (weight ratios near n,
@@ -534,14 +417,27 @@ def assert_packs_covered_edges(g: WeightedGraph, M: int) -> None:
     assert est.levels[ids].tolist() == expected.tolist()
 
 
-class TestWindowedOracle:
+TWO_HEAVY_TRIANGLES = [(0, 1, 1000), (1, 2, 1000), (0, 2, 1000), (3, 4, 1000), (4, 5, 1000), (3, 5, 1000)]
+
+
+class TestUnboundedOracle:
     @settings(max_examples=400, deadline=None)
-    @given(g=window_graphs())
+    @given(g=unbounded_graphs())
     @example(
         g=WeightedGraph.from_edges(
             4, [(2, 0, 1024), (0, 3, 16385), (1, 2, 1025), (1, 2, 4096), (0, 1, 1025), (1, 0, 4097)]
         )
     )
+    @example(g=WeightedGraph.from_edges(1, []))
+    @example(g=WeightedGraph.from_edges(3, []))
+    @example(g=random_graph(8, 25, 1, seed=700))  # all weights 1: every edge covered
+    # the light bridge is a forest edge, d = w, so n*w > d covers it; a light
+    # chord across a heavy triangle is not covered
+    @example(g=WeightedGraph.from_edges(6, TWO_HEAVY_TRIANGLES + [(0, 3, 1)]))
+    @example(g=WeightedGraph.from_edges(6, TWO_HEAVY_TRIANGLES + [(0, 3, 1), (1, 2, 1)]))
+    # d(chord) = 2^60 and 3*4 <= 2^60: the chord is not covered, and at M = 0
+    # both covered edges are OVER
+    @example(g=WeightedGraph.from_edges(3, [(0, 1, 1 << 60), (1, 2, 1 << 60), (0, 2, 4)]))
     def test_packs_covered_edges_exactly(self, g):
         for M in (0, 1, 2, max(1, g.m), g.m + 5):
             assert_packs_covered_edges(g, M)
@@ -572,7 +468,7 @@ def banded_graphs(draw) -> WeightedGraph:
     return WeightedGraph.from_edges(n, edges)
 
 
-class TestWindowedOracleAtScale:
+class TestUnboundedOracleAtScale:
     @settings(max_examples=25, deadline=None)
     @given(g=banded_graphs())
     def test_packs_covered_edges_exactly(self, g):
@@ -582,9 +478,9 @@ class TestWindowedOracleAtScale:
 
 class TestEstimatorDomain:
     @settings(max_examples=200, deadline=None)
-    @given(g=window_graphs())
-    # windows that also packed the uncovered edges 2, 4 and 5 would give the
-    # covered edges levels [1, 1, -1, 2] instead of [1, 1, 2, 2]
+    @given(g=unbounded_graphs())
+    # a packing that also took in the uncovered edges 2, 4 and 5 would give
+    # the covered edges levels [1, 1, -1, 2] at M = 2, not [1, 1, 2, 2]
     @example(
         g=WeightedGraph.from_edges(
             3, [(0, 1, 2), (1, 2, 1000), (2, 1, 5), (0, 1, 1), (1, 2, 1), (2, 1, 9), (2, 0, 2)]
@@ -600,22 +496,3 @@ class TestEstimatorDomain:
             assert bool(sub.covered.all())
             assert est.levels[ids].tolist() == sub.levels.tolist()
             assert est.d[ids].tolist() == sub.d.tolist()
-
-    def test_zero_forests_leave_every_covered_edge_over(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1 << 60), (1, 2, 1 << 60), (0, 2, 4)])
-        est = msf_packing_windowed(g, 0)
-        assert est.covered.tolist() == [True, True, False]
-        assert est.levels[est.covered].tolist() == [OVER, OVER]
-        with pytest.raises(ValueError):
-            msf_packing_windowed(g, -1)
-
-
-class TestRegimeGate:
-    def test_bounded_handles_superpolynomial_weights(self):
-        # weights far above n**4 keep the same output contract
-        g = WeightedGraph.from_edges(
-            4, [(0, 1, 1 << 60), (1, 2, 3), (2, 3, 1 << 59), (0, 3, 2), (0, 2, 5)]
-        )
-        a = msf_packing_bounded(g, 2).levels.tolist()
-        c = oracle_msf_packing(g, 2).levels.tolist()
-        assert a == c

@@ -46,7 +46,7 @@ from conftest import (
     topology_gallery,
     wide_range_graph,
 )
-from reference import edge_connectivity, rho_scale_for, single_round
+from reference import rho_scale_for, single_round
 
 
 def practical_cfg(g, epsilon=0.5, seed=0, target_rho=None, **kw):
@@ -264,16 +264,16 @@ class TestSparsifyOnce:
 
     def test_timings_cover_every_stage(self):
         g = multi_complete_graph(12, 30, 8, seed=3)
-        for windowed in (False, True):
-            _, rep = single_round(g, practical_cfg(g, seed=1), windowed=windowed)
+        for unbounded in (False, True):
+            _, rep = single_round(g, practical_cfg(g, seed=1), unbounded=unbounded)
             assert not rep.early_out
             assert rep.early_out_reason is None
             stages = {"packing", "sampling", "compression", "assembly", "total"}
             # the unbounded regime's bottleneck passes, summed over its levels
-            unbounded = {"bottleneck"} if windowed else set()
-            assert set(rep.timings_ms) == stages | unbounded
+            bottleneck = {"bottleneck"} if unbounded else set()
+            assert set(rep.timings_ms) == stages | bottleneck
             t = rep.timings_ms
-            if windowed:
+            if unbounded:
                 assert 0 < t["bottleneck"] <= t["packing"]
 
     @pytest.mark.parametrize("method", ["ni", "pipeline"])
@@ -338,30 +338,6 @@ class TestSparsifyOnce:
             expected_f = x[packing.levels != OVER]
             assert expected_f.tolist() == sorted(f.tolist())
 
-    def test_leftover_heaviness(self):
-        # every edge classified out of the packing at level i is
-        # w(e) * (forest count)-heavy among the at-least-as-heavy X_i edges
-        g = multi_complete_graph(8, 20, 4, seed=7)  # m = 560... below threshold?
-        cfg = practical_cfg(g, target_rho=2.0, seed=17)
-        h, rep = single_round(g, cfg, capture_levels=True)
-        assert not rep.early_out
-        checked = 0
-        for i, sets in enumerate(rep.level_sets):
-            x, y = sets["x"], sets["y"]
-            forests = rep.levels[i]["forests"]
-            x_edges = g.subgraph_edges(x)
-            ws = g.edge_w.tolist()
-            for e in y.tolist()[:40]:
-                w_e = ws[e]
-                filtered = [
-                    (uu, vv, ww) for uu, vv, ww in x_edges.edges() if ww >= w_e
-                ]
-                sub = WeightedGraph.from_edges(g.n, filtered)
-                u, v = int(g.edge_u[e]), int(g.edge_v[e])
-                assert edge_connectivity(sub, u, v) >= w_e * forests
-                checked += 1
-        assert checked > 0
-
     def test_gamma_guard_trips(self, levels_never_shrink):
         g = multi_complete_graph(8, 40, 4, seed=8)
         cfg = practical_cfg(g, target_rho=2.0, seed=19)
@@ -398,7 +374,7 @@ class TestSparsifyWrapper:
 
     def test_auto_regime_settled_on_the_input(self):
         # the reduction multiplies each round's weights by 2^r, so re-checking
-        # W > n^4 per round would switch late rounds to the windowed path
+        # W > n^4 per round would switch late rounds to the unbounded path
         for name, g in topology_gallery():
             assert g.max_weight() <= g.n**4
             for seed in range(3):
@@ -526,7 +502,7 @@ class TestUnbounded:
         eps = 0.5
         scale = rho_scale_for(g.n, eps / math.sqrt(2), 1.5)
         cfg = SparsifyConfig(epsilon=eps, seed=23, rho_scale=scale)
-        h_unbounded, rep = single_round(g, cfg, windowed=True)
+        h_unbounded, rep = single_round(g, cfg, unbounded=True)
         assert rep.set_aside_count == 0
         cfg_poly = replace(cfg, epsilon=eps / math.sqrt(2))
         h_once, _ = single_round(g, cfg_poly)
@@ -537,7 +513,7 @@ class TestUnbounded:
         g = dumbbell_graph(6)
         scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 0.4)
         cfg = SparsifyConfig(epsilon=0.5, seed=1, rho_scale=scale)
-        _, rep = single_round(g, cfg, windowed=True)
+        _, rep = single_round(g, cfg, unbounded=True)
         assert rep.set_aside_count == 0
 
     def test_heavy_clique_with_light_chord_sets_aside(self):
@@ -549,7 +525,7 @@ class TestUnbounded:
         g = WeightedGraph.from_edges(8, edges)
         scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 0.8)
         cfg = SparsifyConfig(epsilon=0.5, seed=2, rho_scale=scale)
-        h, rep = single_round(g, cfg, windowed=True)
+        h, rep = single_round(g, cfg, unbounded=True)
         assert not rep.early_out
         assert rep.set_aside_count == 1
         # p = (384/169)/2^60 makes the chord vanish for any realistic seed
@@ -562,7 +538,7 @@ class TestUnbounded:
         calls = []
         real = msf_mod.bottleneck_weights
         monkeypatch.setattr(msf_mod, "bottleneck_weights", lambda h: calls.append(h.m) or real(h))
-        _, rep = single_round(g, practical_cfg(g, seed=4), windowed=True)
+        _, rep = single_round(g, practical_cfg(g, seed=4), unbounded=True)
         assert len(rep.levels) >= 2
         # level 0 estimates the whole input; its uncovered edges are the set-aside
         assert calls[0] == g.m
@@ -574,8 +550,8 @@ class TestUnbounded:
         g = multi_complete_graph(8, 12, 1 << 40, seed=14)
         scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 1.0)
         cfg = SparsifyConfig(epsilon=0.5, seed=31, rho_scale=scale)
-        first = single_round(g, cfg, windowed=True)[0].edges()
-        assert single_round(g, cfg, windowed=True)[0].edges() == first
+        first = single_round(g, cfg, unbounded=True)[0].edges()
+        assert single_round(g, cfg, unbounded=True)[0].edges() == first
 
 
 class TestNiRound:
@@ -678,7 +654,7 @@ class TestWeightRangeRefusal:
         assert [r.method for r in reports] == ["ni"] + ["msf"] * k
         budgets = [eps3 / 2 ** (k - i + 2) for i in range(1, k + 1)]
         for rep, eps in zip(reports[1:], [budgets[0]] + [b / 2 for b in budgets[1:]]):
-            eps_eff = eps / math.sqrt(2.0)  # W > n^4: the windowed regime
+            eps_eff = eps / math.sqrt(2.0)  # W > n^4: the unbounded regime
             assert rep.early_out and rep.regime == "unbounded"
             assert rep.early_out_reason == "weight range too wide to round into 63 bits at this epsilon"
             assert rep.epsilon_effective == pytest.approx(eps_eff, rel=1e-12)
