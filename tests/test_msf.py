@@ -137,7 +137,34 @@ class TestPackingExamples:
             packer(triangle(), -1)
 
 
+def assert_matches_oracle(g: WeightedGraph, blocks: tuple[int, ...]) -> None:
+    """The kernel at each `_BLOCK` in `blocks` against one oracle call per M."""
+    for M in sorted({0, 1, 2, 3, g.m, g.m + 5}):
+        oracle = oracle_msf_packing(g, M)
+        for block in blocks:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(msf, "_BLOCK", block)
+                fast = msf_packing_bounded(g, M)
+            assert fast.levels.tolist() == oracle.levels.tolist()
+            assert fast.singleton_level.tolist() == oracle.singleton_level.tolist()
+
+
 class TestPackingAgreement:
+    """The kernel against the literal definition at the real block size;
+    `TestBlockFilter` runs the same families at blocks of n edges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=multigraphs())
+    # weights far above n**4 keep the same output contract
+    @example(g=WeightedGraph.from_edges(4, [(0, 1, 1 << 60), (1, 2, 3), (2, 3, 1 << 59), (0, 3, 2), (0, 2, 5)]))
+    def test_matches_oracle_on_random_multigraphs(self, g):
+        assert_matches_oracle(g, (msf._BLOCK,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=disjoint_unions())
+    def test_matches_oracle_when_top_forest_spans_early(self, g):
+        assert_matches_oracle(g, (msf._BLOCK,))
+
     def test_heavy_component_spanned_first_does_not_stop_the_packing(self):
         # {0, 1} is spanned in both forests, as often as forest 1 is, before
         # the first edge of the lighter {2, 3} arrives; vertex 4 is isolated
@@ -290,38 +317,26 @@ def top_forest_joined(g: WeightedGraph, levels: np.ndarray, M: int) -> list[bool
 
 
 class TestBlockFilter:
-    """The kernel against the literal definition at the real block size and
-    at blocks of n edges (`_BLOCK` = 1), so that small graphs also reach
-    several block starts, where the kernel drops the edges its top forest
-    joins."""
-
-    @staticmethod
-    def assert_matches_oracle(g: WeightedGraph) -> None:
-        for M in sorted({0, 1, 2, 3, g.m, g.m + 5}):
-            oracle = oracle_msf_packing(g, M)
-            for block in (msf._BLOCK, 1):
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(msf, "_BLOCK", block)
-                    fast = msf_packing_bounded(g, M)
-                assert fast.levels.tolist() == oracle.levels.tolist()
-                assert fast.singleton_level.tolist() == oracle.singleton_level.tolist()
+    """The kernel against the literal definition at blocks of n edges
+    (`_BLOCK` = 1), so that small graphs also reach several block starts,
+    where the kernel drops the edges its top forest joins."""
 
     @settings(max_examples=300, deadline=None)
     @given(g=multigraphs())
-    # weights far above n**4 keep the same output contract
-    @example(g=WeightedGraph.from_edges(4, [(0, 1, 1 << 60), (1, 2, 3), (2, 3, 1 << 59), (0, 3, 2), (0, 2, 5)]))
     def test_matches_oracle_on_random_multigraphs(self, g):
-        self.assert_matches_oracle(g)
+        assert_matches_oracle(g, (1,))
 
     @settings(max_examples=300, deadline=None)
     @given(g=disjoint_unions())
     def test_matches_oracle_on_disjoint_unions(self, g):
-        self.assert_matches_oracle(g)
+        assert_matches_oracle(g, (1,))
 
     @settings(max_examples=300, deadline=None)
     @given(g=tied_multigraphs())
     def test_matches_oracle_on_tied_multigraphs(self, g):
-        self.assert_matches_oracle(g)
+        # no test of `TestPackingAgreement` draws ties, so this one also
+        # runs the real block size
+        assert_matches_oracle(g, (msf._BLOCK, 1))
 
     @settings(max_examples=300, deadline=None)
     @given(g=st.one_of(multigraphs(), tied_multigraphs()), M=st.sampled_from([1, 2, 3]))
