@@ -4,16 +4,16 @@ Everything here is deliberately independent of the library's fast paths:
 the packing oracle repeats standalone Kruskal passes over its own
 descending sort, the bottleneck oracle climbs every edge through a
 union-by-size forest as the edge arrives in one descending pass, edge
-connectivity enumerates cuts or runs a max-flow, the NI oracle scans every
-edge with its own heap push, the components oracle searches adjacency lists
-breadth first, the min-cut oracle runs Stoer-Wagner on Python numbers
-(exact on integer graphs), the binomial oracle inverts each uniform with
-exact rational pmfs, the edge-list oracle formats the file line by line
-with Python's str and repr, and the packing validators re-check forests
-edge by edge.  `single_round` is the exception: it runs the library's own
-round of Algorithm 1 at the config's full epsilon, the harness the
-single-round tests need.  `rho_scale_for` pins such a round at a rho other
-than practical mode's.
+connectivity enumerates every cut (only up to ENUMERATION_LIMIT vertices),
+the NI oracle scans every edge with its own heap push, the components
+oracle searches adjacency lists breadth first, the min-cut oracle runs
+Stoer-Wagner on Python numbers (exact on integer graphs), the binomial
+oracle inverts each uniform with exact rational pmfs, the edge-list oracle
+formats the file line by line with Python's str and repr, and the packing
+validators re-check forests edge by edge.  `single_round` is the exception:
+it runs the library's own round of Algorithm 1 at the config's full
+epsilon, the harness the single-round tests need.  `rho_scale_for` pins
+such a round at a rho other than practical mode's.
 """
 
 from __future__ import annotations
@@ -135,99 +135,34 @@ def oracle_bottleneck_weights(g: WeightedGraph) -> np.ndarray:
 # --- edge connectivity --------------------------------------------------------
 
 
-def edge_connectivity(
-    g: WeightedGraph | SparseGraph,
-    u: int,
-    v: int,
-    n_limit: int = ENUMERATION_LIMIT,
-) -> int | float:
-    """Minimum weight over all cuts separating u and v.
-
-    Exhaustive enumeration up to n_limit vertices; a capacity-scaled max-flow
-    (weights as capacities) beyond that.
-    """
+def edge_connectivity(g: WeightedGraph | SparseGraph, u: int, v: int) -> int | float:
+    """Minimum weight over all cuts separating u and v, by enumerating every
+    cut; graphs over ENUMERATION_LIMIT vertices raise ValueError."""
     if u == v:
         raise ValueError("endpoints must differ")
-    if g.n <= n_limit:
-        n = g.n
-        size = 1 << (n - 1)
-        masks = np.arange(size, dtype=np.int64)
-        bu = (masks >> u) & 1 if u < n - 1 else np.zeros(size, dtype=np.int64)
-        bv = (masks >> v) & 1 if v < n - 1 else np.zeros(size, dtype=np.int64)
-        separating = bu != bv
-        weights = _all_cut_weights(g)
-        best = float(weights[separating].min())
-        if isinstance(g, WeightedGraph):
-            # recompute the winning cut exactly to avoid float rounding
-            idx = int(np.flatnonzero(separating)[np.argmin(weights[separating])])
-            member = [(idx >> x) & 1 if x < n - 1 else 0 for x in range(n)]
-            exact = sum(
-                w
-                for uu, vv, w in zip(
-                    g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()
-                )
-                if member[uu] != member[vv]
+    if g.n > ENUMERATION_LIMIT:
+        raise ValueError(f"n={g.n} exceeds enumeration limit {ENUMERATION_LIMIT}")
+    n = g.n
+    size = 1 << (n - 1)
+    masks = np.arange(size, dtype=np.int64)
+    bu = (masks >> u) & 1 if u < n - 1 else np.zeros(size, dtype=np.int64)
+    bv = (masks >> v) & 1 if v < n - 1 else np.zeros(size, dtype=np.int64)
+    separating = bu != bv
+    weights = _all_cut_weights(g)
+    best = float(weights[separating].min())
+    if isinstance(g, WeightedGraph):
+        # recompute the winning cut exactly to avoid float rounding
+        idx = int(np.flatnonzero(separating)[np.argmin(weights[separating])])
+        member = [(idx >> x) & 1 if x < n - 1 else 0 for x in range(n)]
+        exact = sum(
+            w
+            for uu, vv, w in zip(
+                g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()
             )
-            return exact
-        return best
-    return _dinic_max_flow(g, u, v)
-
-
-def _dinic_max_flow(g: WeightedGraph | SparseGraph, source: int, sink: int):
-    # capacities are the edge weights; parallel edges merge
-    cap: dict[tuple[int, int], int | float] = {}
-    for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
-        cap[(u, v)] = cap.get((u, v), 0) + w
-        cap[(v, u)] = cap.get((v, u), 0) + w
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    edges: list[list] = []  # [to, capacity, index of reverse]
-    for (u, v), c in sorted(cap.items()):
-        adj[u].append(len(edges))
-        edges.append([v, c, None])
-    lookup = {}
-    pos = 0
-    for (u, v), _c in sorted(cap.items()):
-        lookup[(u, v)] = pos
-        pos += 1
-    for (u, v), _c in sorted(cap.items()):
-        edges[lookup[(u, v)]][2] = lookup[(v, u)]
-
-    flow = 0
-    while True:
-        level = [-1] * g.n
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            for eid in adj[x]:
-                to, c, _ = edges[eid]
-                if c > 0 and level[to] == -1:
-                    level[to] = level[x] + 1
-                    queue.append(to)
-        if level[sink] == -1:
-            return flow
-        it = [0] * g.n
-
-        def dfs(x, pushed):
-            if x == sink:
-                return pushed
-            while it[x] < len(adj[x]):
-                eid = adj[x][it[x]]
-                to, c, rev = edges[eid]
-                if c > 0 and level[to] == level[x] + 1:
-                    got = dfs(to, min(pushed, c))
-                    if got:
-                        edges[eid][1] -= got
-                        edges[rev][1] += got
-                        return got
-                it[x] += 1
-            return 0
-
-        while True:
-            pushed = dfs(source, float("inf"))
-            if not pushed:
-                break
-            flow += pushed
+            if member[uu] != member[vv]
+        )
+        return exact
+    return best
 
 
 def oracle_ni_indices(g: WeightedGraph) -> list[int]:

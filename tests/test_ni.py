@@ -71,10 +71,6 @@ def repeated_bfs_forest_levels(g: WeightedGraph) -> list[int]:
 
 
 class TestNiIndices:
-    def test_single_weighted_edge(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 3)])
-        assert ni_indices(g).tolist() == [3]
-
     def test_unit_k3_multiset(self):
         levels = ni_indices(complete_graph(3)).tolist()
         assert sorted(levels) == [1, 1, 2]
@@ -110,10 +106,6 @@ class TestNiIndices:
             for (u, v, w), l in zip(g.edges(), ni_indices(g).tolist()):
                 assert l <= min(wdeg[u], wdeg[v])
 
-    def test_empty_and_isolated(self):
-        g = WeightedGraph.from_edges(4, [])
-        assert ni_indices(g).tolist() == []
-
     def test_parallel_sums_pass_64_bits(self):
         # vertex 0 is scanned first and hands every parallel edge to vertex 1
         g = WeightedGraph.from_edges(2, [(0, 1, MAX_WEIGHT), (1, 0, MAX_WEIGHT), (0, 1, 5)])
@@ -122,6 +114,8 @@ class TestNiIndices:
     @settings(max_examples=400, deadline=None)
     @given(g=ni_graphs())
     @example(g=WeightedGraph.from_edges(1, []))
+    @example(g=WeightedGraph.from_edges(4, []))
+    @example(g=WeightedGraph.from_edges(2, [(0, 1, 3)]))
     @example(g=WeightedGraph.from_edges(3, [(2, 1, MAX_WEIGHT)] * 3 + [(1, 2, 7), (0, 1, 1)]))
     def test_matches_per_edge_scan(self, g):
         assert ni_indices(g).tolist() == oracle_ni_indices(g)
@@ -159,18 +153,6 @@ def ni_sparsify(g, epsilon, seed=0, rho_scale=1.0):
 
 
 class TestFhhpPreprocess:
-    def test_epsilon_range_enforced(self):
-        g = complete_graph(4)
-        with pytest.raises(ValueError):
-            ni_sparsify(g, 1.5)
-        with pytest.raises(ValueError):
-            ni_sparsify(g, 0.0)
-
-    def test_p_one_branch_exact_retention(self):
-        # default constants make rho astronomically larger than any l_e here
-        g = random_graph(8, 20, 9, seed=1)
-        assert ni_sparsify(g, 0.5, seed=3) is g
-
     def test_kept_all_compares_exactly(self):
         # the index 2^53 + 1 rounds to 2^53 in float64, so p_e = 1 and the
         # edge is kept, but the index is above rho: not every l_e <= rho
@@ -193,15 +175,6 @@ class TestFhhpPreprocess:
         h = ni_preprocess(g, 1e9, seed=0, timings_ms=timings)
         assert h is g
         assert set(timings) == {"indices", "compression"}
-
-    def test_determinism(self):
-        g = random_graph(10, 200, 40, seed=2)
-        scale = 30.0 / preprocess_rho(g.n, 0.5)
-        h1 = ni_sparsify(g, 0.5, seed=7, rho_scale=scale)
-        h2 = ni_sparsify(g, 0.5, seed=7, rho_scale=scale)
-        assert h1.edges() == h2.edges()
-        h3 = ni_sparsify(g, 0.5, seed=8, rho_scale=scale)
-        assert h1.edges() != h3.edges()
 
     def test_keeps_low_index_edges_exact(self):
         from collections import Counter

@@ -19,7 +19,6 @@ from cutsparse import (
     approx_min_cut,
     check_sparsifier,
     cut_weight,
-    exact_min_cut,
     msf_packing_bounded,
     sparsify,
 )
@@ -39,7 +38,6 @@ from cutsparse.sparsify import (
 )
 
 from conftest import (
-    complete_graph,
     dumbbell_graph,
     multi_complete_graph,
     random_graph,
@@ -63,15 +61,6 @@ class TestRho:
         assert rho(math.e, 1.0) == pytest.approx(8 * 1352 / 0.38)
         assert rho(math.e, 1.0) == pytest.approx(28463.157894736843)
 
-    def test_scale_linearity(self):
-        base = rho(100, 0.5, 1.0)
-        assert rho(100, 0.5, 2.0) == pytest.approx(2 * base)
-
-    def test_unbounded_constant_matches_sqrt2_epsilon(self):
-        # the unbounded regime's doubled (2704) numerator is the standard
-        # formula at eps/sqrt(2)
-        assert rho(50, 0.3 / math.sqrt(2)) == pytest.approx(2 * rho(50, 0.3))
-
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             rho(1, 0.5)
@@ -79,9 +68,11 @@ class TestRho:
 
 class TestConfig:
     def test_validation(self):
-        SparsifyConfig(epsilon=0.5).validate()
-        with pytest.raises(ValueError):
-            SparsifyConfig(epsilon=1.5).validate()
+        for method in METHODS:
+            SparsifyConfig(epsilon=0.5, method=method).validate()
+            for epsilon in (1.5, 0.0):
+                with pytest.raises(ValueError):
+                    SparsifyConfig(epsilon=epsilon, method=method).validate()
         with pytest.raises(ValueError):
             SparsifyConfig(epsilon=0.5, rho_scale=0.0).validate()
         for scale in (math.nan, math.inf):
@@ -150,15 +141,6 @@ class TestConfig:
 
 
 class TestEarlyOut:
-    def test_theory_mode_is_identity(self):
-        for seed in (1, 2):
-            g = random_graph(40, 300, 1000, seed=seed)
-            cfg = SparsifyConfig(epsilon=0.5, seed=seed)
-            h, rep = single_round(g, cfg)
-            assert h is g
-            assert rep.early_out
-            assert rep.early_out_reason == f"m=300 <= threshold {rep.threshold:g}"
-
     def test_early_out_is_its_reason(self):
         # the golden case sparsify-msf-early-out-between-samples: sampled,
         # early out, sampled
@@ -296,13 +278,6 @@ class TestSparsifyOnce:
         report = check_sparsifier(g, h)
         assert report.max_rel_error <= 2 * cfg.epsilon
 
-    def test_determinism(self):
-        g = multi_complete_graph(10, 20, 5, seed=4)
-        cfg = practical_cfg(g, seed=21)
-        first = single_round(g, cfg)[0].edges()
-        assert single_round(g, cfg)[0].edges() == first
-        assert single_round(g, replace(cfg, seed=22))[0].edges() != first
-
     def test_larger_graph_shrinks(self):
         # n=64, m=1500 at rho = 4: real sampling, sampled cuts stay sane
         g = random_graph(64, 1500, 100, seed=5)
@@ -359,18 +334,6 @@ class TestSparsifyWrapper:
         assert upper <= 1.5
         assert upper <= 1 + eps
         assert lower >= 1 - eps
-
-    def test_theory_mode_identity_multi_round(self):
-        g = random_graph(100, 3000, 50, seed=10)
-        cfg = SparsifyConfig(epsilon=0.5, seed=3)
-        h, reports = sparsify(g, cfg)
-        assert all(r.early_out for r in reports)
-        assert h is g
-
-    def test_determinism(self):
-        g = multi_complete_graph(12, 25, 10, seed=11)
-        cfg = practical_cfg(g, seed=5, target_rho=2.0)
-        assert sparsify(g, cfg)[0].edges() == sparsify(g, cfg)[0].edges()
 
     def test_auto_regime_settled_on_the_input(self):
         # the reduction multiplies each round's weights by 2^r, so re-checking
@@ -546,13 +509,6 @@ class TestUnbounded:
         uncovered = int((~msf_mod.msf_packing_windowed(g, 1).covered).sum())
         assert rep.set_aside_count == uncovered > 0
 
-    def test_deterministic(self):
-        g = multi_complete_graph(8, 12, 1 << 40, seed=14)
-        scale = rho_scale_for(g.n, 0.5 / math.sqrt(2), 1.0)
-        cfg = SparsifyConfig(epsilon=0.5, seed=31, rho_scale=scale)
-        first = single_round(g, cfg, unbounded=True)[0].edges()
-        assert single_round(g, cfg, unbounded=True)[0].edges() == first
-
 
 class TestNiRound:
     def test_practical_rho_is_exactly_25(self):
@@ -567,18 +523,6 @@ class TestNiRound:
 
 
 class TestPipeline:
-    def test_tiny_graph_identity(self):
-        g = random_graph(8, 20, 9, seed=15)
-        cfg = SparsifyConfig(epsilon=0.5, seed=4, method="pipeline")
-        h, reports = sparsify(g, cfg)
-        assert h is g
-        assert [r.method for r in reports] == ["ni", "msf"]
-
-    def test_determinism(self):
-        g = multi_complete_graph(10, 20, 6, seed=16)
-        cfg = SparsifyConfig(epsilon=0.5, seed=6, method="pipeline", mode="practical")
-        assert sparsify(g, cfg)[0].edges() == sparsify(g, cfg)[0].edges()
-
     def test_one_scale_back_undoes_every_rounding(self):
         # NI samples at this rho_scale, so its output weights are not dyadic,
         # and every msf round takes the early out: the output is the NI
@@ -673,30 +617,10 @@ class TestWeightRangeRefusal:
 
 
 class TestApproxMinCut:
-    def test_unit_k5_exact_via_early_out(self):
-        g = complete_graph(5)
-        cut, value = approx_min_cut(g, SparsifyConfig(epsilon=0.5, seed=1))
-        assert value == 4.0
-        assert cut_weight(g, cut) == 4
-
-    def test_dumbbell_bridge(self):
-        g = dumbbell_graph(6)
-        cut, value = approx_min_cut(g, SparsifyConfig(epsilon=0.5, seed=2))
-        assert value == 1.0
-        assert set(cut.vertices(g.n)) in ({0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11})
-
     def test_disconnected_returns_zero(self):
         g = WeightedGraph.from_edges(4, [(0, 1, 5), (2, 3, 5)])
         cut, value = approx_min_cut(g, SparsifyConfig(epsilon=0.5, seed=3))
         assert value == 0.0
-
-    def test_exercised_dumbbell_still_finds_bridge(self):
-        g = dumbbell_graph(6, copies=34)  # m = 1021, clears the threshold
-        cfg = practical_cfg(g, seed=9)
-        lam = exact_min_cut(g)[1]
-        assert lam == 1
-        cut, value = approx_min_cut(g, cfg)
-        assert value == 1.0
 
 
 @st.composite
