@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutsparse import (
@@ -102,6 +102,24 @@ class TestOracleMsfPacking:
 
 
 class TestExactMinCut:
+    def test_unit_k5(self):
+        cut, value = exact_min_cut(complete_graph(5))
+        assert value == 4
+        assert len(cut.vertices(5)) in (1, 4)
+
+    def test_unit_k4_tie_goes_to_the_last_vertex(self):
+        # every singleton cut weighs 3; the first phase already finds one,
+        # and ties in the maximum-adjacency order go to the smallest id
+        cut, value = exact_min_cut(complete_graph(4))
+        assert (cut.vertices(4), value) == ([3], 3)
+
+    def test_dumbbell_bridge(self):
+        g = dumbbell_graph(6)
+        cut, value = exact_min_cut(g)
+        assert value == 1
+        side = set(cut.vertices(g.n))
+        assert side in ({0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11})
+
     def test_matches_enumeration_on_random_graphs(self):
         for seed in range(8):
             g = random_graph(9, 22, 40, seed=100 + seed)
@@ -111,6 +129,17 @@ class TestExactMinCut:
                 cut_weight(g, CutSpec(side)) for side in range(1, 2 ** (g.n - 1))
             )
             assert value == best
+
+    def test_disconnected_returns_zero(self):
+        g = WeightedGraph.from_edges(4, [(0, 1, 3), (2, 3, 5)])
+        cut, value = exact_min_cut(g)
+        assert value == 0
+        assert set(cut.vertices(4)) in ({0, 1}, {2, 3})
+
+    def test_float_graph(self):
+        h = SparseGraph.from_edges(3, [(0, 1, 1.5), (1, 2, 2.5), (0, 2, 0.25)])
+        cut, value = exact_min_cut(h)
+        assert value == pytest.approx(1.75)
 
 
 @st.composite
@@ -148,7 +177,6 @@ class TestExactMinCutMatchesOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(h=min_cut_graphs(SparseGraph, FLOAT_WEIGHTS))
-    @example(h=SparseGraph.from_edges(3, [(0, 1, 1.5), (1, 2, 2.5), (0, 2, 0.25)]))
     def test_float_graphs_bit_identical(self, h):
         self.assert_bit_identical(h)
 
@@ -169,10 +197,6 @@ class TestExactMinCutMatchesOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(g=min_cut_graphs(WeightedGraph, INT_WEIGHTS))
-    @example(g=complete_graph(5))
-    @example(g=complete_graph(4))  # every singleton cut ties at 3
-    @example(g=dumbbell_graph(6))  # the bridge is the only minimum cut
-    @example(g=WeightedGraph.from_edges(4, [(0, 1, 3), (2, 3, 5)]))  # disconnected
     def test_integer_graphs_below_2_53(self, g):
         cut, value = exact_min_cut(g)
         assert (cut, value) == oracle_min_cut(g)
