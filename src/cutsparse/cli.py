@@ -110,11 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_msf.add_argument("--input", required=True)
     p_msf.add_argument("--levels", type=int, required=True, help="forest count M")
 
-    p_bench = sub.add_parser("bench", help="run a corpus and emit a CSV table")
+    p_bench = sub.add_parser("bench", help="run a corpus and print a CSV table")
     p_bench.add_argument("--corpus", required=True, help="directory of graph files")
     p_bench.add_argument("--seeds", default="0", help="comma-separated seed list")
     p_bench.add_argument("--methods", default="msf,ni", help="comma-separated methods")
-    p_bench.add_argument("--output", default=None, help="CSV path (default stdout)")
     _add_config_flags(p_bench)
     p_bench.set_defaults(seed=0)  # bench's seeds come from --seeds, which `--seed` abbreviates
     for p in (p_sparsify, p_mincut):
@@ -211,11 +210,7 @@ def _cmd_bench(args: argparse.Namespace) -> None:
                 f"{sum(errors) / len(errors):.6f}" if errors else "",
                 f"{sum(times) / len(times):.3f}",
             ])
-    text = buf.getvalue()
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(buf.getvalue())
 
 
 _COMMANDS = {

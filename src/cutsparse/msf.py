@@ -42,12 +42,9 @@ _BLOCK = 1 << 11
 
 @dataclass(frozen=True)
 class MsfPacking:
-    """Per-edge forest index (1-based, OVER beyond M) plus the per-vertex
-    smallest level at which the vertex is still a singleton."""
+    """Per-edge forest index: 1-based, OVER beyond the M forests asked for."""
 
-    M: int
     levels: np.ndarray  # int64 per edge; 1..M or OVER
-    singleton_level: np.ndarray  # int64 per vertex
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,6 @@ class EstimatedMsfPacking:
     covered is True, and there they are the exact packing of the covered
     edges.  The uncovered edges (n*w(e) <= d(e)) are the ones to set aside."""
 
-    M: int
     levels: np.ndarray  # int64 per edge; 1..M or OVER where covered
     covered: np.ndarray  # bool per edge; the estimator's domain
     d: np.ndarray  # int64 per edge; bottleneck weights in the graph estimated
@@ -89,13 +85,14 @@ def _descending_order(w: np.ndarray) -> np.ndarray:
 def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
     """M-partial packing: greedy first-fit in `_descending_order` (weight
     descending, edge id ascending) over disjoint-set forests.  M = 0 is the
-    empty set of forests: every edge is OVER and every singleton level is 1.
+    empty set of forests: every edge is OVER.
 
     Forest connectivity is nested (endpoints joined in forest j are joined in
-    every forest below it), so each edge first probes its top candidate,
-    forest top = min(s(u), s(v), M + 1) - 1.  If that joins its endpoints,
-    the edge lands at min(s(u), s(v)), where an endpoint is still a
-    singleton, or is OVER beyond M.  Otherwise a binary search over forests
+    every forest below it).  So with s(x) the lowest forest where x is still
+    a singleton, 1 + the highest level at x, each edge first probes its top
+    candidate, forest top = min(s(u), s(v), M + 1) - 1.  If that joins its
+    endpoints, the edge lands at min(s(u), s(v)), where an endpoint is still
+    a singleton, or is OVER beyond M.  Otherwise a binary search over forests
     1 .. top - 1 finds the first forest that does not join them; it probes
     top - 1 first, because nearly every such edge lands at top itself, and
     that probe settles it.  An edge that goes lower pays at most one probe
@@ -118,10 +115,10 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
         raise ValueError(f"forest count must be >= 0, got {M}")
     n, m = g.n, g.m
     levels = array("q", [OVER]) * m
-    s = [1] * n
     m_eff = min(M, m)  # a level index can never exceed the edge count
     if not m_eff:
-        return MsfPacking(M, np.array(levels, dtype=np.int64), np.array(s, dtype=np.int64))
+        return MsfPacking(np.array(levels, dtype=np.int64))
+    s = [1] * n
     parents: list[list[int]] = [[]]  # 1-based
     forests = 0  # allocated so far: len(parents) - 1
 
@@ -182,7 +179,7 @@ def msf_packing_bounded(g: WeightedGraph, M: int) -> MsfPacking:
                     s[v] = smin + 1
             levels[eid] = level
 
-    return MsfPacking(M, np.array(levels, dtype=np.int64), np.array(s, dtype=np.int64))
+    return MsfPacking(np.array(levels, dtype=np.int64))
 
 
 # --- bottleneck weights ------------------------------------------------------
@@ -313,4 +310,4 @@ def msf_packing_windowed(
     covered = g.edge_w > d // g.n
     levels = np.zeros(g.m, dtype=np.int64)
     levels[covered] = msf_packing_bounded(g.subgraph_edges(np.flatnonzero(covered)), M).levels
-    return EstimatedMsfPacking(M=M, levels=levels, covered=covered, d=d)
+    return EstimatedMsfPacking(levels=levels, covered=covered, d=d)

@@ -105,9 +105,6 @@ class SparsifyConfig:
     mode: str = "theory"
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         # pipeline's msf stage runs a config at a third of its epsilon
@@ -478,13 +475,11 @@ def scale_back(h: WeightedGraph | SparseGraph, r: int) -> SparseGraph:
 # --- min-cut ---------------------------------------------------------------
 
 
-def approx_min_cut(
-    g: WeightedGraph, cfg: SparsifyConfig
-) -> tuple[CutSpec, float]:
+def approx_min_cut(g: WeightedGraph, cfg: SparsifyConfig) -> tuple[CutSpec, int]:
     """Solve min-cut exactly on a sparsifier of g and report the found cut
-    with its weight evaluated in g.  A disconnected g needs no sparsifier:
+    with its exact weight in g.  A disconnected g needs no sparsifier:
     `exact_min_cut` finds its zero-weight cut on g itself, and raises on a
     g of fewer than two vertices."""
     h = g if _components(g).any() else sparsify(g, cfg)[0]
     cut, _ = exact_min_cut(h)
-    return cut, float(cut_weight(g, cut))
+    return cut, cut_weight(g, cut)

@@ -84,15 +84,7 @@ def oracle_msf_packing(g: WeightedGraph, M: int) -> MsfPacking:
             else:
                 leftover.append(eid)
         remaining = leftover
-
-    singleton = np.ones(g.n, dtype=np.int64)
-    for eid in range(m):
-        lev = levels[eid]
-        if lev != OVER:
-            for x in (us[eid], vs[eid]):
-                if singleton[x] <= lev:
-                    singleton[x] = lev + 1
-    return MsfPacking(M=M, levels=levels, singleton_level=singleton)
+    return MsfPacking(levels)
 
 
 def oracle_bottleneck_weights(g: WeightedGraph) -> np.ndarray:
@@ -334,14 +326,14 @@ def oracle_binomial_draws(trials: list[int], probs: list[float], seed: int) -> l
 # --- packing validators (used by invariant tests) ------------------------------
 
 
-def validate_msf_packing_forests(g: WeightedGraph, packing: MsfPacking) -> None:
+def validate_msf_packing_forests(g: WeightedGraph, packing: MsfPacking, M: int) -> None:
     """Check each level's edge set is acyclic and levels stay within 1..M."""
     levels = packing.levels
     if len(levels) != g.m:
         raise AssertionError("level array does not match edge count")
     for level in sorted(set(levels.tolist()) - {OVER}):
-        if not (1 <= level <= packing.M):
-            raise AssertionError(f"level {level} outside 1..{packing.M}")
+        if not (1 <= level <= M):
+            raise AssertionError(f"level {level} outside 1..{M}")
         parent = list(range(g.n))
 
         def find(x: int) -> int:
@@ -357,7 +349,7 @@ def validate_msf_packing_forests(g: WeightedGraph, packing: MsfPacking) -> None:
             parent[ru] = rv
 
 
-def validate_msf_packing_heaviness(g: WeightedGraph, packing: MsfPacking) -> None:
+def validate_msf_packing_heaviness(g: WeightedGraph, packing: MsfPacking, M: int) -> None:
     """For each OVER edge, its endpoints must be connected inside every level
     using only edges at least as heavy (per-level BFS check)."""
     levels = packing.levels.tolist()
@@ -365,7 +357,7 @@ def validate_msf_packing_heaviness(g: WeightedGraph, packing: MsfPacking) -> Non
     vs = g.edge_v.tolist()
     ws = g.edge_w.tolist()
     max_level = max((lv for lv in levels if lv != OVER), default=0)
-    if max_level < packing.M and any(lv == OVER for lv in levels):
+    if max_level < M and any(lv == OVER for lv in levels):
         raise AssertionError("OVER edge although some forest stayed empty")
     by_level: dict[int, list[int]] = {}
     for eid, lv in enumerate(levels):
@@ -375,7 +367,7 @@ def validate_msf_packing_heaviness(g: WeightedGraph, packing: MsfPacking) -> Non
         if lv != OVER:
             continue
         threshold = ws[eid]
-        for level in range(1, packing.M + 1):
+        for level in range(1, M + 1):
             adj: dict[int, list[int]] = {}
             for fid in by_level.get(level, []):
                 if ws[fid] >= threshold:

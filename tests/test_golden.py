@@ -143,7 +143,7 @@ CASES = {
     "mincut": (
         "dumbbell",
         ["mincut", *PRACTICAL],
-        "93990fd7e8a5ad0e6da77d1723f3e0fd26621bcae0ef288385c7b195a8705b83",
+        "89d0e2d14421c0a204ffb57c3775ce360b34f248f75453a2a7276466d64a6674",
     ),
     "msf-levels-8": (
         "random",

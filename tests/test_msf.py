@@ -123,7 +123,6 @@ class TestPackingExamples:
         g = WeightedGraph.from_edges(4, [])
         packing = packer(g, 3)
         assert packing.levels.tolist() == []
-        assert packing.singleton_level.tolist() == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("packer", PACKERS)
     def test_parallel_edges_stack_levels(self, packer):
@@ -137,16 +136,19 @@ class TestPackingExamples:
             packer(triangle(), -1)
 
 
-def assert_matches_oracle(g: WeightedGraph, blocks: tuple[int, ...]) -> None:
-    """The kernel at each `_BLOCK` in `blocks` against one oracle call per M."""
-    for M in sorted({0, 1, 2, 3, g.m, g.m + 5}):
-        oracle = oracle_msf_packing(g, M)
+def assert_matches_oracle(
+    g: WeightedGraph, blocks: tuple[int, ...], Ms: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """The kernel at each `_BLOCK` in `blocks` against one oracle call per M
+    in `Ms` (by default 0-3, m and m + 5); returns the last levels it got."""
+    for M in Ms or sorted({0, 1, 2, 3, g.m, g.m + 5}):
+        expected = oracle_msf_packing(g, M).levels.tolist()
         for block in blocks:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(msf, "_BLOCK", block)
-                fast = msf_packing_bounded(g, M)
-            assert fast.levels.tolist() == oracle.levels.tolist()
-            assert fast.singleton_level.tolist() == oracle.singleton_level.tolist()
+                levels = msf_packing_bounded(g, M).levels
+            assert levels.tolist() == expected
+    return levels
 
 
 class TestPackingAgreement:
@@ -172,28 +174,14 @@ class TestPackingAgreement:
         for packer in PACKERS:
             packing = packer(g, 2)
             assert packing.levels.tolist() == [1, 2, OVER, 1, 2]
-            assert packing.singleton_level.tolist() == [3, 3, 3, 3, 1]
-
-    def test_singleton_level_consistency(self):
-        # s(v) - 1 must equal the highest level of any edge incident to v
-        for trial in range(8):
-            g = random_graph(10, 35, 20, seed=400 + trial)
-            packing = msf_packing_bounded(g, 5)
-            highest = [0] * g.n
-            for eid, (u, v, _) in enumerate(g.edges()):
-                lev = int(packing.levels[eid])
-                if lev != OVER:
-                    highest[u] = max(highest[u], lev)
-                    highest[v] = max(highest[v], lev)
-            assert packing.singleton_level.tolist() == [h + 1 for h in highest]
 
     def test_invariants_hold(self):
         for trial in range(6):
             g = random_graph(9, 40, 12, seed=500 + trial)
             for M in (1, 3):
                 packing = msf_packing_bounded(g, M)
-                validate_msf_packing_forests(g, packing)
-                validate_msf_packing_heaviness(g, packing)
+                validate_msf_packing_forests(g, packing, M)
+                validate_msf_packing_heaviness(g, packing, M)
 
 
 def reference_order(w: list[int]) -> list[int]:
@@ -239,14 +227,6 @@ class TestPackingKernel:
     """The kernel's search order and its block-by-block reads of the
     processing order, against the literal definition."""
 
-    @staticmethod
-    def assert_matches_oracle(g: WeightedGraph, M: int) -> np.ndarray:
-        fast = msf_packing_bounded(g, M)
-        oracle = oracle_msf_packing(g, M)
-        assert fast.levels.tolist() == oracle.levels.tolist()
-        assert fast.singleton_level.tolist() == oracle.singleton_level.tolist()
-        return fast.levels
-
     def test_bisects_after_a_failed_probe_under_the_top(self):
         # Edge 2 comes last, with both endpoints at s = 4, so its top is
         # forest 3.  Forests 3 and 2 both split {0, 2} from {1, 3}: the probe
@@ -254,29 +234,27 @@ class TestPackingKernel:
         g = WeightedGraph.from_edges(
             4, [(1, 3, 2), (3, 1, 7), (3, 2, 1), (2, 0, 5), (3, 1, 2), (2, 0, 2), (0, 2, 3)]
         )
-        levels = self.assert_matches_oracle(g, 3)
+        levels = assert_matches_oracle(g, (msf._BLOCK,), (3,))
         assert levels.tolist() == [2, 1, 1, 1, 3, 3, 2]
 
-    def test_filter_empties_every_block_after_the_top_forest_spans(self, monkeypatch):
+    def test_filter_empties_every_block_after_the_top_forest_spans(self):
         # blocks of n edges: two heavy spanning paths fill forests 1 and 2 in
         # the first 2n - 2 edges, so the top forest spans in the second block
         # and the third filters to empty
-        monkeypatch.setattr(msf, "_BLOCK", 1)
         g = two_paths_graph(500, 3 * 500 - 100, seed=7)
-        levels = self.assert_matches_oracle(g, 2)[_descending_order(g.edge_w)]
+        levels = assert_matches_oracle(g, (1,), (2,))[_descending_order(g.edge_w)]
         top = np.flatnonzero(levels == 2)
         assert len(top) == g.n - 1
         assert top[-1] // g.n == 1
         assert (levels[top[-1] + 1 :] == OVER).all()
 
-    def test_filter_reads_every_block_while_the_top_forest_does_not_span(self, monkeypatch):
-        monkeypatch.setattr(msf, "_BLOCK", 1)
+    def test_filter_reads_every_block_while_the_top_forest_does_not_span(self):
         g = random_graph(300, 3 * 300 - 100, 10**6, seed=7)
         degree = np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=g.n)
         # a vertex of degree d lies in at most d forests, so forest d + 1
         # never spans, and the last block still has edges for the loop to place
         M = int(degree.min()) + 1
-        levels = self.assert_matches_oracle(g, M)
+        levels = assert_matches_oracle(g, (1,), (M,))
         assert np.count_nonzero(levels == M) < g.n - 1
         assert (levels[_descending_order(g.edge_w)][2 * g.n :] != OVER).any()
 
@@ -290,7 +268,7 @@ class TestPackingKernel:
         v = (u + rng.integers(1, n, m)) % n
         g = WeightedGraph.from_arrays(n, u, v, rng.integers(1, 10**6, m, endpoint=True))
         block = max(msf._BLOCK, n)
-        levels = self.assert_matches_oracle(g, 16)[_descending_order(g.edge_w)]
+        levels = assert_matches_oracle(g, (msf._BLOCK,), (16,))[_descending_order(g.edge_w)]
         top = np.flatnonzero(levels == 16)
         assert -(-m // block) == 8
         assert len(top) == n - 1

@@ -97,8 +97,8 @@ class TestOracleMsfPacking:
             g = random_graph(9, 35, 15, seed=700 + seed)
             for M in (1, 4):
                 packing = oracle_msf_packing(g, M)
-                validate_msf_packing_forests(g, packing)
-                validate_msf_packing_heaviness(g, packing)
+                validate_msf_packing_forests(g, packing, M)
+                validate_msf_packing_heaviness(g, packing, M)
 
 
 class TestExactMinCut:

@@ -69,24 +69,24 @@ class TestRho:
 class TestConfig:
     def test_validation(self):
         for method in METHODS:
-            SparsifyConfig(epsilon=0.5, method=method).validate()
+            SparsifyConfig(epsilon=0.5, method=method)
             for epsilon in (1.5, 0.0):
                 with pytest.raises(ValueError):
-                    SparsifyConfig(epsilon=epsilon, method=method).validate()
+                    SparsifyConfig(epsilon=epsilon, method=method)
         with pytest.raises(ValueError):
-            SparsifyConfig(epsilon=0.5, rho_scale=0.0).validate()
+            SparsifyConfig(epsilon=0.5, rho_scale=0.0)
         for scale in (math.nan, math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
-                SparsifyConfig(epsilon=0.5, rho_scale=scale).validate()
+                SparsifyConfig(epsilon=0.5, rho_scale=scale)
         with pytest.raises(ValueError):
-            SparsifyConfig(epsilon=0.5, method="weird").validate()
+            SparsifyConfig(epsilon=0.5, method="weird")
         with pytest.raises(ValueError):
-            SparsifyConfig(epsilon=0.5, mode="weird").validate()
+            SparsifyConfig(epsilon=0.5, mode="weird")
         with pytest.raises(ValueError):
-            SparsifyConfig(epsilon=0.5, mode="practical", rho_scale=0.5).validate()
+            SparsifyConfig(epsilon=0.5, mode="practical", rho_scale=0.5)
 
     def test_valid_by_construction(self):
-        # no validate() call: building a config, or replacing a field, checks it
+        # building a config, or replacing a field, checks it
         cfg = SparsifyConfig(epsilon=0.5)
         with pytest.raises(ValueError, match="epsilon"):
             SparsifyConfig(epsilon=1.5)
